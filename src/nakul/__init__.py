@@ -3,9 +3,7 @@
 A stack of residual blocks combines adaptive multi-kernel temporal
 mixing, learnable Gaussian spectral bands, and graph-biased spatial
 attention, fused per channel on a simplex. Everything runs on a small
-reverse-mode autodiff engine over numpy; the hot kernels are numba-jitted
-with a pure-numpy fallback (set NAKUL_NUMBA=0) that produces bit-identical
-results.
+reverse-mode autodiff engine over numpy, with no compiled extensions.
 """
 
 __version__ = "0.1.0"

@@ -1,56 +1,20 @@
-"""Hot inner loops with a numba fast path and a pure-numpy fallback.
+"""Depthwise causal convolution kernels, forward and backward, in numpy.
 
-The sequential pieces of the package (state-space scans, depthwise
-causal convolutions) spend their time in per-timestep loops that numpy
-cannot fuse. When numba is importable they are compiled with @njit;
-otherwise, or when NAKUL_NUMBA=0 is set in the environment, the numpy
-implementations below are used instead.
-
-Both paths accumulate taps and state updates in the same order, so a
-given input produces the same floating-point result to the last bit on
-either path for the convolution kernels, and to rounding for the scans.
-`benchmarks/backend_bench.py` times one against the other.
-
+y[r, t, d] = sum_j k[j, d] * x[r, t - j, d], zero-padded on the left.
 Shapes use R for flattened leading (batch-like) dimensions, T for time,
-D for features, and taps for kernel length. All arrays are float64 and
-C-contiguous; callers are expected to guarantee that.
+D for features, and taps for kernel length. All arrays are float64.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_WANT_NUMBA = os.environ.get("NAKUL_NUMBA", "1") != "0"
-
-try:  # pragma: no cover - exercised implicitly by import
-    if not _WANT_NUMBA:
-        raise ImportError
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # fallback decorator: leave function as-is
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
+# Recorded in benchmark environment reports; there is no compiled path.
+BACKEND = "numpy"
+HAS_NUMBA = False
 
 
-BACKEND = "numba" if HAS_NUMBA else "numpy"
-
-
-# --- depthwise causal convolution -----------------------------------------
-# y[r, t, d] = sum_j k[j, d] * x[r, t - j, d], zero-padded on the left.
-
-
-def _depthwise_causal_fwd_numpy(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+def depthwise_causal_fwd(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     R, T, D = x.shape
     taps = k.shape[0]
     y = k[0] * x
@@ -59,7 +23,7 @@ def _depthwise_causal_fwd_numpy(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     return y
 
 
-def _depthwise_causal_bwd_numpy(
+def depthwise_causal_bwd(
     x: np.ndarray, k: np.ndarray, gy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     R, T, D = x.shape
@@ -71,129 +35,3 @@ def _depthwise_causal_bwd_numpy(
         gx[:, : T - j, :] += k[j] * gy[:, j:, :]
         gk[j] = np.einsum("rtd,rtd->d", gy[:, j:, :], x[:, : T - j, :])
     return gx, gk
-
-
-@njit(cache=True)
-def _depthwise_causal_fwd_numba(x, k):  # pragma: no cover - numba path
-    R, T, D = x.shape
-    taps = k.shape[0]
-    y = np.empty((R, T, D))
-    for r in range(R):
-        for t in range(T):
-            jmax = taps if taps <= t + 1 else t + 1
-            for d in range(D):
-                acc = k[0, d] * x[r, t, d]
-                for j in range(1, jmax):
-                    acc += k[j, d] * x[r, t - j, d]
-                y[r, t, d] = acc
-    return y
-
-
-@njit(cache=True)
-def _depthwise_causal_bwd_numba(x, k, gy):  # pragma: no cover - numba path
-    R, T, D = x.shape
-    taps = k.shape[0]
-    gx = np.zeros((R, T, D))
-    gk = np.zeros((taps, D))
-    for r in range(R):
-        for t in range(T):
-            jmax = taps if taps <= t + 1 else t + 1
-            for d in range(D):
-                g = gy[r, t, d]
-                for j in range(jmax):
-                    gx[r, t - j, d] += k[j, d] * g
-                    gk[j, d] += x[r, t - j, d] * g
-    return gx, gk
-
-
-# --- dense state-space recurrence ------------------------------------------
-# h_t = A_bar @ h_{t-1} + B_bar * x_t ; y_t = C @ h_t + d_skip * x_t
-
-
-def _ssm_scan_numpy(
-    a_bar: np.ndarray, b_bar: np.ndarray, c: np.ndarray, d_skip: float, x: np.ndarray
-) -> np.ndarray:
-    T = x.shape[0]
-    n = a_bar.shape[0]
-    h = np.zeros(n)
-    y = np.empty(T)
-    for t in range(T):
-        h = a_bar @ h + b_bar * x[t]
-        y[t] = c @ h + d_skip * x[t]
-    return y
-
-
-@njit(cache=True)
-def _ssm_scan_numba(a_bar, b_bar, c, d_skip, x):  # pragma: no cover
-    T = x.shape[0]
-    n = a_bar.shape[0]
-    h = np.zeros(n)
-    y = np.empty(T)
-    for t in range(T):
-        hn = np.zeros(n)
-        for i in range(n):
-            acc = 0.0
-            for j in range(n):
-                acc += a_bar[i, j] * h[j]
-            hn[i] = acc + b_bar[i] * x[t]
-        h = hn
-        acc = 0.0
-        for i in range(n):
-            acc += c[i] * h[i]
-        y[t] = acc + d_skip * x[t]
-    return y
-
-
-# --- direct causal convolution ---------------------------------------------
-# y_t = sum_{j<=min(t, taps-1)} k[j] * x[t-j] + d_skip * x[t]
-
-
-def _causal_convolve_numpy(k: np.ndarray, x: np.ndarray, d_skip: float) -> np.ndarray:
-    T = x.shape[0]
-    taps = k.shape[0]
-    y = k[0] * x
-    for j in range(1, min(taps, T)):
-        y[j:] += k[j] * x[: T - j]
-    return y + d_skip * x
-
-
-@njit(cache=True)
-def _causal_convolve_numba(k, x, d_skip):  # pragma: no cover - numba path
-    T = x.shape[0]
-    taps = k.shape[0]
-    y = np.empty(T)
-    for t in range(T):
-        jmax = taps if taps <= t + 1 else t + 1
-        acc = k[0] * x[t]
-        for j in range(1, jmax):
-            acc += k[j] * x[t - j]
-        y[t] = acc + d_skip * x[t]
-    return y
-
-
-if HAS_NUMBA:
-    depthwise_causal_fwd = _depthwise_causal_fwd_numba
-    depthwise_causal_bwd = _depthwise_causal_bwd_numba
-    ssm_scan = _ssm_scan_numba
-    causal_convolve_raw = _causal_convolve_numba
-else:
-    depthwise_causal_fwd = _depthwise_causal_fwd_numpy
-    depthwise_causal_bwd = _depthwise_causal_bwd_numpy
-    ssm_scan = _ssm_scan_numpy
-    causal_convolve_raw = _causal_convolve_numpy
-
-# numpy twins are exported unconditionally so the benchmark and the
-# equivalence tests can compare the two paths in one process.
-NUMPY_IMPLS = {
-    "depthwise_causal_fwd": _depthwise_causal_fwd_numpy,
-    "depthwise_causal_bwd": _depthwise_causal_bwd_numpy,
-    "ssm_scan": _ssm_scan_numpy,
-    "causal_convolve_raw": _causal_convolve_numpy,
-}
-
-ACTIVE_IMPLS = {
-    "depthwise_causal_fwd": depthwise_causal_fwd,
-    "depthwise_causal_bwd": depthwise_causal_bwd,
-    "ssm_scan": ssm_scan,
-    "causal_convolve_raw": causal_convolve_raw,
-}

@@ -29,7 +29,6 @@ import re
 import statistics
 import sys
 import time
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -610,14 +609,6 @@ def cmd_dump_kernel_weights(args) -> int:
 # --- benchmarking -----------------------------------------------------------------
 
 
-def _single_thread_blas():
-    try:
-        from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=1)
-    except ImportError:
-        return nullcontext()
-
-
 def cmd_bench(args) -> int:
     rc = load_config(args.config)
     try:
@@ -629,18 +620,17 @@ def cmd_bench(args) -> int:
     model = init_model(model_config(rc), stream(rc.seed, "init"))
     data_rng = stream(args.seed, "data")
     print("length,median_seconds,flop_estimate")
-    with _single_thread_blas():
-        for n in lengths:
-            x = data_rng.normal(size=(1, rc.n_channels, n))
-            for _ in range(5):  # warm-ups excluded from the median
-                model_forward(model, x)
-            times = []
-            for _ in range(20):
-                t0 = time.perf_counter()
-                model_forward(model, x)
-                times.append(time.perf_counter() - t0)
-            flops = count_flops(model, (1, rc.n_channels, n))["total"]
-            print(f"{n},{statistics.median(times):.6g},{flops}")
+    for n in lengths:
+        x = data_rng.normal(size=(1, rc.n_channels, n))
+        for _ in range(5):  # warm-ups excluded from the median
+            model_forward(model, x)
+        times = []
+        for _ in range(20):
+            t0 = time.perf_counter()
+            model_forward(model, x)
+            times.append(time.perf_counter() - t0)
+        flops = count_flops(model, (1, rc.n_channels, n))["total"]
+        print(f"{n},{statistics.median(times):.6g},{flops}")
     return 0
 
 
@@ -692,7 +682,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_dump_kernel_weights)
 
-    p = sub.add_parser("bench", help="forward time and analytic cost per length")
+    p = sub.add_parser(
+        "bench",
+        help="forward time and analytic cost per length (BLAS threads are set at "
+        "launch, e.g. OPENBLAS_NUM_THREADS=1)",
+    )
     p.add_argument("--config", required=True)
     p.add_argument("--lengths", default="128,256,512,1024,2048")
     p.add_argument("--seed", type=int, default=0)

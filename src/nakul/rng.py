@@ -14,7 +14,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["stream", "RngStreams"]
+__all__ = ["stream"]
 
 
 def _name_key(name: str) -> int:
@@ -27,19 +27,3 @@ def stream(seed: int, name: str) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_name_key(name),))
     return np.random.Generator(np.random.PCG64(ss))
 
-
-class RngStreams:
-    """Splitter handing out independent generators by name.
-
-    Repeated requests for the same name return the same generator
-    object, so a consumer that draws twice advances its own stream.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._streams: dict[str, np.random.Generator] = {}
-
-    def get(self, name: str) -> np.random.Generator:
-        if name not in self._streams:
-            self._streams[name] = stream(self.seed, name)
-        return self._streams[name]

@@ -5,8 +5,7 @@ output. Zero-order hold over a step delta gives the discrete transition
 A_bar = exp(delta A) and input matrix B_bar; unrolling the recurrence
 shows the output is a causal convolution with the kernel
 K_k = C A_bar^k B_bar plus the skip term, which is what the equivalence
-tests exercise. The selective variant re-derives delta, B, and C from
-each input step.
+tests exercise.
 
 The matrix exponential is scaling-and-squaring with a Pade order-6
 approximant. B_bar is computed from the series
@@ -14,9 +13,7 @@ delta (I + delta A / 2! + (delta A)^2 / 3! + ...) B, truncated once the
 next term's norm drops below 1e-14, so A = 0 yields exactly delta B
 instead of hitting the singular closed form.
 
-discretize / materialize_kernel / recurrent_scan / causal_convolve are
-plain numpy (verification plumbing, no gradients); selective_scan is
-built on the autodiff engine because its projections are trained.
+Everything here is plain numpy (verification plumbing, no gradients).
 """
 
 from __future__ import annotations
@@ -25,19 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backends
-from . import tensor as te
-
 __all__ = [
     "SsmParams",
     "DiscreteSsm",
-    "SelectiveParams",
     "stable_diag_init",
     "matrix_exp",
     "discretize",
     "materialize_kernel",
     "recurrent_scan",
-    "selective_scan",
     "causal_convolve",
 ]
 
@@ -66,15 +58,6 @@ class DiscreteSsm:
     c: np.ndarray  # 1 x N
     d_skip: float
     delta: float
-
-
-@dataclass
-class SelectiveParams:
-    """Input-dependent projections: step size, input and output maps."""
-
-    w_delta: te.Tensor  # (D, 1)
-    w_b: te.Tensor  # (D, N)
-    w_c: te.Tensor  # (D, N)
 
 
 def stable_diag_init(n: int, d_skip: float = 1.0) -> SsmParams:
@@ -147,58 +130,25 @@ def materialize_kernel(d: DiscreteSsm, length: int) -> np.ndarray:
 
 def recurrent_scan(d: DiscreteSsm, x: np.ndarray) -> np.ndarray:
     """y_k = C h_k + D_skip x_k with h_k = A_bar h_{k-1} + B_bar x_k, h_0 = 0."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    return backends.ssm_scan(
-        np.ascontiguousarray(d.a_bar),
-        np.ascontiguousarray(d.b_bar[:, 0]),
-        np.ascontiguousarray(d.c[0]),
-        float(d.d_skip),
-        x,
-    )
+    x = np.asarray(x, dtype=np.float64)
+    b_bar, c = d.b_bar[:, 0], d.c[0]
+    h = np.zeros(d.a_bar.shape[0])
+    y = np.empty(x.shape[0])
+    for t in range(x.shape[0]):
+        h = d.a_bar @ h + b_bar * x[t]
+        y[t] = c @ h + d.d_skip * x[t]
+    return y
 
 
 def causal_convolve(kernel: np.ndarray, x: np.ndarray, skip: float = 0.0) -> np.ndarray:
     """Same-length causal convolution, left-zero-padded, plus skip * x."""
-    kernel = np.ascontiguousarray(kernel, dtype=np.float64)
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if kernel.shape[0] < 1:
+    kernel = np.asarray(kernel, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    taps = kernel.shape[0]
+    if taps < 1:
         raise ValueError("kernel must have at least one tap")
-    return backends.causal_convolve_raw(kernel, x, float(skip))
-
-
-def selective_scan(sp: SelectiveParams, base: SsmParams, x: te.Tensor) -> te.Tensor:
-    """Input-dependent scan over x of shape (L, D); returns (L,).
-
-    Per step: delta_t = softplus(x_t . w_delta), B_t = x_t W_B,
-    C_t = x_t W_C; the state update uses the per-step zero-order hold
-    with the base A, which must be diagonal (the package never trains a
-    dense A, and the per-step exponential is exact elementwise). The
-    scalar channel input is the mean of x_t over features.
-    """
-    a_full = base.a
-    if np.abs(a_full - np.diag(np.diag(a_full))).max() > 0.0:
-        raise ValueError("selective_scan requires a diagonal state matrix")
-    a = np.diag(a_full)  # (N,)
-    nonzero = a != 0.0
-    inv_a = np.where(nonzero, 1.0 / np.where(nonzero, a, 1.0), 0.0)
-    zero_mask = (~nonzero).astype(np.float64)
-
-    length = x.shape[0]
-    delta = te.softplus(te.matmul(x, sp.w_delta))  # (L, 1)
-    bts = te.matmul(x, sp.w_b)  # (L, N)
-    cts = te.matmul(x, sp.w_c)  # (L, N)
-    x_tilde = x.mean(axis=1, keepdims=True)  # (L, 1)
-
-    h = te.Tensor(np.zeros(base.n))
-    a_row = a.reshape(1, -1)
-    ys = []
-    for t in range(length):
-        dt = delta[t : t + 1, :]  # (1, 1)
-        da = dt * a_row  # (1, N)
-        a_bar = te.exp(da)
-        phi = (a_bar - 1.0) * inv_a + dt * zero_mask  # (1, N)
-        b_bar = phi * bts[t : t + 1, :]
-        h = a_bar.reshape(-1) * h + b_bar.reshape(-1) * x_tilde[t : t + 1, 0]
-        y_t = (cts[t : t + 1, :].reshape(-1) * h).sum() + base.d_skip * x_tilde[t : t + 1, 0].reshape(())
-        ys.append(y_t.reshape(1))
-    return te.concat(ys, axis=0)
+    T = x.shape[0]
+    y = kernel[0] * x
+    for j in range(1, min(taps, T)):
+        y[j:] += kernel[j] * x[: T - j]
+    return y + float(skip) * x

@@ -680,8 +680,7 @@ def depthwise_causal_conv(x: Tensor, kernel: Tensor) -> Tensor:
     """Per-feature causal convolution along the time axis.
 
     x has shape (..., T, D), kernel (taps, D): one filter per feature
-    column, output at t sees inputs t, t-1, ..., t-taps+1 only. Runs on
-    the compiled backend when available.
+    column, output at t sees inputs t, t-1, ..., t-taps+1 only.
     """
     from . import backends
 

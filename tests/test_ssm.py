@@ -1,13 +1,11 @@
-"""State-space core: discretization, kernel/scan equivalence, selective scan."""
+"""State-space core: discretization, kernel/scan equivalence."""
 
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
 from nakul import ssm
-from nakul import tensor as te
 from oracles import (
-    check_gradients,
     direct_ssm_outputs,
     zoh_discretize_diag,
     zoh_discretize_scalar,
@@ -172,86 +170,3 @@ def test_scan_matches_convolution_and_direct_unroll():
         assert np.abs(y_scan - y_conv).max() < 1e-10
         assert np.abs(y_scan - y_direct).max() < 1e-9
 
-
-# --- selective scan ------------------------------------------------------------------
-
-
-def make_selective(rng, d_in, n):
-    return ssm.SelectiveParams(
-        w_delta=te.Tensor(rng.normal(size=(d_in, 1)) * 0.5, requires_grad=True),
-        w_b=te.Tensor(rng.normal(size=(d_in, n)) * 0.5, requires_grad=True),
-        w_c=te.Tensor(rng.normal(size=(d_in, n)) * 0.5, requires_grad=True),
-    )
-
-
-def test_selective_zero_weights_passes_skip_only():
-    rng = np.random.default_rng(6)
-    n, d_in, length = 3, 5, 12
-    base = ssm.stable_diag_init(n, d_skip=2.0)
-    sp = ssm.SelectiveParams(
-        w_delta=te.Tensor(np.zeros((d_in, 1))),
-        w_b=te.Tensor(np.zeros((d_in, n))),
-        w_c=te.Tensor(np.zeros((d_in, n))),
-    )
-    x = rng.normal(size=(length, d_in))
-    y = ssm.selective_scan(sp, base, te.Tensor(x))
-    assert np.abs(y.data - 2.0 * x.mean(axis=1)).max() < 1e-12
-
-
-def test_selective_constant_input_reduces_to_recurrent_scan():
-    rng = np.random.default_rng(7)
-    n, d_in, length = 4, 6, 24
-    base = ssm.stable_diag_init(n, d_skip=0.5)
-    sp = make_selective(rng, d_in, n)
-    row = rng.normal(size=d_in)
-    x = np.tile(row, (length, 1))
-    y_sel = ssm.selective_scan(sp, base, te.Tensor(x)).data
-
-    delta = float(np.logaddexp(0.0, (row @ sp.w_delta.data)[0]))
-    frozen = ssm.SsmParams(
-        a=base.a,
-        b=(row @ sp.w_b.data).reshape(n, 1),
-        c=(row @ sp.w_c.data).reshape(1, n),
-        d_skip=base.d_skip,
-        n=n,
-    )
-    y_ref = ssm.recurrent_scan(ssm.discretize(frozen, delta), np.full(length, row.mean()))
-    assert np.abs(y_sel - y_ref).max() < 1e-10
-
-
-def test_selective_zero_weights_feature_permutation_invariant():
-    rng = np.random.default_rng(8)
-    base = ssm.stable_diag_init(3, d_skip=1.5)
-    sp = ssm.SelectiveParams(
-        w_delta=te.Tensor(np.zeros((5, 1))),
-        w_b=te.Tensor(np.zeros((5, 3))),
-        w_c=te.Tensor(np.zeros((5, 3))),
-    )
-    x = rng.normal(size=(10, 5))
-    perm = rng.permutation(5)
-    y1 = ssm.selective_scan(sp, base, te.Tensor(x)).data
-    y2 = ssm.selective_scan(sp, base, te.Tensor(x[:, perm])).data
-    assert np.abs(y1 - y2).max() < 1e-12
-
-
-def test_selective_scan_gradients():
-    rng = np.random.default_rng(9)
-    n, d_in, length = 3, 4, 10
-    base = ssm.stable_diag_init(n, d_skip=0.3)
-    base.a[0, 0] = 0.0  # exercise the zero-eigenvalue branch
-    sp = make_selective(rng, d_in, n)
-    x = te.Tensor(rng.normal(size=(length, d_in)))
-
-    def build():
-        return ssm.selective_scan(sp, base, x).sum()
-
-    worst = check_gradients(build, [sp.w_delta, sp.w_b, sp.w_c], rng, n_samples=6)
-    assert worst < 1e-3
-
-
-def test_selective_requires_diagonal_a():
-    base = ssm.stable_diag_init(2)
-    base.a[0, 1] = 0.3
-    sp = make_selective(np.random.default_rng(0), 3, 2)
-    with pytest.raises(ValueError):
-        ssm.selective_scan(sp, base, te.Tensor(np.zeros((4, 3))))

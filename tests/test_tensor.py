@@ -274,15 +274,18 @@ def test_grad_depthwise_causal_conv():
     assert worst_grad_error(build, [x, k]) < GRAD_TOL
 
 
-def test_depthwise_causal_conv_more_taps_than_steps():
-    # Kernels longer than the sequence: taps past the first sample see only
+@pytest.mark.parametrize("steps,taps", [(2, 5), (20, 3), (20, 11)])
+def test_depthwise_causal_conv_more_taps_than_steps(steps, taps):
+    # Forward and kernel gradient against direct sums. When the kernel is
+    # longer than the sequence, taps past the first sample see only
     # zero-padding, so they contribute nothing forward and get zero gradient.
-    x = randt(2, 2, 3)
-    k = randt(5, 3)
+    rng = np.random.default_rng(100 * steps + taps)
+    x = randt(2, steps, 3, rng=rng)
+    k = randt(taps, 3, rng=rng)
     y = T.depthwise_causal_conv(x, k)
     ref = np.zeros_like(x.data)
-    for t in range(2):
-        for j in range(min(5, t + 1)):
+    for t in range(steps):
+        for j in range(min(taps, t + 1)):
             ref[:, t, :] += k.data[j] * x.data[:, t - j, :]
     assert np.array_equal(y.data, ref)
 
@@ -291,7 +294,13 @@ def test_depthwise_causal_conv_more_taps_than_steps():
         return (out * out).sum()
 
     assert worst_grad_error(build, [x, k]) < GRAD_TOL
-    assert np.all(k.grad[2:] == 0.0)
+    gy = 2.0 * ref  # d(sum out^2)/d out
+    gk_ref = np.zeros_like(k.data)
+    for j in range(taps):
+        for t in range(j, steps):
+            gk_ref[j] += (gy[:, t, :] * x.data[:, t - j, :]).sum(axis=0)
+    assert np.abs(k.grad - gk_ref).max() <= 1e-12 * np.abs(gk_ref).max()
+    assert np.all(k.grad[steps:] == 0.0)
 
 
 def test_grad_accumulates_across_reuse():
