@@ -9,8 +9,9 @@ Subcommands
     dump-kernel-weights per-sample kernel mixture weights and input statistics
     bench               forward wall-clock and analytic cost versus input length
 
-Exit codes: 0 success, 2 configuration, 3 training abort, 4 artifact
-load or shape mismatch, 5 verification failure.
+Exit codes: 0 success, 2 configuration, 3 non-finite values (in
+training or a forward pass), 4 artifact load or shape mismatch,
+5 verification failure.
 
 Trial file format: a header line
     # channels=<C> samples=<T> rate=<Hz> label=<int>
@@ -29,19 +30,12 @@ import re
 import statistics
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import tensor as te
-from .config import (
-    ConfigError,
-    RunConfig,
-    config_text,
-    load_config,
-    model_config,
-    synthetic_spec,
-    train_config,
-)
+from .config import ConfigError, RunConfig, config_text, load_config, model_config
 from .dynamic import dynamic_mix, init_kernel_bank, init_meta_network
 from .graph import build_graph, circle_layout, init_spatial_attention, topk_masked_attention
 from .model import (
@@ -232,19 +226,29 @@ def model_from_checkpoint(path, sample_rate: float, k_top: int | None = None,
     return model
 
 
-def _load_model_for(args, data_rate: float):
-    """Model for eval/dump commands: config-driven when given, else inferred."""
+def _load_model_for(args, signals: np.ndarray | None = None, data_rate: float = 250.0):
+    """Model for eval/dump commands: config-driven when given, else inferred.
+
+    With a dataset (`signals` and its rate), the config's rate and the
+    model's channel count must match it. Without one, a model inferred
+    from the checkpoint alone assumes `data_rate`.
+    """
     if getattr(args, "config", None):
         rc = load_config(args.config)
-        if abs(rc.rate - data_rate) > 1e-9:
-            raise ConfigError("rate", f"config says {rc.rate}, dataset says {data_rate}")
+        if signals is not None and abs(rc.data.rate - data_rate) > 1e-9:
+            raise ConfigError("rate", f"config says {rc.data.rate}, dataset says {data_rate}")
         model = init_model(model_config(rc), np.random.default_rng(0))
         try:
             load_into(model, args.ckpt)
         except (OSError, ValueError) as exc:
             raise ArtifactError(f"{args.ckpt}: {exc}") from None
-        return model
-    return model_from_checkpoint(args.ckpt, sample_rate=data_rate)
+    else:
+        model = model_from_checkpoint(args.ckpt, sample_rate=data_rate)
+    if signals is not None and signals.shape[1] != model.graph.n_channels:
+        raise ArtifactError(
+            f"dataset has {signals.shape[1]} channels, model expects "
+            f"{model.graph.n_channels}")
+    return model
 
 
 def _predict(model, signals, batch_size: int = 32) -> np.ndarray:
@@ -260,8 +264,8 @@ def _predict(model, signals, batch_size: int = 32) -> np.ndarray:
 
 def cmd_gen_data(args) -> int:
     rc = load_config(args.config)
-    rc.seed = args.seed
-    spec = synthetic_spec(rc)
+    rc.train.seed = args.seed
+    spec = rc.data
     signals, labels = generate_synthetic(spec, seed=args.seed)
     names = save_dataset(args.out, signals, labels, spec.rate, config_text(rc))
     print(f"wrote {len(names)} trials ({spec.n_classes} classes, "
@@ -281,9 +285,9 @@ def cmd_train(args) -> int:
     if args.epochs is not None:
         if args.epochs < 0:
             raise ConfigError("epochs", "must be nonnegative")
-        rc.epochs = args.epochs
+        rc.train.epochs = args.epochs
     if args.seed is not None:
-        rc.seed = args.seed
+        rc.train.seed = args.seed
     data_dir = args.data or rc.data_dir
     if not data_dir:
         raise ConfigError("data_dir", "no dataset directory given (flag or config)")
@@ -292,19 +296,19 @@ def cmd_train(args) -> int:
         raise ConfigError("checkpoint", "no checkpoint path given (flag or config)")
 
     signals, labels, rate = load_dataset(data_dir)
-    if abs(rate - rc.rate) > 1e-9:
-        raise ConfigError("rate", f"config says {rc.rate}, dataset says {rate}")
-    if signals.shape[1] != rc.n_channels:
+    spec = rc.data
+    if abs(rate - spec.rate) > 1e-9:
+        raise ConfigError("rate", f"config says {spec.rate}, dataset says {rate}")
+    if signals.shape[1] != spec.n_channels:
         raise ConfigError(
-            "n_channels", f"config says {rc.n_channels}, dataset has {signals.shape[1]}")
-    if labels.max() >= rc.n_classes:
+            "n_channels", f"config says {spec.n_channels}, dataset has {signals.shape[1]}")
+    if labels.max() >= spec.n_classes:
         raise ConfigError(
-            "n_classes", f"config says {rc.n_classes}, dataset has label {labels.max()}")
+            "n_classes", f"config says {spec.n_classes}, dataset has label {labels.max()}")
 
-    model = init_model(model_config(rc), stream(rc.seed, "init"))
-    tc = train_config(rc)
-    if rc.epochs > 0:
-        rows, info = train(model, signals, labels, tc, log=_log_row)
+    model = init_model(model_config(rc), stream(rc.train.seed, "init"))
+    if rc.train.epochs > 0:
+        rows, info = train(model, signals, labels, rc.train, log=_log_row)
         print(f"best epoch {info['best_epoch']}: val_acc {info['best_val_acc']:.4f} "
               f"(ran {info['epochs_run']} epochs, {info['skipped_steps']} skipped steps)")
     else:
@@ -336,11 +340,7 @@ def _f1_scores(matrix: np.ndarray) -> np.ndarray:
 
 def cmd_eval(args) -> int:
     signals, labels, rate = load_dataset(args.data)
-    model = _load_model_for(args, rate)
-    if signals.shape[1] != model.graph.n_channels:
-        raise ArtifactError(
-            f"dataset has {signals.shape[1]} channels, model expects "
-            f"{model.graph.n_channels}")
+    model = _load_model_for(args, signals, rate)
     n = model.cfg.n_classes
     if labels.max() >= n:
         raise ArtifactError(f"dataset has label {labels.max()}, model has {n} classes")
@@ -460,10 +460,7 @@ def _check_graph(rng):
 
 def _probe_model(rc: RunConfig, rng):
     """Config-sized model on a short probe batch (2 patches is enough)."""
-    mc = model_config(rc)
-    mc.dropout = 0.0
-    mc.stoch_depth = 0.0
-    mc.drop_edge = 0.0
+    mc = replace(model_config(rc), dropout=0.0, stoch_depth=0.0, drop_edge=0.0)
     model = init_model(mc, rng)
     x = rng.normal(size=(2, mc.n_channels, 2 * mc.patch))
     labels = rng.integers(0, mc.n_classes, size=2)
@@ -542,22 +539,9 @@ def _dump_probe(args):
     """(model, probe batch) for dump commands; data dir preferred over noise."""
     if getattr(args, "data", None):
         signals, _, rate = load_dataset(args.data)
-        model = _load_model_for(args, rate)
-        if signals.shape[1] != model.graph.n_channels:
-            raise ArtifactError(
-                f"dataset has {signals.shape[1]} channels, model expects "
-                f"{model.graph.n_channels}")
-        return model, signals
+        return _load_model_for(args, signals, rate), signals
     # no data given: seeded white-noise probe, flat in frequency
-    if getattr(args, "config", None):
-        rc = load_config(args.config)
-        model = init_model(model_config(rc), np.random.default_rng(0))
-        try:
-            load_into(model, args.ckpt)
-        except (OSError, ValueError) as exc:
-            raise ArtifactError(f"{args.ckpt}: {exc}") from None
-    else:
-        model = model_from_checkpoint(args.ckpt, sample_rate=250.0)
+    model = _load_model_for(args)
     cfg = model.cfg
     probe = stream(args.seed, "data").normal(
         size=(16, cfg.n_channels, 8 * cfg.patch))
@@ -582,11 +566,7 @@ def cmd_dump_bands(args) -> int:
 
 def cmd_dump_kernel_weights(args) -> int:
     signals, _, rate = load_dataset(args.data)
-    model = _load_model_for(args, rate)
-    if signals.shape[1] != model.graph.n_channels:
-        raise ArtifactError(
-            f"dataset has {signals.shape[1]} channels, model expects "
-            f"{model.graph.n_channels}")
+    model = _load_model_for(args, signals, rate)
     sizes = model.cfg.kernel_sizes
     header = "sample," + ",".join(f"alpha_{s}" for s in sizes) + ",variance,entropy"
     print(header)
@@ -615,13 +595,14 @@ def cmd_bench(args) -> int:
         lengths = [int(p) for p in args.lengths.split(",") if p.strip()]
     except ValueError:
         raise ConfigError("lengths", f"expected comma-separated ints, got {args.lengths!r}")
-    if not lengths or any(n < rc.patch for n in lengths):
-        raise ConfigError("lengths", f"each length must cover one patch of {rc.patch}")
-    model = init_model(model_config(rc), stream(rc.seed, "init"))
+    mc = rc.model
+    if not lengths or any(n < mc.patch for n in lengths):
+        raise ConfigError("lengths", f"each length must cover one patch of {mc.patch}")
+    model = init_model(model_config(rc), stream(rc.train.seed, "init"))
     data_rng = stream(args.seed, "data")
     print("length,median_seconds,flop_estimate")
     for n in lengths:
-        x = data_rng.normal(size=(1, rc.n_channels, n))
+        x = data_rng.normal(size=(1, mc.n_channels, n))
         for _ in range(5):  # warm-ups excluded from the median
             model_forward(model, x)
         times = []
@@ -629,7 +610,7 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             model_forward(model, x)
             times.append(time.perf_counter() - t0)
-        flops = count_flops(model, (1, rc.n_channels, n))["total"]
+        flops = count_flops(model, (1, mc.n_channels, n))["total"]
         print(f"{n},{statistics.median(times):.6g},{flops}")
     return 0
 
@@ -702,7 +683,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:
-        print(f"training aborted: {exc}", file=sys.stderr)
+        print(f"non-finite values: {exc}", file=sys.stderr)
         return 3
     except ArtifactError as exc:
         print(f"artifact error: {exc}", file=sys.stderr)

@@ -6,6 +6,15 @@ optimizer settings, and artifact paths. The format is plain text, one
 keys are rejected rather than ignored; a typo must not silently fall
 back to a default.
 
+Every key sets one field of a section: the model (`ModelConfig`), the
+data (`SyntheticSpec`) or the training run (`TrainConfig`). The key set
+and the defaults come from those dataclasses, so each setting is
+declared once, in the class that uses it. A key is the field's name
+except where `_RENAMED` below gives another. `n_channels`, `n_classes`
+and `rate` each set a field of both the model and the data section.
+The paths `positions`, `data_dir` and `checkpoint` are keys of their
+own; electrode positions reach the model through `model_config`.
+
 Grouped values use commas, per-class groups are separated by
 semicolons: `class_channels = 4,5,6,7;0,1,2,3` gives class 0 the first
 group and class 1 the second.
@@ -14,14 +23,11 @@ group and class 1 the second.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
-import numpy as np
-
-from .dynamic import DEFAULT_KERNEL_SIZES
 from .graph import read_positions
 from .model import ModelConfig
-from .spectral import CANONICAL_MU_HZ
 from .training import DEFAULT_SYNTHETIC, SyntheticSpec, TrainConfig
 
 __all__ = [
@@ -31,8 +37,6 @@ __all__ = [
     "load_config",
     "config_text",
     "model_config",
-    "synthetic_spec",
-    "train_config",
 ]
 
 
@@ -44,56 +48,56 @@ class ConfigError(ValueError):
         self.key = key
 
 
+def _default_model() -> ModelConfig:
+    return ModelConfig(n_channels=DEFAULT_SYNTHETIC.n_channels,
+                       n_classes=DEFAULT_SYNTHETIC.n_classes,
+                       sample_rate=DEFAULT_SYNTHETIC.rate)
+
+
 @dataclass
 class RunConfig:
-    # model
-    embed_dim: int = 128
-    n_blocks: int = 6
-    heads: int = 8
-    n_bands: int = 4
-    band_centers_hz: tuple = CANONICAL_MU_HZ
-    band_width_hz: float = 2.0
-    band_floor_hz: float = 0.1
-    kernel_sizes: tuple = DEFAULT_KERNEL_SIZES
-    state_dim: int = 1
-    k_top: int = 16
-    patch: int = 50
-    ffn_mult: int = 4
-    head_hidden: int = 64
-    dropout: float = 0.1
-    stoch_depth: float = 0.1
-    drop_edge: float = 0.2
-    # data
-    n_channels: int = 8
-    n_classes: int = 4
-    t_len: int = 1000
-    rate: float = 250.0
-    noise_sigma: float = 0.2
-    tone_amp: float = DEFAULT_SYNTHETIC.amplitude
-    trials_per_class: int = 200
-    class_bands: tuple = DEFAULT_SYNTHETIC.class_bands
-    class_channels: tuple = DEFAULT_SYNTHETIC.class_channels
-    # training
-    lr: float = 1e-3
-    weight_decay: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epochs: int = 200
-    batch_size: int = 16
-    warmup_fraction: float = 0.3
-    final_lr: float = 1e-6
-    label_smoothing: float = 0.1
-    patience: int = 25
-    seed: int = 0
-    grad_clip: float = 1.0
-    val_fraction: float = 0.2
+    model: ModelConfig = field(default_factory=_default_model)
+    data: SyntheticSpec = field(default_factory=lambda: replace(DEFAULT_SYNTHETIC))
+    train: TrainConfig = field(default_factory=TrainConfig)
     # paths (empty means "not set"; command-line flags take precedence)
     positions: str = ""
     data_dir: str = ""
     checkpoint: str = ""
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+_SECTIONS = {"model": ModelConfig, "data": SyntheticSpec, "train": TrainConfig}
+_PATHS = ("positions", "data_dir", "checkpoint")
+# section field -> flat key, where the two names differ
+_RENAMED = {
+    "d": "embed_dim",
+    "sample_rate": "rate",
+    "band_mu_hz": "band_centers_hz",
+    "band_sigma_hz": "band_width_hz",
+    "sigma_floor_hz": "band_floor_hz",
+    "init_state_dim": "state_dim",
+    "amplitude": "tone_amp",
+}
+
+
+def _key_table() -> dict:
+    """Flat key -> every (section, field) it sets."""
+    keys = {}
+    for section, cls in _SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            if f.name != "positions":  # an array, read from the `positions` path
+                keys.setdefault(_RENAMED.get(f.name, f.name), []).append((section, f.name))
+    return keys
+
+
+_KEYS = _key_table()
+
+
+def _flat(rc: RunConfig) -> dict:
+    """Flat key -> value; a shared key reads its first section."""
+    values = {key: getattr(getattr(rc, targets[0][0]), targets[0][1])
+              for key, targets in _KEYS.items()}
+    values.update((key, getattr(rc, key)) for key in _PATHS)
+    return values
 
 
 def _parse_scalar(key: str, raw: str, kind: type):
@@ -133,7 +137,7 @@ def _parse_value(key: str, raw: str, default):
 
 def parse_config(text: str) -> RunConfig:
     """Parse key=value text into a validated RunConfig."""
-    rc = RunConfig()
+    values = _flat(RunConfig())
     seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -143,16 +147,19 @@ def parse_config(text: str) -> RunConfig:
         key, raw = key.strip(), raw.strip()
         if not eq:
             raise ConfigError(key or f"line {lineno}", "expected key = value")
-        if key not in _FIELDS:
+        if key not in values:
             raise ConfigError(key, "unknown key")
         if key in seen:
             raise ConfigError(key, "duplicate key")
         seen.add(key)
-        setattr(rc, key, _parse_value(key, raw, _FIELDS[key].default_factory()
-                                      if _FIELDS[key].default is dataclasses.MISSING
-                                      else _FIELDS[key].default))
-    validate(rc)
-    return rc
+        values[key] = _parse_value(key, raw, values[key])
+    validate(values)
+    sections = {name: {} for name in _SECTIONS}
+    for key, targets in _KEYS.items():
+        for section, name in targets:
+            sections[section][name] = values[key]
+    return RunConfig(**{name: cls(**sections[name]) for name, cls in _SECTIONS.items()},
+                     **{key: values[key] for key in _PATHS})
 
 
 def load_config(path) -> RunConfig:
@@ -164,8 +171,10 @@ def load_config(path) -> RunConfig:
     return parse_config(text)
 
 
-def validate(rc: RunConfig) -> None:
-    """Cross-field checks; every message names the offending key."""
+def validate(values: dict) -> None:
+    """Checks on the flat values; every message names the offending key."""
+    rc = SimpleNamespace(**values)
+
     def positive(key, value, kind="value"):
         if value <= 0:
             raise ConfigError(key, f"{kind} must be positive, got {value}")
@@ -248,68 +257,17 @@ def _format_value(value) -> str:
 
 def config_text(rc: RunConfig) -> str:
     """Render a RunConfig back to the flat format (exact round-trip)."""
-    lines = [f"{name} = {_format_value(getattr(rc, name))}" for name in _FIELDS]
+    lines = [f"{key} = {_format_value(value)}" for key, value in _flat(rc).items()]
     return "\n".join(lines) + "\n"
 
 
-def model_config(rc: RunConfig, positions: np.ndarray | None = None) -> ModelConfig:
-    if positions is None and rc.positions:
+def model_config(rc: RunConfig) -> ModelConfig:
+    """The model section, with electrode positions from the `positions` file."""
+    positions = None
+    if rc.positions:
         _, positions = read_positions(rc.positions)
-        if positions.shape[0] != rc.n_channels:
+        if positions.shape[0] != rc.model.n_channels:
             raise ConfigError(
                 "positions",
-                f"file has {positions.shape[0]} electrodes, expected {rc.n_channels}")
-    return ModelConfig(
-        n_channels=rc.n_channels,
-        n_classes=rc.n_classes,
-        sample_rate=rc.rate,
-        d=rc.embed_dim,
-        n_blocks=rc.n_blocks,
-        heads=rc.heads,
-        patch=rc.patch,
-        n_bands=rc.n_bands,
-        kernel_sizes=rc.kernel_sizes,
-        k_top=rc.k_top,
-        ffn_mult=rc.ffn_mult,
-        head_hidden=rc.head_hidden,
-        dropout=rc.dropout,
-        stoch_depth=rc.stoch_depth,
-        drop_edge=rc.drop_edge,
-        band_mu_hz=rc.band_centers_hz,
-        band_sigma_hz=rc.band_width_hz,
-        sigma_floor_hz=rc.band_floor_hz,
-        init_state_dim=rc.state_dim,
-        positions=positions,
-    )
-
-
-def synthetic_spec(rc: RunConfig) -> SyntheticSpec:
-    return SyntheticSpec(
-        n_classes=rc.n_classes,
-        n_channels=rc.n_channels,
-        t_len=rc.t_len,
-        rate=rc.rate,
-        class_bands=rc.class_bands,
-        class_channels=rc.class_channels,
-        noise_sigma=rc.noise_sigma,
-        trials_per_class=rc.trials_per_class,
-        amplitude=rc.tone_amp,
-    )
-
-
-def train_config(rc: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        lr=rc.lr,
-        weight_decay=rc.weight_decay,
-        beta1=rc.beta1,
-        beta2=rc.beta2,
-        epochs=rc.epochs,
-        batch_size=rc.batch_size,
-        warmup_fraction=rc.warmup_fraction,
-        final_lr=rc.final_lr,
-        label_smoothing=rc.label_smoothing,
-        patience=rc.patience,
-        seed=rc.seed,
-        grad_clip=rc.grad_clip,
-        val_fraction=rc.val_fraction,
-    )
+                f"file has {positions.shape[0]} electrodes, expected {rc.model.n_channels}")
+    return replace(rc.model, positions=positions)

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import tensor as te
 from .dynamic import (
+    DEFAULT_KERNEL_SIZES,
     KernelBank,
     MetaNetwork,
     dynamic_mix,
@@ -76,7 +77,7 @@ class ModelConfig:
     heads: int = 8
     patch: int = 50
     n_bands: int = 4
-    kernel_sizes: tuple = (3, 5, 7, 11)
+    kernel_sizes: tuple = DEFAULT_KERNEL_SIZES
     k_top: int = 16
     ffn_mult: int = 4
     head_hidden: int = 64
@@ -464,21 +465,29 @@ def load_checkpoint(path) -> dict:
 
 
 def load_into(model: NakulModel, path) -> None:
-    """Restore saved values into an initialized model; shapes must match."""
+    """Restore saved values into an initialized model.
+
+    Every name and shape is checked before anything changes, so a
+    mismatch leaves the model exactly as it was.
+    """
     saved = load_checkpoint(path)
-    named = model.named()
+    shapes = {name: tensor.data.shape for name, tensor in model.named().items()}
+    lazy = []  # positional tables are created lazily; check the shape they would get
     for key in saved:
-        # positional tables are created lazily; materialize missing ones
-        if key.startswith("embed.pos_") and key not in named:
-            _positional(model, int(key.split("_")[-1]))
-    named = model.named()
-    if set(saved) != set(named):
-        missing = set(named) - set(saved)
-        extra = set(saved) - set(named)
+        if key.startswith("embed.pos_") and key not in shapes:
+            t_p = int(key.split("_")[-1])
+            shapes[key] = (model.cfg.n_channels, t_p, model.cfg.d)
+            lazy.append(t_p)
+    if set(saved) != set(shapes):
+        missing = set(shapes) - set(saved)
+        extra = set(saved) - set(shapes)
         raise ValueError(f"checkpoint mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
     for name, arr in saved.items():
-        tensor = named[name]
-        if tuple(tensor.data.shape) != tuple(arr.shape):
+        if tuple(shapes[name]) != tuple(arr.shape):
             raise ValueError(f"shape mismatch for {name}")
+    for t_p in lazy:
+        _positional(model, t_p)
+    named = model.named()
+    for name, arr in saved.items():
         # ascontiguousarray would silently promote 0-d scalars to (1,)
-        tensor.data = np.ascontiguousarray(arr) if arr.ndim else np.asarray(arr)
+        named[name].data = np.ascontiguousarray(arr) if arr.ndim else np.asarray(arr)

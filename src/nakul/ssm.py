@@ -36,19 +36,17 @@ __all__ = [
 
 @dataclass
 class SsmParams:
-    """Continuous-time system matrices; A must start stable."""
+    """Continuous-time system matrices; A must start stable.
+
+    Matrices may be given as nested sequences; `discretize` reads them
+    as float64 of the shapes noted below.
+    """
 
     a: np.ndarray  # N x N
     b: np.ndarray  # N x 1
     c: np.ndarray  # 1 x N
     d_skip: float
     n: int
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=np.float64).reshape(self.n, self.n)
-        self.b = np.asarray(self.b, dtype=np.float64).reshape(self.n, 1)
-        self.c = np.asarray(self.c, dtype=np.float64).reshape(1, self.n)
-        self.d_skip = float(self.d_skip)
 
 
 @dataclass
@@ -109,11 +107,14 @@ def _b_bar_series(a: np.ndarray, b: np.ndarray, delta: float) -> np.ndarray:
 def discretize(p: SsmParams, delta: float) -> DiscreteSsm:
     if delta <= 0:
         raise ValueError("delta must be positive")
-    a_bar = matrix_exp(delta * p.a)
-    b_bar = _b_bar_series(p.a, p.b, delta)
+    a = np.asarray(p.a, dtype=np.float64).reshape(p.n, p.n)
+    b = np.asarray(p.b, dtype=np.float64).reshape(p.n, 1)
+    c = np.array(p.c, dtype=np.float64).reshape(1, p.n)
+    a_bar = matrix_exp(delta * a)
+    b_bar = _b_bar_series(a, b, delta)
     if not (np.all(np.isfinite(a_bar)) and np.all(np.isfinite(b_bar))):
         raise FloatingPointError("discretization produced non-finite values")
-    return DiscreteSsm(a_bar=a_bar, b_bar=b_bar, c=p.c.copy(), d_skip=p.d_skip, delta=delta)
+    return DiscreteSsm(a_bar=a_bar, b_bar=b_bar, c=c, d_skip=float(p.d_skip), delta=delta)
 
 
 def materialize_kernel(d: DiscreteSsm, length: int) -> np.ndarray:

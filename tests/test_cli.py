@@ -18,7 +18,7 @@ from nakul.cli import (
     write_trial,
 )
 from nakul.config import ConfigError, RunConfig, config_text, parse_config
-from nakul.model import init_model, load_checkpoint, model_forward
+from nakul.model import init_model, load_checkpoint, model_forward, save_checkpoint
 from nakul.config import model_config
 from nakul.rng import stream
 from nakul.tensor import Tensor
@@ -71,9 +71,9 @@ def workdir(tmp_path_factory):
 
 def test_config_roundtrip_exact():
     rc = parse_config(SMALL_CFG)
-    assert rc.band_centers_hz == (3.0, 6.0)
-    assert rc.kernel_sizes == (3, 5)
-    assert rc.class_channels == ((0, 1), (2, 3))
+    assert rc.model.band_mu_hz == (3.0, 6.0)
+    assert rc.model.kernel_sizes == (3, 5)
+    assert rc.data.class_channels == ((0, 1), (2, 3))
     assert parse_config(config_text(rc)) == rc
 
 
@@ -92,18 +92,28 @@ def test_config_duplicate_and_malformed():
         parse_config("patch = ten\n")
 
 
-def test_config_cross_field_checks():
+def with_line(text: str, line: str) -> str:
+    """`text` with `line` replacing the line of the same key, or appended."""
+    key = line.partition("=")[0].strip()
+    kept = [old for old in text.splitlines() if old.partition("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
+@pytest.mark.parametrize("line, key", [
+    ("heads = 3", "heads"),
+    ("class_bands = 3.0;11.0", "class_bands"),
+    ("class_channels = 0,1;2,9", "class_channels"),
+    ("warmup_fraction = 1.5", "warmup_fraction"),
+    ("label_smoothing = 1.0", "label_smoothing"),
+    ("class_channels = 0,1;", "class_channels"),  # class 1 has no channel
+    ("tone_amp = 0", "tone_amp"),
+    ("rate = 12.0", "class_bands"),  # the shared rate moves Nyquist below 6.5 Hz
+], ids=["heads", "class_bands", "class_channels", "warmup_fraction",
+        "label_smoothing", "empty_channel_group", "tone_amp", "shared_rate"])
+def test_config_cross_field_checks(line, key):
     with pytest.raises(ConfigError) as err:
-        parse_config(SMALL_CFG.replace("heads = 2", "heads = 3"))
-    assert err.value.key == "heads"
-    with pytest.raises(ConfigError) as err:
-        parse_config(SMALL_CFG.replace("class_bands = 3.0;6.5",
-                                       "class_bands = 3.0;11.0"))
-    assert err.value.key == "class_bands"
-    with pytest.raises(ConfigError) as err:
-        parse_config(SMALL_CFG.replace("class_channels = 0,1;2,3",
-                                       "class_channels = 0,1;2,9"))
-    assert err.value.key == "class_channels"
+        parse_config(with_line(SMALL_CFG, line))
+    assert err.value.key == key
 
 
 def test_default_config_is_valid():
@@ -169,7 +179,7 @@ def test_gen_data_deterministic_and_manifest(workdir, tmp_path):
     assert a == b
     manifest = parse_config((workdir / "data" / "manifest.txt").read_text())
     want = parse_config(SMALL_CFG)
-    want.seed = 3
+    want.train.seed = 3
     assert manifest == want
 
 
@@ -243,6 +253,17 @@ def test_eval_channel_mismatch_exits_4(workdir, tmp_path, capsys):
 def test_eval_bad_checkpoint_exits_4(workdir):
     assert main(["eval", "--ckpt", str(workdir / "data" / "labels.csv"),
                  "--data", str(workdir / "data")]) == 4
+
+
+def test_eval_non_finite_checkpoint_exits_3(workdir, tmp_path, capsys):
+    saved = load_checkpoint(workdir / "run" / "model.nakl")
+    saved["embed.weight"][0, 0] = np.inf
+    save_checkpoint(tmp_path / "inf.nakl", saved)
+    assert main(["eval", "--ckpt", str(tmp_path / "inf.nakl"),
+                 "--data", str(workdir / "data")]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite" in err
+    assert "training" not in err
 
 
 def test_resume_flag_absent(workdir):

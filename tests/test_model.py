@@ -271,12 +271,21 @@ def test_checkpoint_bad_magic(tmp_path):
 
 def test_checkpoint_shape_and_name_mismatch(tmp_path):
     model = tiny_model(seed=10)
+    # a forward pass creates a positional table, which the checkpoint carries
+    model_forward(model, np.zeros((1, 3, 20)))
     path = tmp_path / "model.nakl"
     save_checkpoint(path, model.named())
 
     wrong_width = tiny_model(seed=10, head_hidden=5)
+    before = {name: t.data.copy() for name, t in wrong_width.named().items()}
     with pytest.raises(ValueError):
         load_into(wrong_width, path)
+    # a failed load changes nothing, not even the lazily created tables
+    assert wrong_width.pos_enc == {}
+    after = wrong_width.named()
+    assert set(after) == set(before)
+    for name, data in before.items():
+        np.testing.assert_array_equal(after[name].data, data)
 
     fewer = tiny_model(seed=10, n_blocks=1)
     with pytest.raises(ValueError):
