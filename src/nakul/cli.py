@@ -10,8 +10,8 @@ Subcommands
     bench               forward wall-clock and analytic cost versus input length
 
 Exit codes: 0 success, 2 configuration, 3 non-finite values (in
-training or a forward pass), 4 artifact load or shape mismatch,
-5 verification failure.
+training, a forward pass or a loaded checkpoint), 4 artifact load or
+shape mismatch, 5 verification failure.
 
 Trial file format: a header line
     # channels=<C> samples=<T> rate=<Hz> label=<int>

@@ -467,8 +467,9 @@ def load_checkpoint(path) -> dict:
 def load_into(model: NakulModel, path) -> None:
     """Restore saved values into an initialized model.
 
-    Every name and shape is checked before anything changes, so a
-    mismatch leaves the model exactly as it was.
+    Every name, shape and value is checked before anything changes, so a
+    mismatch (ValueError) or a NaN/Inf value (FloatingPointError naming
+    the tensor) leaves the model exactly as it was.
     """
     saved = load_checkpoint(path)
     shapes = {name: tensor.data.shape for name, tensor in model.named().items()}
@@ -485,6 +486,8 @@ def load_into(model: NakulModel, path) -> None:
     for name, arr in saved.items():
         if tuple(shapes[name]) != tuple(arr.shape):
             raise ValueError(f"shape mismatch for {name}")
+        if not np.all(np.isfinite(arr)):
+            raise FloatingPointError(f"checkpoint tensor {name} holds NaN or Inf")
     for t_p in lazy:
         _positional(model, t_p)
     named = model.named()

@@ -17,6 +17,12 @@ Conventions fixed here and relied on throughout the package:
 Complex spectra are carried as a (re, im) pair of real Tensors, so any
 computation built on them is differentiable without special casing.
 
+matmul with a 2-D right operand (every weight) runs as one GEMM over the
+flattened leading rows of the left operand, forward and backward; only
+N-D @ N-D products use numpy's batched matmul. Gradient accumulation
+never adds in place: a node's first gradient is stored as given, often
+the very array a sibling or the upstream node holds.
+
 Construction from external data rejects NaN/Inf. Results of internal
 ops skip that check; modules that can produce non-finite values guard
 their own outputs.
@@ -137,9 +143,12 @@ class Tensor:
         return out
 
     def _accum(self, g: np.ndarray) -> None:
+        # g may be a sibling's or the upstream node's gradient (add, reshape
+        # and swapaxes pass it through), so it is stored, never added into.
         if self.grad is None:
-            self.grad = np.zeros(self.data.shape)
-        self.grad += g
+            self.grad = g
+        else:
+            self.grad = self.grad + g
 
     def backward(self) -> None:
         if self.data.size != 1:
@@ -300,6 +309,8 @@ def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul requires tensors with ndim >= 2")
+    if b.data.ndim == 2:
+        return _matmul_2d(a, b)
     data = np.matmul(a.data, b.data)
     m, k = a.data.shape[-2], a.data.shape[-1]
     n = b.data.shape[-1]
@@ -312,6 +323,24 @@ def matmul(a, b) -> Tensor:
         if b.requires_grad:
             gb = np.matmul(a.data.swapaxes(-1, -2), g)
             b._accum(_unbroadcast(gb, b.data.shape))
+
+    return Tensor._result(data, (a, b), bw)
+
+
+def _matmul_2d(a: Tensor, b: Tensor) -> Tensor:
+    """a (..., k) @ b (k, n) as one GEMM over the flattened leading rows."""
+    rows, k = a.data.shape[:-1], a.data.shape[-1]
+    n = b.data.shape[1]
+    data = (a.data.reshape(-1, k) @ b.data).reshape(rows + (n,))
+    _count(int(np.prod(rows, dtype=np.int64)) * k * n)
+
+    def bw(g):
+        g2 = g.reshape(-1, n)
+        if a.requires_grad:
+            a._accum((g2 @ b.data.T).reshape(a.data.shape))
+        if b.requires_grad:
+            # redone rather than kept: for a non-contiguous a it is a copy
+            b._accum(a.data.reshape(-1, k).T @ g2)
 
     return Tensor._result(data, (a, b), bw)
 
@@ -666,9 +695,12 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     _count(data.size)
 
     def bw(g):
-        full = np.zeros(x.data.shape)
-        np.add.at(full, (b_ix, idx), g)
-        x._accum(full)
+        # flat offset of every gathered element; bincount sums in C order,
+        # so repeated rows accumulate exactly as a sequential scatter-add
+        c, d = x.data.shape[1:]
+        flat = ((b_ix * c + idx)[..., None] * d + np.arange(d)).ravel()
+        full = np.bincount(flat, weights=g.ravel(), minlength=x.data.size)
+        x._accum(full.reshape(x.data.shape))
 
     return Tensor._result(np.ascontiguousarray(data), (x,), bw)
 

@@ -199,19 +199,19 @@ def test_forward_time_scales_subquadratically():
     model = init_model(mcfg, np.random.default_rng(7))
     rng = np.random.default_rng(8)
 
-    def median_forward(t_p, reps=5):
-        x = rng.normal(size=(1, mcfg.n_channels, t_p * mcfg.patch))
+    inputs = {t_p: rng.normal(size=(1, mcfg.n_channels, t_p * mcfg.patch))
+              for t_p in (256, 2048)}
+    best = {}
+    for x in inputs.values():
         model_forward(model, x)  # warm up caches and pools
-        samples = []
-        for _ in range(reps):
+    # interleaved pairs and the fastest of each side: a host speed shift
+    # then hits both lengths instead of moving one against the other
+    for _ in range(9):
+        for t_p, x in inputs.items():
             t0 = time.perf_counter()
             model_forward(model, x)
-            samples.append(time.perf_counter() - t0)
-        return sorted(samples)[len(samples) // 2]
-
-    short = median_forward(256)
-    long = median_forward(2048)
-    assert long / short < 12.0  # 8x tokens, near-linear time
+            best[t_p] = min(best.get(t_p, np.inf), time.perf_counter() - t0)
+    assert best[2048] / best[256] < 12.0  # 8x tokens, near-linear time
 
 
 def test_simplex_and_graph_invariants():

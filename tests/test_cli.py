@@ -1,6 +1,7 @@
 """Config parsing, dataset files, and every subcommand end to end."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -259,11 +260,15 @@ def test_eval_non_finite_checkpoint_exits_3(workdir, tmp_path, capsys):
     saved = load_checkpoint(workdir / "run" / "model.nakl")
     saved["embed.weight"][0, 0] = np.inf
     save_checkpoint(tmp_path / "inf.nakl", saved)
-    assert main(["eval", "--ckpt", str(tmp_path / "inf.nakl"),
-                 "--data", str(workdir / "data")]) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the bad value must not reach a forward pass
+        assert main(["eval", "--ckpt", str(tmp_path / "inf.nakl"),
+                     "--data", str(workdir / "data")]) == 3
     err = capsys.readouterr().err
     assert "non-finite" in err
+    assert "embed.weight" in err
     assert "training" not in err
+    assert "spectral" not in err
 
 
 def test_resume_flag_absent(workdir):

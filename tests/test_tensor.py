@@ -160,14 +160,43 @@ def test_grad_arithmetic():
     assert worst_grad_error(build, [a, b, c]) < GRAD_TOL
 
 
-def test_grad_matmul_batched():
-    a = randt(2, 3, 4)
-    b = randt(4, 5)
+def _rel_gap(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+# (a shape, b shape, a is a parameter, operands built from a and b, einsum of the product)
+MATMUL_CASES = {
+    "3d@2d": ((2, 3, 4), (4, 5), True, lambda a, b: (a, b), "bik,kl->bil"),
+    "4d_swapaxes_view@2d": ((2, 5, 3, 4), (4, 6), True,
+                            lambda a, b: (T.swapaxes(a, 1, 2), b), "bjik,kl->bijl"),
+    "2d@2d_transposed_view": ((3, 4), (5, 4), True,
+                              lambda a, b: (a, T.swapaxes(b, 0, 1)), "ik,jk->ij"),
+    "const2d@3d": ((3, 3), (2, 3, 5), False, lambda a, b: (a, b), "ij,bjk->bik"),
+}
+
+
+@pytest.mark.parametrize("case", list(MATMUL_CASES), ids=list(MATMUL_CASES))
+def test_grad_matmul_batched(case):
+    a_shape, b_shape, a_grad, operands, spec = MATMUL_CASES[case]
+    a, b = randt(*a_shape, grad=a_grad), randt(*b_shape)
+    ref = np.einsum(spec, a.data, b.data)
+    w = RNG.normal(size=ref.shape)
 
     def build():
-        return (T.matmul(a, b) * 0.1).sum()
+        return (T.matmul(*operands(a, b)) * w).sum()
 
-    assert worst_grad_error(build, [a, b]) < GRAD_TOL
+    params = [a, b] if a_grad else [b]
+    assert worst_grad_error(build, params) < GRAD_TOL
+
+    assert _rel_gap(T.matmul(*operands(a, b)).data, ref) <= 1e-12
+    T.backward(build())
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    assert _rel_gap(b.grad, np.einsum(f"{sa},{out}->{sb}", a.data, w)) <= 1e-12
+    if a_grad:
+        assert _rel_gap(a.grad, np.einsum(f"{out},{sb}->{sa}", w, b.data)) <= 1e-12
+    else:
+        assert a.grad is None
 
 
 def test_grad_shape_ops():
@@ -310,6 +339,16 @@ def test_grad_accumulates_across_reuse():
     assert abs(x.grad[0] - 7.0) < 1e-12
 
 
+def test_accumulation_leaves_shared_gradients_alone():
+    # add hands the same upstream array to w1 and w2; adding w1's second
+    # contribution into it in place would also change w2.grad
+    w1, w2 = randt(3, 4), randt(3, 4)
+    loss = (w1 + w2).sum() + (w1 * 3.0).sum()
+    loss.backward()
+    np.testing.assert_array_equal(w2.grad, np.ones((3, 4)))
+    np.testing.assert_array_equal(w1.grad, np.full((3, 4), 4.0))
+
+
 def test_backward_returns_gradient_map():
     a, b = randt(2, 2), randt(2, 2)
     loss = (a * b).sum()
@@ -327,11 +366,16 @@ def test_backward_requires_scalar():
 # --- instrumentation -----------------------------------------------------------
 
 
-def test_mac_counter_counts_matmul():
-    a, b = randt(8, 16, grad=False), randt(16, 4, grad=False)
+@pytest.mark.parametrize("a_shape,b_shape,expected", [
+    ((8, 16), (16, 4), 8 * 16 * 4),
+    ((3, 8, 16), (16, 4), 3 * 8 * 16 * 4),
+    ((8, 8), (3, 8, 4), 3 * 8 * 8 * 4),
+], ids=["2d@2d", "3d@2d", "2d@3d"])
+def test_mac_counter_counts_matmul(a_shape, b_shape, expected):
+    a, b = randt(*a_shape, grad=False), randt(*b_shape, grad=False)
     with T.mac_counter() as macs:
         T.matmul(a, b)
-    assert macs["total"] == 8 * 16 * 4
+    assert macs["total"] == expected
 
 
 def test_mac_counter_off_outside_context():
@@ -363,16 +407,24 @@ def test_grad_scalar_index():
 
 def test_gather_rows_values_and_grad():
     x = randt(2, 4, 3)
-    idx = np.array([[[0, 2], [1, 1]], [[3, 0], [2, 2]]])  # repeats across queries
+    # repeats within a query (row 2 in batch 0, row 3 in batch 1) and across queries
+    idx = np.array([[[0, 2, 2], [2, 1, 0]], [[3, 3, 0], [0, 1, 3]]])
     got = T.gather_rows(x, idx)
-    assert got.data.shape == (2, 2, 2, 3)
+    assert got.data.shape == (2, 2, 3, 3)
     np.testing.assert_array_equal(got.data[0, 0, 1], x.data[0, 2])
-    np.testing.assert_array_equal(got.data[1, 1, 0], x.data[1, 2])
+    np.testing.assert_array_equal(got.data[1, 1, 0], x.data[1, 0])
+
+    w = RNG.normal(size=got.data.shape)
 
     def build():
-        return (T.gather_rows(x, idx) * 1.5).sum()
+        return (T.gather_rows(x, idx) * w).sum()
 
     assert worst_grad_error(build, [x]) < GRAD_TOL
+
+    T.backward(build())
+    ref = np.zeros(x.data.shape)
+    np.add.at(ref, (np.arange(2)[:, None, None], idx), w)
+    np.testing.assert_array_equal(x.grad, ref)
 
 
 def test_scatter_last_layout_and_grad():
