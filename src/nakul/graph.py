@@ -11,6 +11,10 @@ excluded scores competing at 0).
 Top-k selection uses the biased scores and breaks ties toward the
 lowest column index, so results are deterministic. The temperature on
 the bias term is kept positive through a softplus.
+
+Heads are an array axis: Q, K and V are laid out head-major as
+(H*B, C, d_k), so one matmul, one top-k softmax over (H, B, C, C) and
+one row gather serve all heads.
 """
 
 from __future__ import annotations
@@ -153,12 +157,11 @@ def spatial_biases(h_tilde: Tensor, w_bias: Tensor) -> Tensor:
     """Per-head channel-pair biases from diffused features.
 
     h_tilde is (B, C, D) graph_conv output, w_bias (H, D, C).
-    Returns (H, B, C, C).
+    Returns (H, B, C, C) from one broadcast (1, B, C, D) @ (H, 1, D, C).
     """
-    heads = []
-    for h in range(w_bias.shape[0]):
-        heads.append(te.matmul(h_tilde, w_bias[h]))  # (B, C, C)
-    return te.stack(heads, axis=0)
+    b, c, d = h_tilde.shape
+    heads = w_bias.shape[0]
+    return te.matmul(h_tilde.reshape((1, b, c, d)), w_bias.reshape((heads, 1, d, c)))
 
 
 def masked_softmax_topk(scores: Tensor, k: int):
@@ -196,27 +199,23 @@ def topk_masked_attention(sa: SpatialAttention, g: ElectrodeGraph, x: Tensor):
     biases = spatial_biases(h_tilde, sa.w_bias)  # (H, B, C, C)
     beta = sa.beta
 
-    q_all = te.matmul(x, sa.w_q)
-    k_all = te.matmul(x, sa.w_k)
-    v_all = te.matmul(x, sa.w_v)
+    def split(proj):  # (B, C, D) -> (H*B, C, dk), head-major
+        per_head = te.transpose(proj.reshape((b, c, heads, dk)), (2, 0, 1, 3))
+        return per_head.reshape((heads * b, c, dk))
 
-    outputs, attns, score_maps = [], [], []
-    for h in range(heads):
-        sl = slice(h * dk, (h + 1) * dk)
-        q = q_all[..., sl]
-        kk = k_all[..., sl]
-        v = v_all[..., sl]
-        scores = te.matmul(q, te.swapaxes(kk, -1, -2)) * scale + beta * biases[h]
-        attn, idx, weights = masked_softmax_topk(scores, sa.k_top)
-        gathered = te.gather_rows(v, idx)  # (B, C, k, dk)
-        w4 = weights.reshape(weights.shape + (1,))
-        outputs.append((w4 * gathered).sum(axis=-2))  # (B, C, dk)
-        attns.append(attn)
-        score_maps.append(scores)
-
-    merged = te.concat(outputs, axis=-1)
+    q = split(te.matmul(x, sa.w_q))
+    k_t = te.swapaxes(split(te.matmul(x, sa.w_k)), -1, -2)  # (H*B, dk, C)
+    v = split(te.matmul(x, sa.w_v))
+    qk = te.matmul(q, k_t).reshape((heads, b, c, c))
+    scores = qk * scale + beta * biases  # (H, B, C, C)
+    attn, idx, weights = masked_softmax_topk(scores, sa.k_top)
+    kept = idx.shape[-1]
+    gathered = te.gather_rows(v, idx.reshape((heads * b, c, kept)))  # (H*B, C, k, dk)
+    w4 = weights.reshape((heads * b, c, kept, 1))
+    per_head = (w4 * gathered).sum(axis=-2).reshape((heads, b, c, dk))
+    merged = te.transpose(per_head, (1, 2, 0, 3)).reshape((b, c, d))
     out = te.matmul(merged, sa.w_o)
-    return out, te.stack(attns, axis=0), te.stack(score_maps, axis=0)
+    return out, attn, scores
 
 
 def init_spatial_attention(

@@ -7,6 +7,11 @@ band contributes alpha_k * M_k(f) * (W_r + i W_i) X[f], and the sum
 returns to the time domain. Phase information survives because the
 mixing is complex multiplication, not a magnitude operation.
 
+Bands are an array axis: one forward builds the (F, K) masks of all
+bands once, for the gates and the mixing, and the band sum runs inside
+one GEMM per product, of the (..., F, K*D) band-scaled spectrum with the
+per-band W_r or W_i stacked to (K*D, D).
+
 mu and sigma stay positive through softplus reparameterization; sigma
 additionally sits above a configurable floor so gradient steps cannot
 collapse a band to a spike. Band gates alpha_k = sigmoid(w_gate . Z_k)
@@ -106,37 +111,28 @@ def init_band_filters(
     return filters
 
 
-def bin_freqs(t: int, rate: float) -> np.ndarray:
-    return np.arange(t // 2 + 1) * (rate / t)
-
-
-def band_mask(filt: BandFilter, t: int, rate: float) -> Tensor:
-    """Gaussian density over the one-sided bin frequencies; shape (T//2+1,)."""
+def band_mask(filters: list[BandFilter], t: int, rate: float) -> Tensor:
+    """Gaussian densities over the one-sided bin frequencies; shape (T//2+1, K)."""
     if t < 2:
         raise ValueError("need at least two samples for a spectrum")
-    freqs = bin_freqs(t, rate)
-    mu, sigma = filt.mu, filt.sigma
-    diff = te.add(freqs, -mu)
+    freqs = (np.arange(t // 2 + 1) * (rate / t)).reshape(-1, 1)  # (F, 1)
+    mu = te.stack([f.mu for f in filters], axis=0)  # (K,)
+    sigma = te.stack([f.sigma for f in filters], axis=0)
+    diff = te.add(freqs, -mu)  # (F, K)
     quad = (diff * diff) / (sigma * sigma * 2.0)
     norm = sigma * float(np.sqrt(2.0 * np.pi))
     return te.exp(-quad) / norm
 
 
-def band_importance(filters: list[BandFilter], x_mag: Tensor, rate: float) -> Tensor:
+def band_importance(filters: list[BandFilter], x_mag: Tensor, masks: Tensor) -> Tensor:
     """Per-sample band gates; x_mag is |spectrum| of shape (..., F, D).
 
-    Z_k sums the mask-weighted magnitudes over bins; the gate is
-    sigmoid(Z_k . w_gate), one value per sample per band, in (0, 1).
+    Z_k sums the (F, K) masks' column k times the magnitudes over bins;
+    the gate is sigmoid(Z_k . w_gate), one value per sample per band, in (0, 1).
     """
-    nbins = x_mag.shape[-2]
-    t = 2 * (nbins - 1) if nbins > 1 else 1
-    alphas = []
-    for filt in filters:
-        mask = band_mask(filt, t, rate).reshape(-1, 1)  # (F, 1)
-        z = (x_mag * mask).sum(axis=-2)  # (..., D)
-        score = te.matmul(z.reshape((-1, z.shape[-1])), filt.w_gate)
-        alphas.append(te.sigmoid(score.reshape(x_mag.shape[:-2] + (1,))))
-    return te.concat(alphas, axis=-1)  # (..., K)
+    z = te.matmul(te.swapaxes(x_mag, -1, -2), masks)  # (..., D, K)
+    w_gate = te.concat([f.w_gate for f in filters], axis=-1)  # (D, K)
+    return te.sigmoid((z * w_gate).sum(axis=-2))  # (..., K)
 
 
 def spectral_mix(
@@ -152,33 +148,35 @@ def spectral_mix(
     Passing `alphas` (a plain array) freezes the gates at those values,
     which makes the whole map linear in x.
     """
-    t = x.shape[-2]
+    t, d = x.shape[-2], x.shape[-1]
+    k = len(filters)
     xt = te.swapaxes(x, -1, -2)  # (..., D, T)
     spec = te.fft_real(xt)  # re/im (..., D, F)
     re = te.swapaxes(spec.re, -1, -2)  # (..., F, D)
     im = te.swapaxes(spec.im, -1, -2)
+    masks = band_mask(filters, t, rate)  # (F, K)
 
     if alphas is None:
         mag = te.complex_abs(ComplexTensor(re, im))
-        gates = band_importance(filters, mag, rate)
+        gates = band_importance(filters, mag, masks)
     else:
         gates = te.Tensor(np.asarray(alphas, dtype=np.float64))
 
-    acc_re = None
-    acc_im = None
-    for k, filt in enumerate(filters):
-        mask = band_mask(filt, t, rate).reshape(-1, 1)  # (F, 1)
-        a_k = gates[..., k : k + 1]  # (..., 1)
-        a_k = a_k.reshape(a_k.shape + (1,))  # (..., 1, 1)
-        mix_re = te.matmul(re, filt.w_r) - te.matmul(im, filt.w_i)
-        mix_im = te.matmul(re, filt.w_i) + te.matmul(im, filt.w_r)
-        term_re = a_k * (mask * mix_re)
-        term_im = a_k * (mask * mix_im)
-        acc_re = term_re if acc_re is None else acc_re + term_re
-        acc_im = term_im if acc_im is None else acc_im + term_im
+    # alpha_k * M_k(f) scales band k's copy of each bin
+    weight = gates.reshape(gates.shape[:-1] + (1, k, 1)) * masks.reshape((-1, k, 1))
+
+    def by_band(part):  # (..., F, D) -> (..., F, K*D)
+        scaled = part.reshape(part.shape[:-1] + (1, d)) * weight  # (..., F, K, D)
+        return scaled.reshape(scaled.shape[:-2] + (k * d,))
+
+    s_re, s_im = by_band(re), by_band(im)
+    w_r = te.concat([f.w_r for f in filters], axis=0)  # (K*D, D)
+    w_i = te.concat([f.w_i for f in filters], axis=0)
+    mix_re = te.matmul(s_re, w_r) - te.matmul(s_im, w_i)
+    mix_im = te.matmul(s_re, w_i) + te.matmul(s_im, w_r)
 
     out = te.ifft_real(
-        ComplexTensor(te.swapaxes(acc_re, -1, -2), te.swapaxes(acc_im, -1, -2)), n=t
+        ComplexTensor(te.swapaxes(mix_re, -1, -2), te.swapaxes(mix_im, -1, -2)), n=t
     )
     out = te.swapaxes(out, -1, -2)
     if not np.all(np.isfinite(out.data)):

@@ -36,6 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, expit
 
+from . import backends
+
 __all__ = [
     "Tensor",
     "ComplexTensor",
@@ -714,8 +716,6 @@ def depthwise_causal_conv(x: Tensor, kernel: Tensor) -> Tensor:
     x has shape (..., T, D), kernel (taps, D): one filter per feature
     column, output at t sees inputs t, t-1, ..., t-taps+1 only.
     """
-    from . import backends
-
     x, kernel = _wrap(x), _wrap(kernel)
     lead = x.data.shape[:-2]
     t, d = x.data.shape[-2], x.data.shape[-1]

@@ -269,6 +269,7 @@ def train(model: NakulModel, signals, labels, cfg: TrainConfig, log=None):
             adamw_step(params, grads, state, cfg, lr_t)
             epoch_loss += loss.item() * len(take)
             step += 1
+            del logits, loss  # release this step's graph before the next forward
 
         val_loss, val_acc = evaluate(
             model, signals[val_idx], labels[val_idx], eps=cfg.label_smoothing)

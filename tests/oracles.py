@@ -114,6 +114,17 @@ def direct_ssm_outputs(a_bar, b_bar, c, d_skip, x):
     return y
 
 
+def graph_size(*roots) -> int:
+    """Autograd nodes reachable from the given Tensors through their parents."""
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._prev)
+    return len(seen)
+
+
 def gaussian_density(f, mu, sigma):
     return np.exp(-((f - mu) ** 2) / (2.0 * sigma**2)) / (sigma * np.sqrt(2.0 * np.pi))
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from nakul import tensor as te
 from nakul.graph import (
@@ -18,7 +19,7 @@ from nakul.graph import (
 )
 from nakul.tensor import Tensor
 
-from oracles import check_gradients
+from oracles import check_gradients, graph_size
 
 
 def random_graph(rng, c):
@@ -187,32 +188,71 @@ def test_row_shift_invariance():
 # --- full attention path -------------------------------------------------------
 
 
-def full_attention_oracle(sa, x):
-    """Dense-path reference: numpy softmax(QK^T/sqrt(dk)) V, no biases."""
-    d = x.shape[-1]
+def full_attention_oracle(sa, g, x):
+    """Dense-path reference, one head at a time in numpy.
+
+    Scores are QK^T/sqrt(dk) plus beta times the head's graph bias; each
+    row keeps its k_top largest scores (the rest go to -inf) before the
+    softmax. Returns (output, attention, scores) in the layout of
+    topk_masked_attention.
+    """
+    c, d = x.shape[-2], x.shape[-1]
     dk = d // sa.heads
+    pre = g.norm_adjacency @ (x @ sa.w_graph.data)
+    h_tilde = 0.5 * pre * (1.0 + erf(pre / np.sqrt(2.0)))
+    beta = np.logaddexp(0.0, sa.raw_beta.data)
+    keep = min(sa.k_top, c)
     q, k, v = x @ sa.w_q.data, x @ sa.w_k.data, x @ sa.w_v.data
-    outs = []
+    outs, attns, score_maps = [], [], []
     for h in range(sa.heads):
         sl = slice(h * dk, (h + 1) * dk)
         s = q[..., sl] @ k[..., sl].swapaxes(-1, -2) / np.sqrt(dk)
-        s = s - s.max(axis=-1, keepdims=True)
-        a = np.exp(s)
+        s = s + beta * (h_tilde @ sa.w_bias.data[h])
+        floor = np.sort(s, axis=-1)[..., c - keep : c - keep + 1]  # k-th largest
+        a = np.exp(np.where(s >= floor, s, -np.inf) - s.max(axis=-1, keepdims=True))
         a /= a.sum(axis=-1, keepdims=True)
         outs.append(a @ v[..., sl])
-    return np.concatenate(outs, axis=-1) @ sa.w_o.data
+        attns.append(a)
+        score_maps.append(s)
+    out = np.concatenate(outs, axis=-1) @ sa.w_o.data
+    return out, np.stack(attns), np.stack(score_maps)
 
 
-def test_full_k_zero_bias_matches_standard_attention():
+@pytest.mark.parametrize(
+    "heads,k_top,bias",
+    [
+        pytest.param(h, k, bias, id=f"h{h}-k{k or 'C'}-{bias}")
+        for h in (1, 2, 4)
+        for k in (None, 3)
+        for bias in ("zero", "random")
+    ],
+)
+def test_full_k_zero_bias_matches_standard_attention(heads, k_top, bias):
     rng = np.random.default_rng(10)
     c, d = 6, 8
     g = build_graph(circle_layout(c))
-    sa = init_spatial_attention(d, heads=2, c=c, rng=rng, k_top=c)
-    sa.w_bias = Tensor(np.zeros((2, d, c)))
+    sa = init_spatial_attention(d, heads=heads, c=c, rng=rng, k_top=k_top or c)
+    if bias == "zero":
+        sa.w_bias = Tensor(np.zeros((heads, d, c)))
     x = rng.normal(size=(3, c, d))
-    out, attn, _ = topk_masked_attention(sa, g, Tensor(x))
-    np.testing.assert_allclose(out.data, full_attention_oracle(sa, x), rtol=1e-10, atol=1e-12)
+    out, attn, scores = topk_masked_attention(sa, g, Tensor(x))
+    want_out, want_attn, want_scores = full_attention_oracle(sa, g, x)
+    np.testing.assert_allclose(out.data, want_out, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(attn.data, want_attn, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(scores.data, want_scores, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(attn.data.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_attention_graph_size_independent_of_heads():
+    rng = np.random.default_rng(18)
+    c, d = 6, 8
+    g = build_graph(circle_layout(c))
+    x = Tensor(rng.normal(size=(2, c, d)), requires_grad=True)
+    sizes = [
+        graph_size(*topk_masked_attention(init_spatial_attention(d, h, c, rng, k_top=3), g, x))
+        for h in (1, 2, 4)
+    ]
+    assert sizes[0] == sizes[1] == sizes[2], sizes
 
 
 def test_k_above_c_clamps():

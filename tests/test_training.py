@@ -1,8 +1,11 @@
 """Optimizer, schedule, loss, augmentation, synthetic data, train loop."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from nakul import training
 from nakul.model import ModelConfig, init_model, model_forward
 from nakul.rng import stream
 from nakul.tensor import Tensor
@@ -405,3 +408,21 @@ def test_nonfinite_loss_aborts():
     cfg = TrainConfig(epochs=1, batch_size=8, seed=7)
     with pytest.raises(FloatingPointError):
         train(model, signals, labels, cfg)
+
+
+def test_train_releases_previous_step_graph(monkeypatch):
+    # each forward must start after the previous one's graph is gone; Tensor
+    # has no weakref slot, so watch its data array, which only it holds
+    real_forward = training.model_forward
+    refs = []
+
+    def forward(*args, **kwargs):
+        alive = bool(refs) and refs[-1]() is not None
+        assert not alive, f"forward {len(refs)} still holds its logits"
+        logits = real_forward(*args, **kwargs)
+        refs.append(weakref.ref(logits.data))
+        return logits
+
+    monkeypatch.setattr(training, "model_forward", forward)
+    run_tiny_training(seed=8, epochs=2)
+    assert len(refs) == 2 * (3 + 1)  # per epoch: three steps, one validation batch
