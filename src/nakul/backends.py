@@ -1,8 +1,11 @@
 """Depthwise causal convolution kernels, forward and backward, in numpy.
 
-y[r, t, d] = sum_j k[j, d] * x[r, t - j, d], zero-padded on the left.
-Shapes use R for flattened leading (batch-like) dimensions, T for time,
-D for features, and taps for kernel length. All arrays are float64.
+y[r, t, d] = sum_j k[r_k, j, d] * x[r, t - j, d], zero-padded on the left,
+where the kernel k is (R_k, taps, D) with R_k in {1, R}: r_k = r when
+every row has its own kernel, r_k = 0 when one kernel is shared by all
+rows (its gradient is then summed over rows). Shapes use R for flattened
+leading (batch-like) dimensions, T for time, D for features, and taps
+for kernel length. All arrays are float64.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ HAS_NUMBA = False
 
 def depthwise_causal_fwd(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     R, T, D = x.shape
-    taps = k.shape[0]
-    y = k[0] * x
+    taps = k.shape[1]
+    y = k[:, 0:1] * x
     for j in range(1, min(taps, T)):  # taps beyond T never reach an output
-        y[:, j:, :] += k[j] * x[:, : T - j, :]
+        y[:, j:, :] += k[:, j : j + 1] * x[:, : T - j, :]
     return y
 
 
@@ -27,11 +30,12 @@ def depthwise_causal_bwd(
     x: np.ndarray, k: np.ndarray, gy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     R, T, D = x.shape
-    taps = k.shape[0]
-    gx = k[0] * gy
+    taps = k.shape[1]
+    per_row = "rtd,rtd->rd" if k.shape[0] > 1 else "rtd,rtd->d"
+    gx = k[:, 0:1] * gy
     gk = np.zeros_like(k)  # taps past T keep zero gradient
-    gk[0] = np.einsum("rtd,rtd->d", gy, x)
+    gk[:, 0] = np.einsum(per_row, gy, x)
     for j in range(1, min(taps, T)):
-        gx[:, : T - j, :] += k[j] * gy[:, j:, :]
-        gk[j] = np.einsum("rtd,rtd->d", gy[:, j:, :], x[:, : T - j, :])
+        gx[:, : T - j, :] += k[:, j : j + 1] * gy[:, j:, :]
+        gk[:, j] = np.einsum(per_row, gy[:, j:, :], x[:, : T - j, :])
     return gx, gk

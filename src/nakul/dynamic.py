@@ -14,6 +14,14 @@ a sample's output must not depend on its batch neighbors.
 Kernels are stored in causal layout: the last tap multiplies the
 current timestep, so [0, ..., 0, 1] is the identity filter. Output at
 time t never sees input beyond t.
+
+The mixture is linear in the kernels, so sum_m a_m (k_m * x) equals
+(sum_m a_m k_m) * x once every kernel is zero-padded to the longest
+size K_max. Each forward flips the bank to lag order, pads it to
+(M, K_max*D), blends one kernel per sample with one (..., M) @
+(M, K_max*D) matmul and runs a single convolution with it. The padding
+is rebuilt on every forward; padded taps are constants and carry no
+parameters.
 """
 
 from __future__ import annotations
@@ -167,9 +175,10 @@ def dynamic_mix(
     """Statistics-weighted causal filtering with sigmoid output gating.
 
     x is (..., T, D). Returns (output, alphas) with output shaped like
-    x and alphas (..., M). Passing `alphas` overrides the meta-network
-    (one-hot rows isolate a single kernel). A dict passed as stats_out
-    receives the raw variance and the normalized entropy.
+    x and alphas (..., M), one row per leading index of x. Passing
+    `alphas` overrides the meta-network (one-hot rows isolate a single
+    kernel). A dict passed as stats_out receives the raw variance and
+    the normalized entropy.
     """
     nbins = x.shape[-2] // 2 + 1
     if alphas is None:
@@ -182,13 +191,20 @@ def dynamic_mix(
     else:
         gates = Tensor(np.asarray(alphas, dtype=np.float64))
 
-    agg = None
-    for m, kernel in enumerate(bank.kernels):
-        y_m = te.depthwise_causal_conv(x, kernel[::-1, :])  # flip to lag order
-        a_m = gates[..., m : m + 1]
-        a_m = a_m.reshape(a_m.shape + (1,))  # (..., 1, 1)
-        term = a_m * y_m
-        agg = term if agg is None else agg + term
+    # one blended kernel per sample: (R, M) @ (M, K_max*D)
+    kernel = te.matmul(gates.reshape((-1, len(bank.kernels))), _lag_bank(bank))
+    k_max, d = max(bank.sizes), x.shape[-1]
+    y = te.depthwise_causal_conv(x, kernel.reshape(gates.shape[:-1] + (k_max, d)))
 
     gate = te.sigmoid(te.matmul(x, bank.w_gate))
-    return agg * gate, gates
+    return y * gate, gates
+
+
+def _lag_bank(bank: KernelBank) -> Tensor:
+    """The bank as (M, K_max*D): lag order, each kernel zero-padded to K_max taps."""
+    k_max, d = max(bank.sizes), bank.kernels[0].shape[1]
+    parts = []
+    for k in bank.kernels:  # causal layout: the padding holds the oldest lags
+        parts += [Tensor(np.zeros((k_max - k.shape[0], d))), k]
+    causal = te.concat(parts, axis=0).reshape((len(bank.kernels), k_max, d))
+    return causal[:, ::-1, :].reshape((len(bank.kernels), k_max * d))

@@ -4,17 +4,21 @@ Sensors within a fixed radius of each other are joined into a graph
 whose symmetrically normalized adjacency diffuses features; a per-head
 linear readout of the diffused features becomes an additive attention
 bias. Attention itself runs over the channel axis and keeps only the
-top-k scores per row, masking the rest to -inf so the kept entries form
-a proper distribution (a literal multiply-by-zero mask would leave the
-excluded scores competing at 0).
+top-k scores per row; the softmax runs over the kept entries alone, so
+they form a proper distribution (a literal multiply-by-zero mask would
+leave the excluded scores competing at 0).
 
 Top-k selection uses the biased scores and breaks ties toward the
 lowest column index, so results are deterministic. The temperature on
 the bias term is kept positive through a softplus.
 
 Heads are an array axis: Q, K and V are laid out head-major as
-(H*B, C, d_k), so one matmul, one top-k softmax over (H, B, C, C) and
-one row gather serve all heads.
+(H*B, C, d_k), so one score matmul, one masked softmax over
+(H, B, C, C) and one (C, C) @ (C, d_k) matmul with V serve all heads.
+The attention map stays dense in C whatever k is: top-k saves no work,
+it only zeroes entries. That costs C*C*d_k per row against C*k*d_k for
+a row gather, a fair trade while C is small (22 electrodes in the
+BCI IV-2a montage), and it avoids materializing gathered value rows.
 """
 
 from __future__ import annotations
@@ -164,22 +168,20 @@ def spatial_biases(h_tilde: Tensor, w_bias: Tensor) -> Tensor:
     return te.matmul(h_tilde.reshape((1, b, c, d)), w_bias.reshape((heads, 1, d, c)))
 
 
-def masked_softmax_topk(scores: Tensor, k: int):
-    """Row-wise softmax over the k largest scores; the rest stay at zero.
+def masked_softmax_topk(scores: Tensor, k: int) -> Tensor:
+    """Row-wise softmax over the k largest scores; the rest are exactly zero.
 
-    scores (..., C): keeps min(k, C) entries per row (ties resolved
-    toward the lowest column), normalizes them, scatters back to a
-    dense map. Returns (dense_attn, idx, weights); cost past the score
-    matrix is linear in k.
+    scores (..., C): keeps min(k, C) entries per row, ties resolved
+    toward the lowest column, and normalizes over them. Returns the
+    dense (..., C) map. The mask costs one argsort; the softmax and
+    everything after it stay dense in C, whatever k is.
     """
     c = scores.shape[-1]
-    k = min(k, c)
     # stable sort on the negated scores: equal values keep ascending column order
-    idx = np.argsort(-scores.data, axis=-1, kind="stable")[..., :k]
-    kept = te.gather_last(scores, idx)
-    weights = te.softmax(kept)  # (..., k)
-    dense = te.scatter_last(weights, idx, c)
-    return dense, idx, weights
+    idx = np.argsort(-scores.data, axis=-1, kind="stable")[..., : min(k, c)]
+    keep = np.zeros(scores.shape, dtype=bool)
+    np.put_along_axis(keep, idx, True, axis=-1)
+    return te.softmax(scores, keep)
 
 
 def topk_masked_attention(sa: SpatialAttention, g: ElectrodeGraph, x: Tensor):
@@ -208,11 +210,8 @@ def topk_masked_attention(sa: SpatialAttention, g: ElectrodeGraph, x: Tensor):
     v = split(te.matmul(x, sa.w_v))
     qk = te.matmul(q, k_t).reshape((heads, b, c, c))
     scores = qk * scale + beta * biases  # (H, B, C, C)
-    attn, idx, weights = masked_softmax_topk(scores, sa.k_top)
-    kept = idx.shape[-1]
-    gathered = te.gather_rows(v, idx.reshape((heads * b, c, kept)))  # (H*B, C, k, dk)
-    w4 = weights.reshape((heads * b, c, kept, 1))
-    per_head = (w4 * gathered).sum(axis=-2).reshape((heads, b, c, dk))
+    attn = masked_softmax_topk(scores, sa.k_top)
+    per_head = te.matmul(attn.reshape((heads * b, c, c)), v).reshape((heads, b, c, dk))
     merged = te.transpose(per_head, (1, 2, 0, 3)).reshape((b, c, d))
     out = te.matmul(merged, sa.w_o)
     return out, attn, scores

@@ -23,6 +23,7 @@ dims, and float32 values, all little-endian.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -384,7 +385,7 @@ def count_flops(model: NakulModel, input_shape) -> dict:
     f = t_p // 2 + 1
     k_bands = cfg.n_bands
     heads = cfg.heads
-    k_att = min(cfg.k_top, c)
+    n_kernels, k_max = len(cfg.kernel_sizes), max(cfg.kernel_sizes)
     n_blocks = len(model.blocks)
     trunk = b * c * t_p * d
 
@@ -396,16 +397,17 @@ def count_flops(model: NakulModel, input_shape) -> dict:
     out["fft"] = int(n_blocks * 3 * b * c * d * fft_one)
     out["band_mixing"] = n_blocks * 4 * k_bands * b * c * f * d * d
     out["band_gates"] = n_blocks * k_bands * (3 * b * c * f * d + b * c * d)
-    out["kernel_convs"] = n_blocks * sum(trunk * km for km in cfg.kernel_sizes)
+    # one convolution with a blended kernel of the longest size per sample
+    out["kernel_convs"] = n_blocks * trunk * k_max
     out["kernel_gate"] = n_blocks * trunk * d
-    out["meta"] = n_blocks * b * c * (2 * 16 + 16 * len(cfg.kernel_sizes))
+    out["meta"] = n_blocks * b * c * (2 * 16 + 16 * n_kernels + n_kernels * k_max * d)
     rows = b * t_p
     out["graph_conv"] = n_blocks * (rows * c * c * d + rows * c * d * d)
     out["bias_readout"] = n_blocks * heads * rows * c * d * c
     out["attention"] = n_blocks * (
         4 * rows * c * d * d  # Q, K, V, output projections
         + rows * c * c * d  # scores, summed over heads
-        + rows * c * k_att * d  # value gather and combine
+        + rows * c * c * d  # dense top-k map @ V, whatever k is
     )
     out["fusion_proj"] = n_blocks * trunk * d
     out["ffn"] = n_blocks * 2 * trunk * cfg.ffn_mult * d
@@ -420,19 +422,33 @@ def count_flops(model: NakulModel, input_shape) -> dict:
 
 
 def save_checkpoint(path, named: dict) -> None:
-    """Write name -> Tensor/array pairs in the flat binary format."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(named)))
-        for name in sorted(named):
-            arr = named[name]
-            arr = np.asarray(arr.data if isinstance(arr, Tensor) else arr)
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f4").tobytes(order="C"))
+    """Write name -> Tensor/array pairs in the flat binary format.
+
+    The bytes go to a temporary file beside `path`, which then replaces
+    `path` in one rename: a failed write leaves any previous checkpoint
+    as it was and removes the temporary file.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(named)))
+            for name in sorted(named):
+                arr = named[name]
+                arr = np.asarray(arr.data if isinstance(arr, Tensor) else arr)
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.astype("<f4").tobytes(order="C"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> dict:

@@ -60,9 +60,6 @@ __all__ = [
     "fft_real",
     "ifft_real",
     "complex_abs",
-    "gather_last",
-    "gather_rows",
-    "scatter_last",
     "depthwise_causal_conv",
     "inv_softplus",
 ]
@@ -542,11 +539,17 @@ def gelu(x) -> Tensor:
     return Tensor._result(data, (x,), bw)
 
 
-def softmax(x) -> Tensor:
-    """Softmax over the last axis."""
+def softmax(x, keep: np.ndarray | None = None) -> Tensor:
+    """Softmax over the last axis, optionally over a subset of each row.
+
+    keep (boolean, broadcastable to x) marks the entries that take part;
+    the others come out exactly 0 and pass back exactly 0 gradient. Every
+    row must keep at least one entry.
+    """
     x = _wrap(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    where = True if keep is None else keep
+    top = x.data.max(axis=-1, keepdims=True, where=where, initial=-np.inf)
+    e = np.exp(x.data - top, out=np.zeros(x.data.shape), where=where)
     data = e / e.sum(axis=-1, keepdims=True)
     _count(3 * data.size)
 
@@ -652,86 +655,37 @@ def complex_abs(z: ComplexTensor) -> Tensor:
     return Tensor._result(data, (re, im), bw)
 
 
-# --- selection ---------------------------------------------------------------
-
-
-def gather_last(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Take entries along the last axis; idx must be unique per row."""
-    x = _wrap(x)
-    data = np.take_along_axis(x.data, idx, axis=-1)
-
-    def bw(g):
-        full = np.zeros(x.data.shape)
-        np.put_along_axis(full, idx, g, axis=-1)
-        x._accum(full)
-
-    return Tensor._result(data, (x,), bw)
-
-
-def scatter_last(x: Tensor, idx: np.ndarray, size: int) -> Tensor:
-    """Place entries of x at idx along a new last axis of width `size`.
-
-    Inverse layout of gather_last: unselected positions are zero.
-    idx must be unique per row.
-    """
-    x = _wrap(x)
-    data = np.zeros(x.data.shape[:-1] + (size,))
-    np.put_along_axis(data, idx, x.data, axis=-1)
-
-    def bw(g):
-        x._accum(np.take_along_axis(g, idx, axis=-1))
-
-    return Tensor._result(data, (x,), bw)
-
-
-def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows of x per batch: x (B, C, D), idx (B, Q, K) -> (B, Q, K, D).
-
-    Rows may repeat across queries; the backward pass accumulates.
-    """
-    x = _wrap(x)
-    if x.data.ndim != 3 or idx.ndim != 3:
-        raise ValueError("gather_rows expects x (B, C, D) and idx (B, Q, K)")
-    b_ix = np.arange(x.data.shape[0])[:, None, None]
-    data = x.data[b_ix, idx, :]
-    _count(data.size)
-
-    def bw(g):
-        # flat offset of every gathered element; bincount sums in C order,
-        # so repeated rows accumulate exactly as a sequential scatter-add
-        c, d = x.data.shape[1:]
-        flat = ((b_ix * c + idx)[..., None] * d + np.arange(d)).ravel()
-        full = np.bincount(flat, weights=g.ravel(), minlength=x.data.size)
-        x._accum(full.reshape(x.data.shape))
-
-    return Tensor._result(np.ascontiguousarray(data), (x,), bw)
-
-
 # --- depthwise causal convolution ---------------------------------------------
 
 
 def depthwise_causal_conv(x: Tensor, kernel: Tensor) -> Tensor:
     """Per-feature causal convolution along the time axis.
 
-    x has shape (..., T, D), kernel (taps, D): one filter per feature
-    column, output at t sees inputs t, t-1, ..., t-taps+1 only.
+    x has shape (..., T, D). kernel is (taps, D), shared by every row,
+    or (..., taps, D) with x's leading dims, one kernel per row. Each
+    feature column has its own filter; output at t sees inputs t, t-1,
+    ..., t-taps+1 only. Taps are in lag order: tap j multiplies x[t-j].
     """
     x, kernel = _wrap(x), _wrap(kernel)
     lead = x.data.shape[:-2]
     t, d = x.data.shape[-2], x.data.shape[-1]
+    taps = kernel.data.shape[-2]
+    if kernel.data.ndim != 2 and kernel.data.shape[:-2] != lead:
+        raise ValueError("a per-row kernel needs the input's leading dims")
     rows = int(np.prod(lead, dtype=np.int64)) if lead else 1
+    k_rows = 1 if kernel.data.ndim == 2 else rows
     x3 = np.ascontiguousarray(x.data.reshape(rows, t, d))
-    k2 = np.ascontiguousarray(kernel.data)
-    data = backends.depthwise_causal_fwd(x3, k2).reshape(x.data.shape)
-    _count(data.size * k2.shape[0])
+    k3 = np.ascontiguousarray(kernel.data.reshape(k_rows, taps, d))
+    data = backends.depthwise_causal_fwd(x3, k3).reshape(x.data.shape)
+    _count(data.size * taps)
 
     def bw(g):
         g3 = np.ascontiguousarray(g.reshape(rows, t, d))
-        gx, gk = backends.depthwise_causal_bwd(x3, k2, g3)
+        gx, gk = backends.depthwise_causal_bwd(x3, k3, g3)
         if x.requires_grad:
             x._accum(gx.reshape(x.data.shape))
         if kernel.requires_grad:
-            kernel._accum(gk)
+            kernel._accum(gk.reshape(kernel.data.shape))
 
     return Tensor._result(data, (x, kernel), bw)
 

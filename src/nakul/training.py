@@ -225,6 +225,7 @@ def evaluate(model: NakulModel, signals, labels, eps: float = 0.1, batch_size: i
         losses.append(loss.item() * (hi - lo))
         hits += int((logits.data.argmax(axis=-1) == labels[lo:hi]).sum())
         count += hi - lo
+        del logits, loss  # release this batch's graph before the next forward
     return sum(losses) / count, hits / count
 
 

@@ -184,6 +184,34 @@ def test_one_hot_isolates_branch():
         np.testing.assert_allclose(got.data, (y_m * gate).data, rtol=1e-12)
 
 
+def causal_filter_oracle(kernel, x):
+    """Direct sums of one causal-layout (K, D) kernel over x (..., T, D)."""
+    lag = kernel[::-1]
+    out = np.zeros_like(x)
+    for j in range(min(lag.shape[0], x.shape[-2])):
+        out[..., j:, :] += lag[j] * x[..., : x.shape[-2] - j, :]
+    return out
+
+
+def test_random_mixture_matches_weighted_branch_sum():
+    # one convolution with the blended kernel sum_m a_m k_m must equal the
+    # a_m-weighted sum of the separate filters, gated
+    rng = np.random.default_rng(14)
+    d = 4
+    bank = make_bank(d, rng=rng)
+    meta = init_meta_network(rng)
+    x = rng.normal(size=(2, 3, 18, d))
+    gate = 1.0 / (1.0 + np.exp(-(x @ bank.w_gate.data)))
+    for alphas in (rng.dirichlet(np.ones(4), size=(2, 3)), None):
+        got, used = dynamic_mix(bank, meta, Tensor(x), alphas=alphas)
+        a = used.data
+        want = sum(
+            a[..., m, None, None] * causal_filter_oracle(k.data, x)
+            for m, k in enumerate(bank.kernels)
+        ) * gate
+        assert np.abs(got.data - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_branches_causal():
     rng = np.random.default_rng(10)
     d, t = 3, 30

@@ -172,13 +172,13 @@ def test_gradients_through_whole_model():
     model = tiny_model(seed=7)
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(2, 3, 20)))
-    labels = np.array([[0], [2]])
+    onehot = np.eye(model.cfg.n_classes)[[0, 2]]  # labels 0 and 2
     model_forward(model, x)  # materialize the positional table
 
     def build():
         logits = model_forward(model, x)
         logp = te.log(te.softmax(logits))
-        return -te.gather_last(logp, labels).mean()
+        return -(logp * onehot).sum() / 2.0
 
     blk = model.blocks[0]
     sampled = [
@@ -247,6 +247,21 @@ def test_checkpoint_bytes_frozen(tmp_path):
         + np.array([1.5, -2.0], dtype="<f4").tobytes()
     )
     assert path.read_bytes() == want
+
+
+def test_checkpoint_write_failure_keeps_previous_file(tmp_path):
+    path = tmp_path / "model.nakl"
+    save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3)})
+    before = path.read_bytes()
+
+    class Unreadable:  # fails when the writer reaches it, after "a" is written
+        def __array__(self, dtype=None, copy=None):
+            raise RuntimeError("disk went away")
+
+    with pytest.raises(RuntimeError):
+        save_checkpoint(path, {"a": np.ones(4), "b": Unreadable()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.nakl"]
 
 
 def test_checkpoint_roundtrip_through_model(tmp_path):

@@ -112,6 +112,51 @@ def test_softmax_rows_sum_to_one():
     assert (s >= 0).all()
 
 
+def test_softmax_without_mask_is_the_plain_formula():
+    rng = np.random.default_rng(31)
+    x = randt(5, 9, rng=rng, scale=30.0)
+    g = rng.normal(size=(5, 9))
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    want = e / e.sum(axis=-1, keepdims=True)
+    s = T.softmax(x)
+    (s * g).sum().backward()
+    assert np.array_equal(s.data, want)
+    assert np.array_equal(x.grad, want * (g - (g * want).sum(axis=-1, keepdims=True)))
+
+
+def test_softmax_keep_mask_values_and_zero_gradient():
+    rng = np.random.default_rng(32)
+    x = randt(4, 7, rng=rng, scale=3.0)
+    keep = rng.random((4, 7)) < 0.5
+    keep[:, 2] = True  # every row keeps at least one entry
+    x.data[~keep] += 1e3  # excluded entries may dwarf the kept ones
+    g = rng.normal(size=(4, 7))
+    with np.errstate(all="raise"):
+        s = T.softmax(x, keep)
+        (s * g).sum().backward()
+    assert np.all(s.data[~keep] == 0.0)
+    assert np.all(x.grad[~keep] == 0.0)
+    for row in range(4):
+        kept = x.data[row, keep[row]]
+        e = np.exp(kept - kept.max())
+        np.testing.assert_allclose(s.data[row, keep[row]], e / e.sum(), rtol=1e-13)
+
+
+def test_grad_softmax_keep_mask():
+    rng = np.random.default_rng(33)
+    x = randt(3, 6, rng=rng)
+    keep = rng.random((3, 6)) < 0.6
+    keep[:, 0] = True
+    w = rng.normal(size=(3, 6))
+
+    def build():
+        return (T.softmax(x, keep) * w).sum()
+
+    # every coordinate: kept ones against finite differences, excluded ones at 0
+    assert worst_grad_error(build, [x], n_samples=x.data.size) < GRAD_TOL
+
+
 def test_layer_norm_statistics():
     x = randt(6, 32, grad=False, scale=5.0)
     g = T.Tensor(np.ones(32))
@@ -282,16 +327,6 @@ def ComplexScaled(z, s):
     return T.ComplexTensor(z.re * s, z.im * s)
 
 
-def test_grad_gather_last():
-    x = randt(4, 6)
-    idx = np.stack([np.random.default_rng(7 + i).permutation(6)[:3] for i in range(4)])
-
-    def build():
-        return (T.gather_last(x, idx) * 2.0).sum()
-
-    assert worst_grad_error(build, [x]) < GRAD_TOL
-
-
 def test_grad_depthwise_causal_conv():
     x = randt(2, 10, 3)
     k = randt(4, 3)
@@ -305,31 +340,43 @@ def test_grad_depthwise_causal_conv():
 
 @pytest.mark.parametrize("steps,taps", [(2, 5), (20, 3), (20, 11)])
 def test_depthwise_causal_conv_more_taps_than_steps(steps, taps):
-    # Forward and kernel gradient against direct sums. When the kernel is
-    # longer than the sequence, taps past the first sample see only
-    # zero-padding, so they contribute nothing forward and get zero gradient.
+    # Forward and kernel gradient against direct sums, for one kernel shared
+    # by every row and for one kernel per row. When the kernel is longer
+    # than the sequence, taps past the first sample see only zero-padding,
+    # so they contribute nothing forward and get zero gradient.
     rng = np.random.default_rng(100 * steps + taps)
     x = randt(2, steps, 3, rng=rng)
-    k = randt(taps, 3, rng=rng)
-    y = T.depthwise_causal_conv(x, k)
-    ref = np.zeros_like(x.data)
-    for t in range(steps):
-        for j in range(min(taps, t + 1)):
-            ref[:, t, :] += k.data[j] * x.data[:, t - j, :]
-    assert np.array_equal(y.data, ref)
+    shared, per_row = randt(taps, 3, rng=rng), randt(2, taps, 3, rng=rng)
+    for k in (shared, per_row):
+        x.grad = k.grad = None
+        row_k = np.broadcast_to(k.data, (2, taps, 3))  # the kernel each row uses
+        y = T.depthwise_causal_conv(x, k)
+        ref = np.zeros_like(x.data)
+        for t in range(steps):
+            for j in range(min(taps, t + 1)):
+                ref[:, t, :] += row_k[:, j] * x.data[:, t - j, :]
+        assert np.array_equal(y.data, ref)
 
-    def build():
-        out = T.depthwise_causal_conv(x, k)
-        return (out * out).sum()
+        def build():
+            out = T.depthwise_causal_conv(x, k)
+            return (out * out).sum()
 
-    assert worst_grad_error(build, [x, k]) < GRAD_TOL
-    gy = 2.0 * ref  # d(sum out^2)/d out
-    gk_ref = np.zeros_like(k.data)
-    for j in range(taps):
-        for t in range(j, steps):
-            gk_ref[j] += (gy[:, t, :] * x.data[:, t - j, :]).sum(axis=0)
-    assert np.abs(k.grad - gk_ref).max() <= 1e-12 * np.abs(gk_ref).max()
-    assert np.all(k.grad[steps:] == 0.0)
+        assert worst_grad_error(build, [x, k]) < GRAD_TOL
+        gy = 2.0 * ref  # d(sum out^2)/d out
+        gk_ref = np.zeros((2, taps, 3))
+        for j in range(taps):
+            for t in range(j, steps):
+                gk_ref[:, j] += gy[:, t, :] * x.data[:, t - j, :]
+        if k is shared:
+            gk_ref = gk_ref.sum(axis=0)
+        assert np.abs(k.grad - gk_ref).max() <= 1e-12 * np.abs(gk_ref).max()
+        assert np.all(k.grad[..., steps:, :] == 0.0)
+
+
+def test_depthwise_causal_conv_rejects_foreign_row_kernels():
+    x = randt(2, 3, 8, 4, grad=False)
+    with pytest.raises(ValueError):
+        T.depthwise_causal_conv(x, randt(3, 2, 5, 4, grad=False))
 
 
 def test_grad_accumulates_across_reuse():
@@ -401,42 +448,5 @@ def test_grad_scalar_index():
 
     def build():
         return (x[1] * y).sum() + x[0] * 2.0
-
-    assert worst_grad_error(build, [x]) < GRAD_TOL
-
-
-def test_gather_rows_values_and_grad():
-    x = randt(2, 4, 3)
-    # repeats within a query (row 2 in batch 0, row 3 in batch 1) and across queries
-    idx = np.array([[[0, 2, 2], [2, 1, 0]], [[3, 3, 0], [0, 1, 3]]])
-    got = T.gather_rows(x, idx)
-    assert got.data.shape == (2, 2, 3, 3)
-    np.testing.assert_array_equal(got.data[0, 0, 1], x.data[0, 2])
-    np.testing.assert_array_equal(got.data[1, 1, 0], x.data[1, 0])
-
-    w = RNG.normal(size=got.data.shape)
-
-    def build():
-        return (T.gather_rows(x, idx) * w).sum()
-
-    assert worst_grad_error(build, [x]) < GRAD_TOL
-
-    T.backward(build())
-    ref = np.zeros(x.data.shape)
-    np.add.at(ref, (np.arange(2)[:, None, None], idx), w)
-    np.testing.assert_array_equal(x.grad, ref)
-
-
-def test_scatter_last_layout_and_grad():
-    x = randt(2, 3)
-    idx = np.array([[4, 0, 2], [1, 3, 0]])
-    dense = T.scatter_last(x, idx, 5)
-    assert dense.data.shape == (2, 5)
-    assert dense.data[0, 4] == x.data[0, 0]
-    assert dense.data[1, 2] == 0.0
-
-    def build():
-        w = np.arange(10.0).reshape(2, 5)
-        return (T.scatter_last(x, idx, 5) * w).sum()
 
     assert worst_grad_error(build, [x]) < GRAD_TOL
