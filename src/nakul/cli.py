@@ -18,6 +18,10 @@ Trial file format: a header line
 followed by C lines of T comma-separated floats. labels.csv maps each
 trial filename to its label; manifest.txt echoes the generating config.
 
+Every command takes `--config`. eval and the dump commands build the
+model from it and then load the checkpoint, which must hold exactly the
+parameters that config creates.
+
 Resuming an interrupted run is not supported; train always starts from
 a fresh initialization.
 """
@@ -39,10 +43,8 @@ from .config import ConfigError, RunConfig, config_text, load_config, model_conf
 from .dynamic import dynamic_mix, init_kernel_bank, init_meta_network
 from .graph import build_graph, circle_layout, init_spatial_attention, topk_masked_attention
 from .model import (
-    ModelConfig,
     count_flops,
     init_model,
-    load_checkpoint,
     load_into,
     model_forward,
     save_checkpoint,
@@ -65,7 +67,6 @@ __all__ = [
     "read_trial",
     "save_dataset",
     "load_dataset",
-    "model_from_checkpoint",
 ]
 
 
@@ -169,81 +170,23 @@ def load_dataset(data_dir):
     return np.stack(signals), np.asarray(labels, dtype=np.int64), rates.pop()
 
 
-# --- checkpoint introspection ---------------------------------------------------------
+# --- checkpoint loading ----------------------------------------------------------------
 
 
-def model_from_checkpoint(path, sample_rate: float, k_top: int | None = None,
-                          positions: np.ndarray | None = None):
-    """Rebuild a model whose sizes are inferred from checkpoint tensor shapes.
-
-    Sizes (patch, width, blocks, heads, channels, bands, kernel sizes,
-    head sizes) are all recoverable from shapes; the sampling rate is
-    not stored and must come from the dataset. k_top is likewise not a
-    tensor; omitted, it falls back to the stock value.
-    """
-    try:
-        saved = load_checkpoint(path)
-    except (OSError, ValueError) as exc:
-        raise ArtifactError(f"cannot load {path}: {exc}") from None
-    try:
-        patch, d = saved["embed.weight"].shape
-        heads, _, c = saved["block0.attn.w_bias"].shape
-        head_hidden = saved["head.w1"].shape[1]
-        n_classes = saved["head.w2"].shape[1]
-        ffn_mult = saved["block0.ffn_w1"].shape[1] // d
-    except KeyError as exc:
-        raise ArtifactError(f"{path}: checkpoint is missing {exc}") from None
-    n_blocks = 1 + max(
-        int(name.split(".", 1)[0][5:]) for name in saved if name.startswith("block"))
-    n_bands = sum(
-        1 for name in saved
-        if name.startswith("block0.band") and name.endswith(".raw_mu"))
-    kernel_sizes = tuple(sorted(
-        int(name.rsplit("_", 1)[1]) for name in saved
-        if name.startswith("block0.bank.kernel_")))
-    cfg = ModelConfig(
-        n_channels=c,
-        n_classes=n_classes,
-        sample_rate=sample_rate,
-        d=d,
-        n_blocks=n_blocks,
-        heads=heads,
-        patch=patch,
-        n_bands=n_bands,
-        # centers are placeholders: the real values arrive with the load
-        band_mu_hz=tuple(float(j + 1) for j in range(n_bands)),
-        kernel_sizes=kernel_sizes,
-        k_top=16 if k_top is None else k_top,
-        ffn_mult=ffn_mult,
-        head_hidden=head_hidden,
-        positions=positions,
-    )
-    model = init_model(cfg, np.random.default_rng(0))
-    try:
-        load_into(model, path)
-    except ValueError as exc:
-        raise ArtifactError(f"{path}: {exc}") from None
-    return model
-
-
-def _load_model_for(args, signals: np.ndarray | None = None, data_rate: float = 250.0):
-    """Model for eval/dump commands: config-driven when given, else inferred.
+def _load_model_for(args, signals: np.ndarray | None = None, data_rate: float | None = None):
+    """Model for eval/dump commands, built from `--config` and then loaded.
 
     With a dataset (`signals` and its rate), the config's rate and the
-    model's channel count must match it. Without one, a model inferred
-    from the checkpoint alone assumes `data_rate`.
+    model's channel count must match it.
     """
-    if getattr(args, "config", None):
-        rc = load_config(args.config)
-        if signals is not None and abs(rc.data.rate - data_rate) > 1e-9:
-            raise ConfigError("rate", f"config says {rc.data.rate}, dataset says {data_rate}")
-        model = init_model(model_config(rc), np.random.default_rng(0))
-        try:
-            load_into(model, args.ckpt)
-        except (OSError, ValueError) as exc:
-            raise ArtifactError(f"{args.ckpt}: {exc}") from None
-    else:
-        model = model_from_checkpoint(args.ckpt, sample_rate=data_rate)
+    rc = load_config(args.config)
+    if signals is not None and abs(rc.data.rate - data_rate) > 1e-9:
+        raise ConfigError("rate", f"config says {rc.data.rate}, dataset says {data_rate}")
+    model = init_model(model_config(rc), np.random.default_rng(0))
+    try:
+        load_into(model, args.ckpt)
+    except (OSError, ValueError) as exc:
+        raise ArtifactError(f"{args.ckpt}: {exc}") from None
     if signals is not None and signals.shape[1] != model.graph.n_channels:
         raise ArtifactError(
             f"dataset has {signals.shape[1]} channels, model expects "
@@ -641,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="metrics for a checkpoint on a dataset")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--config", default=None, help="optional; sizes are otherwise inferred from the checkpoint")
+    p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grad-check", help="backward pass versus finite differences")
@@ -652,15 +595,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-bands", help="band centers, widths, mean gates as CSV")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", default=None, help="probe dataset; omitted, a seeded white-noise probe at 250 Hz is used")
-    p.add_argument("--config", default=None)
+    p.add_argument("--data", default=None, help="probe dataset; omitted, a seeded white-noise probe at the config's rate is used")
+    p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_dump_bands)
 
     p = sub.add_parser("dump-kernel-weights", help="per-sample kernel mixtures as CSV")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_dump_kernel_weights)
 
     p = sub.add_parser(

@@ -74,7 +74,6 @@ _RENAMED = {
     "band_mu_hz": "band_centers_hz",
     "band_sigma_hz": "band_width_hz",
     "sigma_floor_hz": "band_floor_hz",
-    "init_state_dim": "state_dim",
     "amplitude": "tone_amp",
 }
 
@@ -181,7 +180,7 @@ def validate(values: dict) -> None:
 
     for key in ("embed_dim", "n_blocks", "heads", "n_bands", "k_top", "patch",
                 "ffn_mult", "head_hidden", "n_channels", "n_classes", "t_len",
-                "trials_per_class", "epochs", "batch_size", "patience", "state_dim"):
+                "trials_per_class", "epochs", "batch_size", "patience"):
         value = getattr(rc, key)
         if key == "epochs":
             if value < 0:

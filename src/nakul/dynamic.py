@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as te
-from .ssm import DiscreteSsm, discretize, materialize_kernel, stable_diag_init
+from .ssm import DiscreteSsm, materialize_kernel
 from .tensor import Tensor
 
 __all__ = [
@@ -79,29 +79,21 @@ def init_kernel_bank(
     rng: np.random.Generator,
     sizes=DEFAULT_KERNEL_SIZES,
     noise: float = 0.01,
-    state_dim: int = 1,
 ) -> KernelBank:
     """Kernels start at the impulse response of a stable linear system.
 
-    With the default one-state system (transition 0.7, unit input and
-    output maps) the taps are (1, 0.7, 0.49, ...), truncated to each
-    bank size and written in causal layout, then perturbed so the
-    filters are not identical across features. state_dim > 1 swaps in
-    a stable diagonal system of that order.
+    The one-state system (transition 0.7, unit input and output maps)
+    has taps (1, 0.7, 0.49, ...); they are truncated to each bank size
+    and written in causal layout, then perturbed so the filters are not
+    identical across features.
     """
-    if state_dim < 1:
-        raise ValueError("state_dim must be at least 1")
-    if state_dim == 1:
-        base = DiscreteSsm(
-            a_bar=np.array([[0.7]]),
-            b_bar=np.array([[1.0]]),
-            c=np.array([[1.0]]),
-            d_skip=0.0,
-            delta=1.0,
-        )
-    else:
-        params = stable_diag_init(state_dim, d_skip=0.0)
-        base = discretize(params, 1.0)
+    base = DiscreteSsm(
+        a_bar=np.array([[0.7]]),
+        b_bar=np.array([[1.0]]),
+        c=np.array([[1.0]]),
+        d_skip=0.0,
+        delta=1.0,
+    )
     kernels = []
     for size in sizes:
         taps = materialize_kernel(base, size)[::-1]  # causal layout

@@ -18,7 +18,9 @@ patch-level Nyquist range.
 
 Checkpoints are a flat binary: magic `NAKL`, u32 version, u32 tensor
 count, then per tensor a u16 name length, UTF-8 name, u8 rank, u32
-dims, and float32 values, all little-endian.
+dims, and float32 values, all little-endian. A checkpoint holds exactly
+the parameters `init_model` creates from the run's `ModelConfig`, and
+loading one needs that config: sizes are never read from the shapes.
 """
 
 from __future__ import annotations
@@ -88,7 +90,6 @@ class ModelConfig:
     band_mu_hz: tuple = CANONICAL_MU_HZ
     band_sigma_hz: float = 2.0
     sigma_floor_hz: float = 0.1
-    init_state_dim: int = 1  # order of the system seeding the kernel bank
     positions: np.ndarray | None = None  # default: circle layout
 
     @property
@@ -148,7 +149,6 @@ class NakulModel:
     graph: ElectrodeGraph
     w_embed: Tensor  # (P, D)
     b_embed: Tensor  # (D,)
-    pos_enc: dict = field(default_factory=dict)  # (C, T_p, D) lazily per T_p
     blocks: list = field(default_factory=list)
     head_w1: Tensor | None = None
     head_b1: Tensor | None = None
@@ -157,8 +157,6 @@ class NakulModel:
 
     def named(self) -> dict:
         out = {"embed.weight": self.w_embed, "embed.bias": self.b_embed}
-        for key, enc in self.pos_enc.items():
-            out[f"embed.pos_{key}"] = enc
         for i, b in enumerate(self.blocks):
             out.update(b.named(f"block{i}"))
         out.update(
@@ -201,7 +199,7 @@ def init_block(cfg: ModelConfig, rng: np.random.Generator) -> NakulBlock:
     )
     return NakulBlock(
         filters=filters,
-        bank=init_kernel_bank(d, rng, sizes=cfg.kernel_sizes, state_dim=cfg.init_state_dim),
+        bank=init_kernel_bank(d, rng, sizes=cfg.kernel_sizes),
         meta=init_meta_network(rng, m=len(cfg.kernel_sizes)),
         attn=init_spatial_attention(d, cfg.heads, cfg.n_channels, rng, k_top=cfg.k_top),
         fusion_logits=_zeros((3,)),
@@ -238,15 +236,8 @@ def init_model(cfg: ModelConfig, rng: np.random.Generator) -> NakulModel:
     return model
 
 
-def _positional(model: NakulModel, t_p: int) -> Tensor:
-    """Zero-initialized learnable encodings, one table per patch count."""
-    if t_p not in model.pos_enc:
-        model.pos_enc[t_p] = _zeros((model.cfg.n_channels, t_p, model.cfg.d))
-    return model.pos_enc[t_p]
-
-
 def embed(model: NakulModel, x: Tensor) -> Tensor:
-    """Split (B, C, T) into P-sample patches, project to D, add positions.
+    """Split (B, C, T) into P-sample patches and project each to D.
 
     T below one patch is an error; a ragged tail is zero-padded.
     """
@@ -260,7 +251,7 @@ def embed(model: NakulModel, x: Tensor) -> Tensor:
         pad = Tensor(np.zeros((b, c, t_p * p - t)))
         x = te.concat([x, pad], axis=-1)
     tokens = x.reshape((b, c, t_p, p))
-    return te.matmul(tokens, model.w_embed) + model.b_embed + _positional(model, t_p)
+    return te.matmul(tokens, model.w_embed) + model.b_embed
 
 
 def _dropout(x: Tensor, rate: float, rng) -> Tensor:
@@ -481,32 +472,23 @@ def load_checkpoint(path) -> dict:
 
 
 def load_into(model: NakulModel, path) -> None:
-    """Restore saved values into an initialized model.
+    """Restore saved values into a model built from the run's config.
 
     Every name, shape and value is checked before anything changes, so a
     mismatch (ValueError) or a NaN/Inf value (FloatingPointError naming
     the tensor) leaves the model exactly as it was.
     """
     saved = load_checkpoint(path)
-    shapes = {name: tensor.data.shape for name, tensor in model.named().items()}
-    lazy = []  # positional tables are created lazily; check the shape they would get
-    for key in saved:
-        if key.startswith("embed.pos_") and key not in shapes:
-            t_p = int(key.split("_")[-1])
-            shapes[key] = (model.cfg.n_channels, t_p, model.cfg.d)
-            lazy.append(t_p)
-    if set(saved) != set(shapes):
-        missing = set(shapes) - set(saved)
-        extra = set(saved) - set(shapes)
+    named = model.named()
+    if set(saved) != set(named):
+        missing = set(named) - set(saved)
+        extra = set(saved) - set(named)
         raise ValueError(f"checkpoint mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
     for name, arr in saved.items():
-        if tuple(shapes[name]) != tuple(arr.shape):
+        if named[name].data.shape != arr.shape:
             raise ValueError(f"shape mismatch for {name}")
         if not np.all(np.isfinite(arr)):
             raise FloatingPointError(f"checkpoint tensor {name} holds NaN or Inf")
-    for t_p in lazy:
-        _positional(model, t_p)
-    named = model.named()
     for name, arr in saved.items():
         # ascontiguousarray would silently promote 0-d scalars to (1,)
         named[name].data = np.ascontiguousarray(arr) if arr.ndim else np.asarray(arr)

@@ -132,15 +132,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._prev = ()
-        out._backward = None
-        return out
-
     def _accum(self, g: np.ndarray) -> None:
         # g may be a sibling's or the upstream node's gradient (add, reshape
         # and swapaxes pass it through), so it is stored, never added into.

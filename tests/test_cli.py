@@ -13,7 +13,6 @@ from nakul.cli import (
     _f1_scores,
     load_dataset,
     main,
-    model_from_checkpoint,
     read_trial,
     save_dataset,
     write_trial,
@@ -228,7 +227,7 @@ def test_epochs_zero_writes_initialization(workdir, tmp_path):
 
 def test_eval_output_shape(workdir, capsys):
     assert main(["eval", "--ckpt", str(workdir / "run" / "model.nakl"),
-                 "--data", str(workdir / "data")]) == 0
+                 "--data", str(workdir / "data"), "--config", str(workdir / "small.cfg")]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "metric,value"
     metrics = dict(line.split(",") for line in out[1:4])
@@ -248,12 +247,12 @@ def test_eval_channel_mismatch_exits_4(workdir, tmp_path, capsys):
     signals = np.zeros((4, 3, 80))  # three channels, model expects four
     save_dataset(tmp_path / "skinny", signals, np.array([0, 1, 0, 1]), 20.0, "m")
     assert main(["eval", "--ckpt", str(workdir / "run" / "model.nakl"),
-                 "--data", str(tmp_path / "skinny")]) == 4
+                 "--data", str(tmp_path / "skinny"), "--config", str(workdir / "small.cfg")]) == 4
 
 
 def test_eval_bad_checkpoint_exits_4(workdir):
     assert main(["eval", "--ckpt", str(workdir / "data" / "labels.csv"),
-                 "--data", str(workdir / "data")]) == 4
+                 "--data", str(workdir / "data"), "--config", str(workdir / "small.cfg")]) == 4
 
 
 def test_eval_non_finite_checkpoint_exits_3(workdir, tmp_path, capsys):
@@ -263,7 +262,8 @@ def test_eval_non_finite_checkpoint_exits_3(workdir, tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the bad value must not reach a forward pass
         assert main(["eval", "--ckpt", str(tmp_path / "inf.nakl"),
-                     "--data", str(workdir / "data")]) == 3
+                     "--data", str(workdir / "data"),
+                     "--config", str(workdir / "small.cfg")]) == 3
     err = capsys.readouterr().err
     assert "non-finite" in err
     assert "embed.weight" in err
@@ -278,13 +278,21 @@ def test_resume_flag_absent(workdir):
     assert err.value.code == 2
 
 
-def test_model_from_checkpoint_infers_sizes(workdir):
-    model = model_from_checkpoint(workdir / "run" / "model.nakl", sample_rate=20.0)
-    cfg = model.cfg
-    assert (cfg.d, cfg.n_blocks, cfg.heads, cfg.patch) == (16, 2, 2, 10)
-    assert (cfg.n_channels, cfg.n_classes) == (4, 2)
-    assert cfg.kernel_sizes == (3, 5)
-    assert len(model.blocks[0].filters) == 2
+@pytest.mark.parametrize("command", [
+    ["eval", "--data", "data"],
+    ["dump-bands"],
+    ["dump-kernel-weights", "--data", "data"],
+])
+def test_load_commands_require_config(workdir, command):
+    with pytest.raises(SystemExit) as err:
+        main(command + ["--ckpt", str(workdir / "run" / "model.nakl")])
+    assert err.value.code == 2
+
+
+def test_checkpoint_holds_exactly_the_config_parameters(workdir):
+    saved = load_checkpoint(workdir / "run" / "model.nakl")
+    model = init_model(model_config(parse_config(SMALL_CFG)), stream(1, "init"))
+    assert set(saved) == set(model.named())
 
 
 # --- metric helpers ------------------------------------------------------------------
@@ -352,8 +360,6 @@ def test_dump_bands_untrained_shows_init_centers(workdir, tmp_path, capsys):
                  "--data", str(workdir / "data"), "--out", str(out),
                  "--epochs", "0"]) == 0
     capsys.readouterr()
-    # centers survive checkpoint-only inference; the width floor is a config
-    # hyperparameter, so exact widths need the config alongside
     assert main(["dump-bands", "--ckpt", str(out),
                  "--config", str(workdir / "small.cfg")]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -369,19 +375,9 @@ def test_dump_bands_untrained_shows_init_centers(workdir, tmp_path, capsys):
         assert 0.0 <= float(r[3]) <= 1.0
 
 
-def test_dump_bands_centers_without_config(workdir, tmp_path, capsys):
-    assert main(["dump-bands", "--ckpt", str(workdir / "run" / "model.nakl")]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == 4
-    for r in rows:
-        assert 0.0 < float(r[1]) < 10.0  # plausible Hz, below Nyquist
-        assert float(r[2]) > 0.0
-
-
 def test_dump_kernel_weights_rows(workdir, capsys):
     assert main(["dump-kernel-weights", "--ckpt", str(workdir / "run" / "model.nakl"),
-                 "--data", str(workdir / "data")]) == 0
+                 "--data", str(workdir / "data"), "--config", str(workdir / "small.cfg")]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "sample,alpha_3,alpha_5,variance,entropy"
     assert len(lines) == 25  # 24 trials

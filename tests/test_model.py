@@ -173,7 +173,6 @@ def test_gradients_through_whole_model():
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(2, 3, 20)))
     onehot = np.eye(model.cfg.n_classes)[[0, 2]]  # labels 0 and 2
-    model_forward(model, x)  # materialize the positional table
 
     def build():
         logits = model_forward(model, x)
@@ -183,7 +182,6 @@ def test_gradients_through_whole_model():
     blk = model.blocks[0]
     sampled = [
         model.w_embed,
-        model.pos_enc[5],
         blk.filters[0].raw_mu,
         blk.filters[1].w_r,
         blk.bank.kernels[0],
@@ -286,8 +284,6 @@ def test_checkpoint_bad_magic(tmp_path):
 
 def test_checkpoint_shape_and_name_mismatch(tmp_path):
     model = tiny_model(seed=10)
-    # a forward pass creates a positional table, which the checkpoint carries
-    model_forward(model, np.zeros((1, 3, 20)))
     path = tmp_path / "model.nakl"
     save_checkpoint(path, model.named())
 
@@ -295,8 +291,7 @@ def test_checkpoint_shape_and_name_mismatch(tmp_path):
     before = {name: t.data.copy() for name, t in wrong_width.named().items()}
     with pytest.raises(ValueError):
         load_into(wrong_width, path)
-    # a failed load changes nothing, not even the lazily created tables
-    assert wrong_width.pos_enc == {}
+    # a failed load changes nothing
     after = wrong_width.named()
     assert set(after) == set(before)
     for name, data in before.items():

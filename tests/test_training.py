@@ -311,13 +311,26 @@ def test_zero_lr_keeps_parameters():
     spec = tiny_spec()
     signals, labels = generate_synthetic(spec, seed=11)
     model = tiny_model(seed=1)
-    model_forward(model, signals[:2])  # materialize positional table
     before = {k: v.data.copy() for k, v in model.named().items()}
     cfg = TrainConfig(lr=0.0, final_lr=0.0, epochs=2, batch_size=8, seed=1)
     train(model, signals, labels, cfg)
     after = model.named()
     for name, value in before.items():
         np.testing.assert_array_equal(after[name].data, value)
+
+
+def test_train_updates_every_parameter():
+    # the parameters training updates are exactly those the model was built
+    # with: a forward pass creates none, and none is left out of the update
+    model = tiny_model(seed=2)
+    before = {k: v.data.copy() for k, v in model.named().items()}
+    spec = tiny_spec()
+    signals, labels = generate_synthetic(spec, seed=11)
+    train(model, signals, labels, TrainConfig(epochs=3, batch_size=8, patience=25, seed=2))
+    after = model.named()
+    assert set(after) == set(before)
+    for name, value in before.items():
+        assert not np.array_equal(after[name].data, value), name
 
 
 def test_metrics_row_per_epoch_and_csv(tmp_path):
