@@ -47,6 +47,7 @@ from .model import (
     init_model,
     load_into,
     model_forward,
+    named_tensors,
     save_checkpoint,
 )
 from .rng import stream
@@ -199,6 +200,7 @@ def _predict(model, signals, batch_size: int = 32) -> np.ndarray:
     for lo in range(0, len(signals), batch_size):
         logits = model_forward(model, signals[lo : lo + batch_size])
         out.append(np.argmax(logits.data, axis=-1))
+        del logits  # release this batch's graph before the next forward
     return np.concatenate(out)
 
 
@@ -364,17 +366,14 @@ def _check_ssm(rng):
 
 
 def _check_spectral(rng):
-    filters = init_band_filters(6, rng, mus_hz=(2.0, 4.0), sigma_hz=1.0, sigma_floor=0.05)
+    bands = init_band_filters(6, rng, mus_hz=(2.0, 4.0), sigma_hz=1.0, sigma_floor=0.05)
     x = Tensor(rng.normal(size=(2, 10, 6)), requires_grad=True)
 
     def build():
-        out, gates = spectral_mix(filters, x, rate=20.0)
+        out, gates = spectral_mix(bands, x, rate=20.0)
         return _sumsq(out) + _sumsq(gates)
 
-    tensors = [x]
-    for f in filters:
-        tensors += [f.raw_mu, f.raw_sigma, f.w_r, f.w_i, f.w_gate]
-    return build, tensors
+    return build, [x, *named_tensors(bands).values()]
 
 
 def _check_dynamic(rng):
@@ -386,7 +385,7 @@ def _check_dynamic(rng):
         out, gates = dynamic_mix(bank, meta, x)
         return _sumsq(out) + _sumsq(gates)
 
-    return build, [x, bank.w_gate, meta.w1, meta.w2] + list(bank.kernels)
+    return build, [x, *named_tensors([bank, meta]).values()]
 
 
 def _check_graph(rng):
@@ -398,7 +397,7 @@ def _check_graph(rng):
         out, attn, _ = topk_masked_attention(sa, g, x)
         return _sumsq(out) + _sumsq(attn)
 
-    return build, [x, sa.w_q, sa.w_k, sa.w_v, sa.w_o, sa.w_graph, sa.w_bias, sa.raw_beta]
+    return build, [x, *named_tensors(sa).values()]
 
 
 def _probe_model(rc: RunConfig, rng):
@@ -414,7 +413,7 @@ def _probe_model(rc: RunConfig, rng):
     return model, build
 
 
-_GLUE_MARKERS = ("embed.", "head.", ".fusion_logits", ".w_proj",
+_GLUE_MARKERS = ("_embed", "head_", ".fusion_logits", ".w_proj",
                  ".ln1_", ".ln2_", ".lnf_", ".ffn_")
 
 
@@ -496,14 +495,14 @@ def cmd_dump_bands(args) -> int:
     diags = []
     model_forward(model, probe[:32], diags=diags)
     patch = model.cfg.patch
-    k = len(model.blocks[0].filters)
+    k = model.cfg.n_bands
     print("band_index,mu_hz,sigma_hz,mean_alpha")
     for b_i, (blk, diag) in enumerate(zip(model.blocks, diags)):
         mean_gates = diag["band_gates"].data.reshape(-1, k).mean(axis=0)
-        for j, filt in enumerate(blk.filters):
-            mu_hz = filt.mu.item() * patch
-            sigma_hz = filt.sigma.item() * patch
-            print(f"{b_i * k + j},{mu_hz:.10g},{sigma_hz:.10g},{mean_gates[j]:.10g}")
+        mu_hz = blk.bands.mu.data * patch
+        sigma_hz = blk.bands.sigma.data * patch
+        for j in range(k):
+            print(f"{b_i * k + j},{mu_hz[j]:.10g},{sigma_hz[j]:.10g},{mean_gates[j]:.10g}")
     return 0
 
 

@@ -58,20 +58,11 @@ class KernelBank:
     def sizes(self) -> tuple[int, ...]:
         return tuple(k.shape[0] for k in self.kernels)
 
-    def named(self, prefix: str) -> dict:
-        out = {f"{prefix}.w_gate": self.w_gate}
-        for k in self.kernels:
-            out[f"{prefix}.kernel_{k.shape[0]}"] = k
-        return out
-
 
 @dataclass
 class MetaNetwork:
     w1: Tensor  # (16, 2)
     w2: Tensor  # (M, 16)
-
-    def named(self, prefix: str) -> dict:
-        return {f"{prefix}.w1": self.w1, f"{prefix}.w2": self.w2}
 
 
 def init_kernel_bank(

@@ -72,17 +72,6 @@ class SpatialAttention:
     def beta(self) -> Tensor:
         return te.softplus(self.raw_beta)
 
-    def named(self, prefix: str) -> dict:
-        return {
-            f"{prefix}.w_q": self.w_q,
-            f"{prefix}.w_k": self.w_k,
-            f"{prefix}.w_v": self.w_v,
-            f"{prefix}.w_o": self.w_o,
-            f"{prefix}.w_graph": self.w_graph,
-            f"{prefix}.w_bias": self.w_bias,
-            f"{prefix}.raw_beta": self.raw_beta,
-        }
-
 
 def _normalize(adjacency: np.ndarray) -> np.ndarray:
     degree = adjacency.sum(axis=1)

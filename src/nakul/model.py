@@ -21,13 +21,18 @@ count, then per tensor a u16 name length, UTF-8 name, u8 rank, u32
 dims, and float32 values, all little-endian. A checkpoint holds exactly
 the parameters `init_model` creates from the run's `ModelConfig`, and
 loading one needs that config: sizes are never read from the shapes.
+
+Each tensor is named by its dotted field path (`w_embed`,
+`blocks.0.bands.w_r` holding all K bands, `blocks.0.bank.kernels.2`);
+checkpoints with the earlier per-band names (`block0.band0.raw_mu`) do
+not load.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -49,7 +54,7 @@ from .graph import (
     init_spatial_attention,
     topk_masked_attention,
 )
-from .spectral import CANONICAL_MU_HZ, init_band_filters, spectral_mix
+from .spectral import CANONICAL_MU_HZ, BandBank, init_band_filters, spectral_mix
 from .tensor import Tensor
 
 __all__ = [
@@ -57,6 +62,7 @@ __all__ = [
     "NakulBlock",
     "NakulModel",
     "init_model",
+    "named_tensors",
     "embed",
     "block_forward",
     "model_forward",
@@ -99,7 +105,7 @@ class ModelConfig:
 
 @dataclass
 class NakulBlock:
-    filters: list  # spectral band filters
+    bands: BandBank
     bank: KernelBank
     meta: MetaNetwork
     attn: SpatialAttention
@@ -117,31 +123,6 @@ class NakulBlock:
     ffn_b2: Tensor
     scale: float = 0.5  # fixed damping on the fused update
 
-    def named(self, prefix: str) -> dict:
-        out = {}
-        for i, f in enumerate(self.filters):
-            out.update(f.named(f"{prefix}.band{i}"))
-        out.update(self.bank.named(f"{prefix}.bank"))
-        out.update(self.meta.named(f"{prefix}.meta"))
-        out.update(self.attn.named(f"{prefix}.attn"))
-        out.update(
-            {
-                f"{prefix}.fusion_logits": self.fusion_logits,
-                f"{prefix}.w_proj": self.w_proj,
-                f"{prefix}.ln1_gain": self.ln1_gain,
-                f"{prefix}.ln1_bias": self.ln1_bias,
-                f"{prefix}.ln2_gain": self.ln2_gain,
-                f"{prefix}.ln2_bias": self.ln2_bias,
-                f"{prefix}.lnf_gain": self.lnf_gain,
-                f"{prefix}.lnf_bias": self.lnf_bias,
-                f"{prefix}.ffn_w1": self.ffn_w1,
-                f"{prefix}.ffn_b1": self.ffn_b1,
-                f"{prefix}.ffn_w2": self.ffn_w2,
-                f"{prefix}.ffn_b2": self.ffn_b2,
-            }
-        )
-        return out
-
 
 @dataclass
 class NakulModel:
@@ -149,29 +130,40 @@ class NakulModel:
     graph: ElectrodeGraph
     w_embed: Tensor  # (P, D)
     b_embed: Tensor  # (D,)
-    blocks: list = field(default_factory=list)
-    head_w1: Tensor | None = None
-    head_b1: Tensor | None = None
-    head_w2: Tensor | None = None
-    head_b2: Tensor | None = None
+    blocks: list
+    head_w1: Tensor  # (D, H)
+    head_b1: Tensor
+    head_w2: Tensor  # (H, classes)
+    head_b2: Tensor
 
     def named(self) -> dict:
-        out = {"embed.weight": self.w_embed, "embed.bias": self.b_embed}
-        for i, b in enumerate(self.blocks):
-            out.update(b.named(f"block{i}"))
-        out.update(
-            {
-                "head.w1": self.head_w1,
-                "head.b1": self.head_b1,
-                "head.w2": self.head_w2,
-                "head.b2": self.head_b2,
-            }
-        )
-        return out
+        """Every parameter, by dotted field path: `blocks.0.bands.w_r`."""
+        return named_tensors(self)
 
     def parameters(self) -> list:
         named = self.named()
         return [named[k] for k in sorted(named)]
+
+
+def named_tensors(node) -> dict:
+    """Every Tensor reachable through dataclass fields and lists, by dotted path.
+
+    Fields are the only declaration of a module's parameters.
+    """
+    out = {}
+
+    def walk(value, path):
+        if isinstance(value, Tensor):
+            out[path] = value
+        elif is_dataclass(value):
+            for f in fields(value):
+                walk(getattr(value, f.name), f"{path}.{f.name}" if path else f.name)
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                walk(item, f"{path}.{i}")
+
+    walk(node, "")
+    return out
 
 
 def _uniform(rng, shape, fan_in):
@@ -190,15 +182,14 @@ def _ones(shape):
 def init_block(cfg: ModelConfig, rng: np.random.Generator) -> NakulBlock:
     d, hidden = cfg.d, cfg.ffn_mult * cfg.d
     p = cfg.patch
-    filters = init_band_filters(
-        d,
-        rng,
-        mus_hz=tuple(m / p for m in cfg.band_mu_hz),
-        sigma_hz=cfg.band_sigma_hz / p,
-        sigma_floor=cfg.sigma_floor_hz / p,
-    )
     return NakulBlock(
-        filters=filters,
+        bands=init_band_filters(
+            d,
+            rng,
+            mus_hz=tuple(m / p for m in cfg.band_mu_hz),
+            sigma_hz=cfg.band_sigma_hz / p,
+            sigma_floor=cfg.sigma_floor_hz / p,
+        ),
         bank=init_kernel_bank(d, rng, sizes=cfg.kernel_sizes),
         meta=init_meta_network(rng, m=len(cfg.kernel_sizes)),
         attn=init_spatial_attention(d, cfg.heads, cfg.n_channels, rng, k_top=cfg.k_top),
@@ -222,18 +213,18 @@ def init_model(cfg: ModelConfig, rng: np.random.Generator) -> NakulModel:
     graph = build_graph(positions)
     if graph.n_channels != cfg.n_channels:
         raise ValueError("positions do not match the configured channel count")
-    model = NakulModel(
+    # keyword arguments evaluate in order: embed, blocks, head draw in that order
+    return NakulModel(
         cfg=cfg,
         graph=graph,
         w_embed=_uniform(rng, (cfg.patch, cfg.d), cfg.patch),
         b_embed=_zeros((cfg.d,)),
+        blocks=[init_block(cfg, rng) for _ in range(cfg.n_blocks)],
+        head_w1=_uniform(rng, (cfg.d, cfg.head_hidden), cfg.d),
+        head_b1=_zeros((cfg.head_hidden,)),
+        head_w2=_uniform(rng, (cfg.head_hidden, cfg.n_classes), cfg.head_hidden),
+        head_b2=_zeros((cfg.n_classes,)),
     )
-    model.blocks = [init_block(cfg, rng) for _ in range(cfg.n_blocks)]
-    model.head_w1 = _uniform(rng, (cfg.d, cfg.head_hidden), cfg.d)
-    model.head_b1 = _zeros((cfg.head_hidden,))
-    model.head_w2 = _uniform(rng, (cfg.head_hidden, cfg.n_classes), cfg.head_hidden)
-    model.head_b2 = _zeros((cfg.n_classes,))
-    return model
 
 
 def embed(model: NakulModel, x: Tensor) -> Tensor:
@@ -280,7 +271,7 @@ def block_forward(
     b, c, t_p, d = x.shape
     x_norm = te.layer_norm(x, blk.ln1_gain, blk.ln1_bias)
 
-    y_spec, band_gates = spectral_mix(blk.filters, x_norm, rate)
+    y_spec, band_gates = spectral_mix(blk.bands, x_norm, rate)
     stats = {}
     y_dyn, kernel_weights = dynamic_mix(blk.bank, blk.meta, x_norm, stats_out=stats)
 
@@ -481,9 +472,11 @@ def load_into(model: NakulModel, path) -> None:
     saved = load_checkpoint(path)
     named = model.named()
     if set(saved) != set(named):
-        missing = set(named) - set(saved)
-        extra = set(saved) - set(named)
-        raise ValueError(f"checkpoint mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
+        missing = sorted(set(named) - set(saved))
+        extra = sorted(set(saved) - set(named))
+        raise ValueError(  # counts and the first few names: a full list runs to pages
+            f"checkpoint does not match the model: {len(missing)} missing {missing[:3]}, "
+            f"{len(extra)} extra {extra[:3]}")
     for name, arr in saved.items():
         if named[name].data.shape != arr.shape:
             raise ValueError(f"shape mismatch for {name}")

@@ -7,10 +7,11 @@ band contributes alpha_k * M_k(f) * (W_r + i W_i) X[f], and the sum
 returns to the time domain. Phase information survives because the
 mixing is complex multiplication, not a magnitude operation.
 
-Bands are an array axis: one forward builds the (F, K) masks of all
-bands once, for the gates and the mixing, and the band sum runs inside
-one GEMM per product, of the (..., F, K*D) band-scaled spectrum with the
-per-band W_r or W_i stacked to (K*D, D).
+Bands are an array axis in storage as in the arithmetic: a BandBank
+holds each quantity of all K bands as one tensor, so the forward never
+re-stacks per-band pieces. It builds the (F, K) masks once, for gates
+and mixing, and sums the bands inside one GEMM per product, of the
+(..., F, K*D) band-scaled spectrum with W_r or W_i viewed as (K*D, D).
 
 mu and sigma stay positive through softplus reparameterization; sigma
 additionally sits above a configurable floor so gradient steps cannot
@@ -35,7 +36,7 @@ from . import tensor as te
 from .tensor import ComplexTensor, Tensor
 
 __all__ = [
-    "BandFilter",
+    "BandBank",
     "init_band_filters",
     "band_mask",
     "band_importance",
@@ -49,12 +50,12 @@ CANONICAL_SIGMA_HZ = 2.0
 
 
 @dataclass
-class BandFilter:
-    raw_mu: Tensor  # scalar, softplus gives mu > 0
-    raw_sigma: Tensor  # scalar, sigma_floor + softplus gives sigma
-    w_r: Tensor  # (D, D)
-    w_i: Tensor  # (D, D)
-    w_gate: Tensor  # (D, 1)
+class BandBank:
+    raw_mu: Tensor  # (K,), softplus gives mu > 0
+    raw_sigma: Tensor  # (K,), sigma_floor + softplus gives sigma
+    w_r: Tensor  # (K, D, D)
+    w_i: Tensor  # (K, D, D)
+    w_gate: Tensor  # (D, K), column k gates band k
     sigma_floor: float = 0.1
 
     @property
@@ -65,15 +66,6 @@ class BandFilter:
     def sigma(self) -> Tensor:
         return te.softplus(self.raw_sigma) + self.sigma_floor
 
-    def named(self, prefix: str) -> dict:
-        return {
-            f"{prefix}.raw_mu": self.raw_mu,
-            f"{prefix}.raw_sigma": self.raw_sigma,
-            f"{prefix}.w_r": self.w_r,
-            f"{prefix}.w_i": self.w_i,
-            f"{prefix}.w_gate": self.w_gate,
-        }
-
 
 def init_band_filters(
     d: int,
@@ -82,7 +74,7 @@ def init_band_filters(
     sigma_hz: float = CANONICAL_SIGMA_HZ,
     sigma_floor: float = 0.1,
     noise: float = 0.01,
-) -> list[BandFilter]:
+) -> BandBank:
     """Bands at the given centers, mixing near the identity passthrough.
 
     W_r starts at 0.5 I plus small noise and W_i at small noise, so an
@@ -90,53 +82,48 @@ def init_band_filters(
     """
     if sigma_hz <= sigma_floor:
         raise ValueError("sigma init must sit above the floor")
-    filters = []
-    for mu in mus_hz:
-        raw_mu = te.inv_softplus(np.asarray(mu))
-        raw_sigma = te.inv_softplus(np.asarray(sigma_hz - sigma_floor))
-        w_r = 0.5 * np.eye(d) + noise * rng.uniform(-1.0, 1.0, size=(d, d))
-        w_i = noise * rng.uniform(-1.0, 1.0, size=(d, d))
-        bound = 1.0 / np.sqrt(d)
-        w_gate = rng.uniform(-bound, bound, size=(d, 1))
-        filters.append(
-            BandFilter(
-                raw_mu=Tensor(raw_mu, requires_grad=True),
-                raw_sigma=Tensor(raw_sigma, requires_grad=True),
-                w_r=Tensor(w_r, requires_grad=True),
-                w_i=Tensor(w_i, requires_grad=True),
-                w_gate=Tensor(w_gate, requires_grad=True),
-                sigma_floor=sigma_floor,
-            )
-        )
-    return filters
+    bound = 1.0 / np.sqrt(d)
+    w_r, w_i, w_gate = zip(*[  # band by band: W_r, W_i, then its gate column
+        (0.5 * np.eye(d) + noise * rng.uniform(-1.0, 1.0, size=(d, d)),
+         noise * rng.uniform(-1.0, 1.0, size=(d, d)),
+         rng.uniform(-bound, bound, size=d))
+        for _ in mus_hz
+    ])
+    return BandBank(
+        raw_mu=Tensor(te.inv_softplus(np.asarray(mus_hz, dtype=np.float64)), requires_grad=True),
+        raw_sigma=Tensor(
+            te.inv_softplus(np.full(len(mus_hz), sigma_hz - sigma_floor)), requires_grad=True),
+        w_r=Tensor(np.stack(w_r), requires_grad=True),
+        w_i=Tensor(np.stack(w_i), requires_grad=True),
+        w_gate=Tensor(np.stack(w_gate, axis=1), requires_grad=True),
+        sigma_floor=sigma_floor,
+    )
 
 
-def band_mask(filters: list[BandFilter], t: int, rate: float) -> Tensor:
+def band_mask(bands: BandBank, t: int, rate: float) -> Tensor:
     """Gaussian densities over the one-sided bin frequencies; shape (T//2+1, K)."""
     if t < 2:
         raise ValueError("need at least two samples for a spectrum")
     freqs = (np.arange(t // 2 + 1) * (rate / t)).reshape(-1, 1)  # (F, 1)
-    mu = te.stack([f.mu for f in filters], axis=0)  # (K,)
-    sigma = te.stack([f.sigma for f in filters], axis=0)
+    mu, sigma = bands.mu, bands.sigma  # (K,)
     diff = te.add(freqs, -mu)  # (F, K)
     quad = (diff * diff) / (sigma * sigma * 2.0)
     norm = sigma * float(np.sqrt(2.0 * np.pi))
     return te.exp(-quad) / norm
 
 
-def band_importance(filters: list[BandFilter], x_mag: Tensor, masks: Tensor) -> Tensor:
+def band_importance(bands: BandBank, x_mag: Tensor, masks: Tensor) -> Tensor:
     """Per-sample band gates; x_mag is |spectrum| of shape (..., F, D).
 
     Z_k sums the (F, K) masks' column k times the magnitudes over bins;
     the gate is sigmoid(Z_k . w_gate), one value per sample per band, in (0, 1).
     """
     z = te.matmul(te.swapaxes(x_mag, -1, -2), masks)  # (..., D, K)
-    w_gate = te.concat([f.w_gate for f in filters], axis=-1)  # (D, K)
-    return te.sigmoid((z * w_gate).sum(axis=-2))  # (..., K)
+    return te.sigmoid((z * bands.w_gate).sum(axis=-2))  # (..., K)
 
 
 def spectral_mix(
-    filters: list[BandFilter],
+    bands: BandBank,
     x: Tensor,
     rate: float,
     alphas: np.ndarray | None = None,
@@ -149,16 +136,16 @@ def spectral_mix(
     which makes the whole map linear in x.
     """
     t, d = x.shape[-2], x.shape[-1]
-    k = len(filters)
+    k = bands.raw_mu.shape[0]
     xt = te.swapaxes(x, -1, -2)  # (..., D, T)
     spec = te.fft_real(xt)  # re/im (..., D, F)
     re = te.swapaxes(spec.re, -1, -2)  # (..., F, D)
     im = te.swapaxes(spec.im, -1, -2)
-    masks = band_mask(filters, t, rate)  # (F, K)
+    masks = band_mask(bands, t, rate)  # (F, K)
 
     if alphas is None:
         mag = te.complex_abs(ComplexTensor(re, im))
-        gates = band_importance(filters, mag, masks)
+        gates = band_importance(bands, mag, masks)
     else:
         gates = te.Tensor(np.asarray(alphas, dtype=np.float64))
 
@@ -170,8 +157,8 @@ def spectral_mix(
         return scaled.reshape(scaled.shape[:-2] + (k * d,))
 
     s_re, s_im = by_band(re), by_band(im)
-    w_r = te.concat([f.w_r for f in filters], axis=0)  # (K*D, D)
-    w_i = te.concat([f.w_i for f in filters], axis=0)
+    w_r = bands.w_r.reshape((k * d, d))  # band k's rows follow band k-1's
+    w_i = bands.w_i.reshape((k * d, d))
     mix_re = te.matmul(s_re, w_r) - te.matmul(s_im, w_i)
     mix_im = te.matmul(s_re, w_i) + te.matmul(s_im, w_r)
 

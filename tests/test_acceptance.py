@@ -63,7 +63,7 @@ def trained():
     tcfg = TrainConfig(lr=3e-3, epochs=50, batch_size=16, patience=60,
                        seed=TRAIN_SEED)
     model = init_model(mcfg, stream(TRAIN_SEED, "init"))
-    init_mus = [f.mu.item() for blk in model.blocks for f in blk.filters]
+    init_mus = [mu for blk in model.blocks for mu in blk.bands.mu.data]
 
     t0 = time.perf_counter()
     rows, info = train(model, signals, labels, tcfg)
@@ -179,7 +179,7 @@ def test_synthetic_task_accuracy_beats_probe(trained):
 
 def test_band_centers_migrate_toward_planted_tones(trained):
     model = trained["model"]
-    final_mus = [f.mu.item() for blk in model.blocks for f in blk.filters]
+    final_mus = [mu for blk in model.blocks for mu in blk.bands.mu.data]
     init_mus = trained["init_mus"]
 
     targets = [f / STORED_UNIT

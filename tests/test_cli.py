@@ -1,16 +1,20 @@
 """Config parsing, dataset files, and every subcommand end to end."""
 
 import os
+import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+import nakul.cli as cli
 import nakul.tensor as te_mod
 from nakul.cli import (
     ArtifactError,
     _confusion,
     _f1_scores,
+    _predict,
     load_dataset,
     main,
     read_trial,
@@ -255,9 +259,63 @@ def test_eval_bad_checkpoint_exits_4(workdir):
                  "--data", str(workdir / "data"), "--config", str(workdir / "small.cfg")]) == 4
 
 
+def pre_field_path_checkpoint(model) -> dict:
+    """The model's values under the per-band names checkpoints carried before
+    parameters were named by field path (`block0.band1.w_r`, `embed.weight`)."""
+    old = {"embed.weight": model.w_embed.data, "embed.bias": model.b_embed.data}
+    old.update({f"head.{n}": getattr(model, f"head_{n}").data for n in ("w1", "b1", "w2", "b2")})
+    for i, blk in enumerate(model.blocks):
+        bands = blk.bands
+        for k in range(bands.raw_mu.shape[0]):
+            for q in ("raw_mu", "raw_sigma", "w_r", "w_i"):
+                old[f"block{i}.band{k}.{q}"] = getattr(bands, q).data[k]
+            old[f"block{i}.band{k}.w_gate"] = bands.w_gate.data[:, k : k + 1]
+    for name, tensor in model.named().items():
+        m = re.fullmatch(r"blocks\.(\d+)\.(.*)", name)
+        if m is None or m[2].startswith("bands."):
+            continue
+        rest = f"bank.kernel_{tensor.shape[0]}" if "kernels" in m[2] else m[2]
+        old[f"block{m[1]}.{rest}"] = tensor.data
+    return old
+
+
+def test_eval_pre_field_path_checkpoint_exits_4(workdir, tmp_path, capsys):
+    model = init_model(model_config(parse_config(SMALL_CFG)), stream(1, "init"))
+    old = pre_field_path_checkpoint(model)
+    assert len(old) == 74 and len(model.named()) == 64  # 2 blocks, 2 bands, 2 kernels
+    save_checkpoint(tmp_path / "old.nakl", old)
+    assert main(["eval", "--ckpt", str(tmp_path / "old.nakl"),
+                 "--data", str(workdir / "data"), "--config", str(workdir / "small.cfg")]) == 4
+    err = capsys.readouterr().err
+    assert len(err) < 400, err
+    assert "64 missing" in err and "74 extra" in err
+    assert any(name in err for name in model.named())
+    assert any(name in err for name in old)
+
+
+def test_predict_releases_previous_batch_graph(monkeypatch):
+    # as in evaluate: each batch's forward must start after the previous
+    # batch's graph is gone (Tensor has no weakref slot; watch its data)
+    real_forward = cli.model_forward
+    refs = []
+
+    def forward(*args, **kwargs):
+        alive = bool(refs) and refs[-1]() is not None
+        assert not alive, f"forward {len(refs)} still holds its logits"
+        logits = real_forward(*args, **kwargs)
+        refs.append(weakref.ref(logits.data))
+        return logits
+
+    monkeypatch.setattr(cli, "model_forward", forward)
+    model = init_model(model_config(parse_config(SMALL_CFG)), stream(1, "init"))
+    signals = np.random.default_rng(2).normal(size=(12, 4, 80))
+    assert _predict(model, signals, batch_size=5).shape == (12,)
+    assert len(refs) == 3
+
+
 def test_eval_non_finite_checkpoint_exits_3(workdir, tmp_path, capsys):
     saved = load_checkpoint(workdir / "run" / "model.nakl")
-    saved["embed.weight"][0, 0] = np.inf
+    saved["w_embed"][0, 0] = np.inf
     save_checkpoint(tmp_path / "inf.nakl", saved)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the bad value must not reach a forward pass
@@ -266,7 +324,7 @@ def test_eval_non_finite_checkpoint_exits_3(workdir, tmp_path, capsys):
                      "--config", str(workdir / "small.cfg")]) == 3
     err = capsys.readouterr().err
     assert "non-finite" in err
-    assert "embed.weight" in err
+    assert "w_embed" in err
     assert "training" not in err
     assert "spectral" not in err
 

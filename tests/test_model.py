@@ -182,8 +182,8 @@ def test_gradients_through_whole_model():
     blk = model.blocks[0]
     sampled = [
         model.w_embed,
-        blk.filters[0].raw_mu,
-        blk.filters[1].w_r,
+        blk.bands.raw_mu,
+        blk.bands.w_r,
         blk.bank.kernels[0],
         blk.meta.w1,
         blk.attn.w_bias,
@@ -303,12 +303,12 @@ def test_checkpoint_shape_and_name_mismatch(tmp_path):
 
 
 def test_checkpoint_preserves_scalar_shapes(tmp_path):
-    # 0-d parameters (band centers, attention temperature) must come back 0-d
+    # 0-d parameters (attention temperature) must come back 0-d, and the
+    # stacked band centers as one (K,) vector
     model = tiny_model(seed=31)
     path = tmp_path / "scalars.nakl"
     save_checkpoint(path, model.named())
     other = tiny_model(seed=32)
     load_into(other, path)
-    filt = other.blocks[0].filters[0]
-    assert filt.raw_mu.data.shape == ()
+    assert other.blocks[0].bands.raw_mu.data.shape == (other.cfg.n_bands,)
     assert other.blocks[0].attn.raw_beta.data.shape == ()

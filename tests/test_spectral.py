@@ -16,15 +16,27 @@ def default_filters(d=4, seed=0, **kw):
     return sp.init_band_filters(d, np.random.default_rng(seed), **kw)
 
 
-def single_filter(d, mu, sigma, w_r=None, w_i=None, w_gate=None, sigma_floor=0.1):
-    return sp.BandFilter(
-        raw_mu=te.Tensor(te.inv_softplus(np.asarray(mu)), requires_grad=True),
-        raw_sigma=te.Tensor(te.inv_softplus(np.asarray(sigma - sigma_floor)), requires_grad=True),
-        w_r=te.Tensor(w_r if w_r is not None else np.eye(d), requires_grad=True),
-        w_i=te.Tensor(w_i if w_i is not None else np.zeros((d, d)), requires_grad=True),
-        w_gate=te.Tensor(w_gate if w_gate is not None else np.ones((d, 1)), requires_grad=True),
+def band_bank(d, bands, w_r=None, w_i=None, w_gate=None, sigma_floor=0.1):
+    """A BandBank from (mu, sigma) pairs; mixing defaults to I + 0i, gates to ones.
+
+    w_r and w_i are (K, D, D), w_gate (D, K).
+    """
+    mu, sigma = np.asarray(bands, dtype=np.float64).T
+    k = len(bands)
+    w_r = w_r if w_r is not None else np.tile(np.eye(d), (k, 1, 1))
+    return sp.BandBank(
+        raw_mu=te.Tensor(te.inv_softplus(mu), requires_grad=True),
+        raw_sigma=te.Tensor(te.inv_softplus(sigma - sigma_floor), requires_grad=True),
+        w_r=te.Tensor(w_r, requires_grad=True),
+        w_i=te.Tensor(w_i if w_i is not None else np.zeros((k, d, d)), requires_grad=True),
+        w_gate=te.Tensor(w_gate if w_gate is not None else np.ones((d, k)), requires_grad=True),
         sigma_floor=sigma_floor,
     )
+
+
+def single_filter(d, mu, sigma, sigma_floor=0.1):
+    """A one-band bank with identity mixing and unit gate weights."""
+    return band_bank(d, [(mu, sigma)], sigma_floor=sigma_floor)
 
 
 # --- masks --------------------------------------------------------------------
@@ -33,7 +45,7 @@ def single_filter(d, mu, sigma, w_r=None, w_i=None, w_gate=None, sigma_floor=0.1
 def test_mask_peak_value():
     # T=100 at 100 Hz puts a bin exactly at 10 Hz
     f = single_filter(2, mu=10.0, sigma=2.0)
-    mask = sp.band_mask([f], t=100, rate=100.0).data[:, 0]
+    mask = sp.band_mask(f, t=100, rate=100.0).data[:, 0]
     assert abs(mask[10] - 0.19947114020071635) < 1e-9
     assert abs(mask[12] - 0.19947114020071635 * np.exp(-0.5)) < 1e-9
     assert abs(mask[12] - 0.120985) < 1e-6
@@ -41,16 +53,15 @@ def test_mask_peak_value():
 
 def test_mask_symmetry_about_mu():
     f = single_filter(2, mu=25.0, sigma=3.0)
-    mask = sp.band_mask([f], t=100, rate=100.0).data[:, 0]
+    mask = sp.band_mask(f, t=100, rate=100.0).data[:, 0]
     for delta in (1, 2, 5, 10):
         assert abs(mask[25 + delta] - mask[25 - delta]) < 1e-12
 
 
 def test_mask_matches_density_oracle():
     bands = ((7.3, 1.7), (2.0, 0.6), (19.5, 4.2))
-    filters = [single_filter(2, mu=mu, sigma=sigma) for mu, sigma in bands]
     t, rate = 64, 50.0
-    masks = sp.band_mask(filters, t, rate).data
+    masks = sp.band_mask(band_bank(2, bands), t, rate).data
     assert masks.shape == (t // 2 + 1, len(bands))
     freqs = np.arange(t // 2 + 1) * rate / t
     for k, (mu, sigma) in enumerate(bands):
@@ -61,16 +72,18 @@ def test_default_init_masks_peak_at_canonical_bins():
     filters = default_filters(d=2)
     t, rate = 250, 250.0  # 1 Hz bins
     masks = sp.band_mask(filters, t, rate).data
-    for k, (filt, mu) in enumerate(zip(filters, sp.CANONICAL_MU_HZ)):
+    mus, sigmas = filters.mu.data, filters.sigma.data
+    assert mus.shape == sigmas.shape == (len(sp.CANONICAL_MU_HZ),)
+    for k, mu in enumerate(sp.CANONICAL_MU_HZ):
         assert np.argmax(masks[:, k]) == int(mu)
-        assert abs(filt.mu.item() - mu) < 1e-9
-        assert abs(filt.sigma.item() - 2.0) < 1e-9
+        assert abs(mus[k] - mu) < 1e-9
+        assert abs(sigmas[k] - 2.0) < 1e-9
 
 
 def test_sigma_respects_floor():
     f = single_filter(2, mu=5.0, sigma=2.0, sigma_floor=0.1)
     f.raw_sigma.data[...] = -50.0  # drive softplus term to ~0
-    assert f.sigma.item() >= 0.1
+    assert f.sigma.data[0] >= 0.1
 
 
 # --- gates ---------------------------------------------------------------------
@@ -100,8 +113,7 @@ def test_gates_open_interval():
 def test_energy_at_band_center_raises_its_gate():
     d, t, rate = 3, 200, 100.0
     filters = default_filters(d=d)
-    for f in filters:
-        f.w_gate.data[...] = 1.0  # positive gate weights
+    filters.w_gate.data[...] = 1.0  # positive gate weights
     # energy exactly at the first band center (4 Hz -> bin 8)
     mag = np.zeros((1, t // 2 + 1, d))
     mag[0, 8, :] = 50.0
@@ -123,11 +135,11 @@ def test_gates_are_per_sample():
 def test_passthrough_with_identity_mixing_and_flat_mask():
     # sigma so large the Gaussian is flat across the band: M ~ c everywhere
     d, t = 3, 32
-    f = single_filter(d, mu=1.0, sigma=1e6, w_r=np.eye(d), w_i=np.zeros((d, d)))
-    c = 1.0 / (f.sigma.item() * np.sqrt(2 * np.pi))
+    f = single_filter(d, mu=1.0, sigma=1e6)  # W_r = I, W_i = 0
+    c = 1.0 / (f.sigma.data[0] * np.sqrt(2 * np.pi))
     x = te.Tensor(RNG.normal(size=(2, t, d)))
     a = 0.7
-    out, _ = sp.spectral_mix([f], x, rate=16.0, alphas=np.full((2, 1), a))
+    out, _ = sp.spectral_mix(f, x, rate=16.0, alphas=np.full((2, 1), a))
     want = a * c * x.data
     assert np.abs(out.data - want).max() < 1e-6 * np.abs(want).max()
 
@@ -173,7 +185,7 @@ def test_global_receptive_field():
     assert np.abs(moved.data[0, -1] - base.data[0, -1]).max() > 1e-12
 
 
-def mix_oracle(filters, x, rate, alphas=None):
+def mix_oracle(bands, x, rate, alphas=None):
     """Numpy complex-FFT reference: sum_k alpha_k M_k(f) (W_r^k + i W_i^k) X[f].
 
     x is (..., T, D); bands, gates and mixing are evaluated one band at a time.
@@ -181,18 +193,19 @@ def mix_oracle(filters, x, rate, alphas=None):
     t = x.shape[-2]
     spec = np.fft.rfft(x, axis=-2)  # (..., F, D)
     freqs = np.arange(t // 2 + 1) * rate / t
+    k_bands = bands.raw_mu.shape[0]
     masks, gates = [], []
-    for f in filters:
-        mu = np.logaddexp(0.0, f.raw_mu.data)
-        sigma = f.sigma_floor + np.logaddexp(0.0, f.raw_sigma.data)
+    for k in range(k_bands):
+        mu = np.logaddexp(0.0, bands.raw_mu.data[k])
+        sigma = bands.sigma_floor + np.logaddexp(0.0, bands.raw_sigma.data[k])
         mask = gaussian_density(freqs, mu, sigma)[:, None]  # (F, 1)
         z = (np.abs(spec) * mask).sum(axis=-2)  # (..., D)
-        gates.append(1.0 / (1.0 + np.exp(-(z @ f.w_gate.data)[..., 0])))
+        gates.append(1.0 / (1.0 + np.exp(-(z @ bands.w_gate.data[:, k]))))
         masks.append(mask)
     alphas = np.stack(gates, axis=-1) if alphas is None else alphas
     mixed = 0.0
-    for k, f in enumerate(filters):
-        w = f.w_r.data + 1j * f.w_i.data
+    for k in range(k_bands):
+        w = bands.w_r.data[k] + 1j * bands.w_i.data[k]
         mixed = mixed + alphas[..., k, None, None] * masks[k] * (spec @ w)
     return np.fft.irfft(mixed, n=t, axis=-2), alphas
 
@@ -202,15 +215,11 @@ def test_mix_matches_complex_fft_oracle(gating):
     rng = np.random.default_rng(21)
     d, t, rate = 4, 30, 15.0
     bands = ((1.5, 0.8), (3.2, 1.1), (5.9, 0.5))  # K=3, unequal widths
-    filters = [
-        single_filter(
-            d, mu, sigma,
-            w_r=rng.normal(size=(d, d)),
-            w_i=rng.normal(size=(d, d)),
-            w_gate=0.1 * rng.normal(size=(d, 1)),
-        )
-        for mu, sigma in bands
-    ]
+    draws = [(rng.normal(size=(d, d)), rng.normal(size=(d, d)), 0.1 * rng.normal(size=(d, 1)))
+             for _ in bands]  # band by band: W_r, W_i, gate column
+    w_r, w_i, w_gate = zip(*draws)
+    filters = band_bank(d, bands, w_r=np.stack(w_r), w_i=np.stack(w_i),
+                        w_gate=np.concatenate(w_gate, axis=1))
     x = rng.normal(size=(2, 3, t, d))
     alphas = rng.uniform(0.1, 0.9, size=(2, 3, len(bands))) if gating == "frozen" else None
     want, want_gates = mix_oracle(filters, x, rate, alphas)
@@ -219,16 +228,15 @@ def test_mix_matches_complex_fft_oracle(gating):
     assert np.abs(gates.data - want_gates).max() <= 1e-12
 
 
-def test_mix_graph_grows_by_band_parameters_only():
-    # per added band: its 5 parameter leaves plus softplus(mu), softplus(sigma)
-    # and the floor shift; every other node is shared by all bands
+def test_mix_graph_size_independent_of_band_count():
+    # every band quantity is one tensor, so adding a band adds no node
     d, t = 3, 16
     x = te.Tensor(RNG.normal(size=(2, t, d)), requires_grad=True)
     sizes = []
     for k in range(1, 5):
         filters = default_filters(d=d, mus_hz=tuple(float(m) for m in range(1, k + 1)))
         sizes.append(graph_size(*sp.spectral_mix(filters, x, rate=8.0)))
-    assert all(0 < b - a <= 8 for a, b in zip(sizes, sizes[1:])), sizes
+    assert len(set(sizes)) == 1, sizes
 
 
 def test_mix_wallclock_subquadratic():
@@ -257,9 +265,7 @@ def test_mix_gradients_match_finite_differences():
         out, _ = sp.spectral_mix(filters, x, rate=50.0)
         return (out * out).sum()
 
-    params = [x]
-    for f in filters[:2]:
-        params += [f.raw_mu, f.raw_sigma, f.w_r, f.w_i, f.w_gate]
+    params = [x, filters.raw_mu, filters.raw_sigma, filters.w_r, filters.w_i, filters.w_gate]
     worst = check_gradients(build, params, np.random.default_rng(3), n_samples=5)
     assert worst < 1e-3
 
@@ -271,4 +277,4 @@ def test_mix_rejects_nonfinite_via_guard():
     f.w_r.data[...] = 1e308  # force overflow in the mixing product
     x = te.Tensor(np.full((1, 8, d), 1e10))
     with pytest.raises(FloatingPointError):
-        sp.spectral_mix([f], x, rate=8.0)
+        sp.spectral_mix(f, x, rate=8.0)
