@@ -22,6 +22,10 @@ Every command takes `--config`. eval and the dump commands build the
 model from it and then load the checkpoint, which must hold exactly the
 parameters that config creates.
 
+eval, the dump commands and bench run their forwards under
+`te.no_grad()`: no autograd graph is built, so bench times inference
+forwards.
+
 Resuming an interrupted run is not supported; train always starts from
 a fresh initialization.
 """
@@ -196,11 +200,13 @@ def _load_model_for(args, signals: np.ndarray | None = None, data_rate: float | 
 
 
 def _predict(model, signals, batch_size: int = 32) -> np.ndarray:
+    """Predicted class per trial; forwards run under `te.no_grad()`."""
     out = []
     for lo in range(0, len(signals), batch_size):
-        logits = model_forward(model, signals[lo : lo + batch_size])
+        with te.no_grad():
+            logits = model_forward(model, signals[lo : lo + batch_size])
         out.append(np.argmax(logits.data, axis=-1))
-        del logits  # release this batch's graph before the next forward
+        del logits  # release this batch before the next forward
     return np.concatenate(out)
 
 
@@ -493,7 +499,8 @@ def _dump_probe(args):
 def cmd_dump_bands(args) -> int:
     model, probe = _dump_probe(args)
     diags = []
-    model_forward(model, probe[:32], diags=diags)
+    with te.no_grad():
+        model_forward(model, probe[:32], diags=diags)
     patch = model.cfg.patch
     k = model.cfg.n_bands
     print("band_index,mu_hz,sigma_hz,mean_alpha")
@@ -516,7 +523,8 @@ def cmd_dump_kernel_weights(args) -> int:
     for lo in range(0, len(signals), 32):
         batch = signals[lo : lo + 32]
         diags = []
-        model_forward(model, batch, diags=diags)
+        with te.no_grad():
+            model_forward(model, batch, diags=diags)
         # average the per-channel values over channels and blocks
         alpha = np.mean([d["kernel_weights"].data for d in diags], axis=0).mean(axis=1)
         variance = np.mean([d["variance"].data for d in diags], axis=0).mean(axis=1)
@@ -545,13 +553,14 @@ def cmd_bench(args) -> int:
     print("length,median_seconds,flop_estimate")
     for n in lengths:
         x = data_rng.normal(size=(1, mc.n_channels, n))
-        for _ in range(5):  # warm-ups excluded from the median
-            model_forward(model, x)
-        times = []
-        for _ in range(20):
-            t0 = time.perf_counter()
-            model_forward(model, x)
-            times.append(time.perf_counter() - t0)
+        with te.no_grad():
+            for _ in range(5):  # warm-ups excluded from the median
+                model_forward(model, x)
+            times = []
+            for _ in range(20):
+                t0 = time.perf_counter()
+                model_forward(model, x)
+                times.append(time.perf_counter() - t0)
         flops = count_flops(model, (1, mc.n_channels, n))["total"]
         print(f"{n},{statistics.median(times):.6g},{flops}")
     return 0

@@ -23,6 +23,13 @@ N-D @ N-D products use numpy's batched matmul. Gradient accumulation
 never adds in place: a node's first gradient is stored as given, often
 the very array a sibling or the upstream node holds.
 
+Inside ``with no_grad():`` results record no parents: ``_prev`` is
+empty, ``_backward`` is None and ``requires_grad`` is False, so each
+intermediate is freed as soon as its last reader returns. The forward
+arithmetic is the same in both modes, and leaves (Tensors built with
+``requires_grad=True``) are untouched. Calling ``backward`` on such a
+graph-less result raises.
+
 Construction from external data rejects NaN/Inf. Results of internal
 ops skip that check; modules that can produce non-finite values guard
 their own outputs.
@@ -43,6 +50,7 @@ __all__ = [
     "ComplexTensor",
     "backward",
     "mac_counter",
+    "no_grad",
     "add",
     "mul",
     "matmul",
@@ -90,6 +98,26 @@ def mac_counter():
         _MACS["active"] = False
 
 
+# --- inference mode ----------------------------------------------------------
+
+_GRAD = {"enabled": True}
+
+
+@contextmanager
+def no_grad():
+    """Record no autograd graph for results computed inside the block.
+
+    Nests, and restores the previous mode on exit, also when the block
+    raises.
+    """
+    previous = _GRAD["enabled"]
+    _GRAD["enabled"] = False
+    try:
+        yield
+    finally:
+        _GRAD["enabled"] = previous
+
+
 # --- tensor -----------------------------------------------------------------
 
 
@@ -111,7 +139,7 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        tracked = tuple(p for p in parents if p.requires_grad)
+        tracked = tuple(p for p in parents if p.requires_grad) if _GRAD["enabled"] else ()
         out.requires_grad = bool(tracked)
         out._prev = tracked
         out._backward = backward_fn if tracked else None
@@ -130,7 +158,7 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        return float(self.data.item())
 
     def _accum(self, g: np.ndarray) -> None:
         # g may be a sibling's or the upstream node's gradient (add, reshape
@@ -143,6 +171,10 @@ class Tensor:
     def backward(self) -> None:
         if self.data.size != 1:
             raise ValueError("backward requires a scalar")
+        if not self.requires_grad:
+            raise RuntimeError(
+                "backward on a tensor that records no graph: it was computed under "
+                "te.no_grad() or from leaves without requires_grad")
         order: list[Tensor] = []
         seen: set[int] = set()
         stack = [(self, False)]

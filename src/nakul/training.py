@@ -216,16 +216,17 @@ def stratified_split(labels: np.ndarray, fraction: float, rng: np.random.Generat
 
 
 def evaluate(model: NakulModel, signals, labels, eps: float = 0.1, batch_size: int = 32):
-    """Deterministic loss and accuracy over a dataset."""
+    """Deterministic loss and accuracy over a dataset, with no autograd graph."""
     losses, hits, count = [], 0, 0
     for lo in range(0, len(labels), batch_size):
         hi = min(lo + batch_size, len(labels))
-        logits = model_forward(model, signals[lo:hi])
-        loss = smoothed_cross_entropy(logits, labels[lo:hi], eps=eps)
+        with te.no_grad():
+            logits = model_forward(model, signals[lo:hi])
+            loss = smoothed_cross_entropy(logits, labels[lo:hi], eps=eps)
         losses.append(loss.item() * (hi - lo))
         hits += int((logits.data.argmax(axis=-1) == labels[lo:hi]).sum())
         count += hi - lo
-        del logits, loss  # release this batch's graph before the next forward
+        del logits, loss  # release this batch before the next forward
     return sum(losses) / count, hits / count
 
 

@@ -1,5 +1,6 @@
 """Config parsing, dataset files, and every subcommand end to end."""
 
+import gc
 import os
 import re
 import warnings
@@ -311,6 +312,42 @@ def test_predict_releases_previous_batch_graph(monkeypatch):
     signals = np.random.default_rng(2).normal(size=(12, 4, 80))
     assert _predict(model, signals, batch_size=5).shape == (12,)
     assert len(refs) == 3
+
+
+def test_predict_forwards_record_no_graph(monkeypatch):
+    real_forward = cli.model_forward
+    parents = []
+
+    def forward(*args, **kwargs):
+        logits = real_forward(*args, **kwargs)
+        parents.append((logits._prev, logits.requires_grad))
+        return logits
+
+    monkeypatch.setattr(cli, "model_forward", forward)
+    model = init_model(model_config(parse_config(SMALL_CFG)), stream(1, "init"))
+    signals = np.random.default_rng(2).normal(size=(12, 4, 80))
+    _predict(model, signals, batch_size=5)
+    assert parents == [((), False)] * 3
+
+
+def _live_tensors() -> int:
+    gc.collect()
+    return sum(isinstance(obj, Tensor) for obj in gc.get_objects())
+
+
+def test_no_grad_forward_keeps_only_its_logits():
+    model = init_model(model_config(parse_config(SMALL_CFG)), stream(1, "init"))
+    x = np.random.default_rng(2).normal(size=(4, 4, 80))
+    before = _live_tensors()
+    with te_mod.no_grad():
+        logits = model_forward(model, x)
+    quiet = _live_tensors() - before
+    del logits
+    before = _live_tensors()
+    logits = model_forward(model, x)  # grad mode: the logits hold the whole graph
+    traced = _live_tensors() - before
+    assert quiet <= 3, quiet
+    assert traced >= 200, traced
 
 
 def test_eval_non_finite_checkpoint_exits_3(workdir, tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nakul import tensor as te
+from nakul.config import model_config, parse_config
 from nakul.model import (
     ModelConfig,
     block_forward,
@@ -150,6 +151,18 @@ def test_forward_shape_and_determinism():
     b = model_forward(model, x)
     assert a.shape == (4, 3)
     np.testing.assert_array_equal(a.data, b.data)
+
+
+def test_no_grad_logits_bitwise_at_default_config():
+    rc = parse_config("")
+    model = init_model(model_config(rc), stream(0, "init"))
+    x = stream(1, "data").normal(size=(4, rc.data.n_channels, rc.data.t_len))
+    with te.no_grad():
+        quiet = model_forward(model, x)
+    traced = model_forward(model, x)
+    np.testing.assert_array_equal(quiet.data, traced.data)
+    assert quiet._prev == () and quiet.requires_grad is False
+    assert traced._prev  # outside the block the graph is recorded as before
 
 
 def test_training_noise_reproducible_by_seed():

@@ -410,6 +410,59 @@ def test_backward_requires_scalar():
         (x * 2.0).backward()
 
 
+def test_backward_on_graph_less_root_raises():
+    w = randt(3, 3)
+    with T.no_grad():
+        loss = (w * 2.0).sum()
+    with pytest.raises(RuntimeError, match="no_grad"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="no_grad"):
+        T.backward(loss)
+    assert w.grad is None
+    constant = (randt(2, grad=False) * 3.0).sum()  # no leaf requires grad
+    with pytest.raises(RuntimeError, match="requires_grad"):
+        constant.backward()
+
+
+# --- inference mode -------------------------------------------------------------
+
+
+def test_no_grad_results_record_no_parents():
+    x, w = randt(2, 3, grad=False), randt(3, 4)
+    with T.no_grad():
+        out = T.gelu(T.matmul(x, w))
+        leaf = T.Tensor(np.ones(2), requires_grad=True)
+    assert out._prev == () and out._backward is None and out.requires_grad is False
+    assert leaf.requires_grad is True and w.requires_grad is True
+    np.testing.assert_array_equal(out.data, T.gelu(T.matmul(x, w)).data)
+
+
+def test_no_grad_restored_after_raise_and_nesting():
+    w = randt(2)
+    with pytest.raises(KeyError):
+        with T.no_grad():
+            raise KeyError("inside the block")
+    assert (w * 2.0)._prev == (w,)
+    with T.no_grad():
+        with T.no_grad():
+            pass
+        assert not (w * 2.0).requires_grad  # the inner exit keeps the outer block off
+    assert (w * 2.0)._prev == (w,)
+
+
+# --- item -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)], ids=["rank0", "rank1", "rank2"])
+def test_item_on_size_one_tensor(shape):
+    assert T.Tensor(np.full(shape, 2.5)).item() == 2.5
+
+
+def test_item_rejects_size_two():
+    with pytest.raises(ValueError):
+        T.Tensor([1.0, 2.0]).item()
+
+
 # --- instrumentation -----------------------------------------------------------
 
 

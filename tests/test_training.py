@@ -458,3 +458,40 @@ def test_evaluate_releases_previous_batch_graph(monkeypatch):
     signals, labels = generate_synthetic(tiny_spec(), seed=15)
     evaluate(tiny_model(seed=9), signals, labels, batch_size=5)
     assert len(refs) == 5  # 24 trials in batches of 5
+
+
+def test_evaluate_forwards_record_no_graph(monkeypatch):
+    real_forward = training.model_forward
+    parents = []
+
+    def forward(*args, **kwargs):
+        logits = real_forward(*args, **kwargs)
+        parents.append((logits._prev, logits.requires_grad))
+        return logits
+
+    monkeypatch.setattr(training, "model_forward", forward)
+    signals, labels = generate_synthetic(tiny_spec(), seed=15)
+    evaluate(tiny_model(seed=9), signals, labels, batch_size=5)
+    assert parents == [((), False)] * 5
+
+
+def test_evaluate_bitwise_equal_to_grad_mode_loop():
+    signals, labels = generate_synthetic(tiny_spec(), seed=15)
+    model = tiny_model(seed=9)
+    losses, hits = [], 0
+    for lo in range(0, len(labels), 5):
+        logits = model_forward(model, signals[lo : lo + 5])
+        assert logits.requires_grad
+        loss = smoothed_cross_entropy(logits, labels[lo : lo + 5], eps=0.1)
+        losses.append(loss.item() * len(logits.data))
+        hits += int((logits.data.argmax(axis=-1) == labels[lo : lo + 5]).sum())
+    assert evaluate(model, signals, labels, eps=0.1, batch_size=5) == (
+        sum(losses) / len(labels), hits / len(labels))
+
+
+def test_training_step_after_evaluate_gets_every_gradient():
+    signals, labels = generate_synthetic(tiny_spec(), seed=15)
+    model = tiny_model(seed=9)
+    evaluate(model, signals, labels, batch_size=5)
+    smoothed_cross_entropy(model_forward(model, signals[:8]), labels[:8]).backward()
+    assert [name for name, p in model.named().items() if p.grad is None] == []
