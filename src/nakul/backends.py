@@ -1,9 +1,7 @@
 """Depthwise causal convolution kernels, forward and backward, in numpy.
 
-y[r, t, d] = sum_j k[r_k, j, d] * x[r, t - j, d], zero-padded on the left,
-where the kernel k is (R_k, taps, D) with R_k in {1, R}: r_k = r when
-every row has its own kernel, r_k = 0 when one kernel is shared by all
-rows (its gradient is then summed over rows). Shapes use R for flattened
+y[r, t, d] = sum_j k[r, j, d] * x[r, t - j, d], zero-padded on the left:
+every row r has its own kernel, (R, taps, D). Shapes use R for flattened
 leading (batch-like) dimensions, T for time, D for features, and taps
 for kernel length. All arrays are float64.
 """
@@ -31,11 +29,10 @@ def depthwise_causal_bwd(
 ) -> tuple[np.ndarray, np.ndarray]:
     R, T, D = x.shape
     taps = k.shape[1]
-    per_row = "rtd,rtd->rd" if k.shape[0] > 1 else "rtd,rtd->d"
     gx = k[:, 0:1] * gy
     gk = np.zeros_like(k)  # taps past T keep zero gradient
-    gk[:, 0] = np.einsum(per_row, gy, x)
+    gk[:, 0] = np.einsum("rtd,rtd->rd", gy, x)
     for j in range(1, min(taps, T)):
         gx[:, : T - j, :] += k[:, j : j + 1] * gy[:, j:, :]
-        gk[:, j] = np.einsum(per_row, gy[:, j:, :], x[:, : T - j, :])
+        gk[:, j] = np.einsum("rtd,rtd->rd", gy[:, j:, :], x[:, : T - j, :])
     return gx, gk

@@ -182,7 +182,8 @@ def _load_model_for(args, signals: np.ndarray | None = None, data_rate: float | 
     """Model for eval/dump commands, built from `--config` and then loaded.
 
     With a dataset (`signals` and its rate), the config's rate and the
-    model's channel count must match it.
+    model's channel count must match it, and its trials must cover one
+    patch.
     """
     rc = load_config(args.config)
     if signals is not None and abs(rc.data.rate - data_rate) > 1e-9:
@@ -196,6 +197,10 @@ def _load_model_for(args, signals: np.ndarray | None = None, data_rate: float | 
         raise ArtifactError(
             f"dataset has {signals.shape[1]} channels, model expects "
             f"{model.graph.n_channels}")
+    if signals is not None and signals.shape[2] < model.cfg.patch:
+        raise ArtifactError(
+            f"dataset trials have {signals.shape[2]} samples, model patches are "
+            f"{model.cfg.patch}")
     return model
 
 
@@ -256,6 +261,9 @@ def cmd_train(args) -> int:
     if labels.max() >= spec.n_classes:
         raise ConfigError(
             "n_classes", f"config says {spec.n_classes}, dataset has label {labels.max()}")
+    if signals.shape[2] < rc.model.patch:
+        raise ConfigError(
+            "patch", f"config says {rc.model.patch}, dataset trials have {signals.shape[2]} samples")
 
     model = init_model(model_config(rc), stream(rc.train.seed, "init"))
     if rc.train.epochs > 0:
@@ -360,8 +368,8 @@ def _check_tensor(rng):
 
 def _check_ssm(rng):
     x = Tensor(rng.normal(size=(2, 12, 4)), requires_grad=True)
-    k_short = Tensor(rng.normal(size=(3, 4)) * 0.5, requires_grad=True)
-    k_long = Tensor(rng.normal(size=(7, 4)) * 0.5, requires_grad=True)
+    k_short = Tensor(rng.normal(size=(2, 3, 4)) * 0.5, requires_grad=True)  # one per row
+    k_long = Tensor(rng.normal(size=(2, 7, 4)) * 0.5, requires_grad=True)
 
     def build():
         a = te.depthwise_causal_conv(x, k_short)
@@ -498,14 +506,18 @@ def _dump_probe(args):
 
 def cmd_dump_bands(args) -> int:
     model, probe = _dump_probe(args)
-    diags = []
-    with te.no_grad():
-        model_forward(model, probe[:32], diags=diags)
-    patch = model.cfg.patch
     k = model.cfg.n_bands
+    gates = [[] for _ in model.blocks]  # per block, each batch's (rows, K) gates
+    for lo in range(0, len(probe), 32):
+        diags = []
+        with te.no_grad():
+            model_forward(model, probe[lo : lo + 32], diags=diags)
+        for per_block, diag in zip(gates, diags):
+            per_block.append(diag["band_gates"].data.reshape(-1, k))
+    patch = model.cfg.patch
     print("band_index,mu_hz,sigma_hz,mean_alpha")
-    for b_i, (blk, diag) in enumerate(zip(model.blocks, diags)):
-        mean_gates = diag["band_gates"].data.reshape(-1, k).mean(axis=0)
+    for b_i, (blk, per_block) in enumerate(zip(model.blocks, gates)):
+        mean_gates = np.concatenate(per_block).mean(axis=0)  # over every trial
         mu_hz = blk.bands.mu.data * patch
         sigma_hz = blk.bands.sigma.data * patch
         for j in range(k):

@@ -11,17 +11,21 @@ Statistics are computed per sample. Averaging them over a batch (as a
 literal reading of the pooled-sum formulation would do) was rejected:
 a sample's output must not depend on its batch neighbors.
 
-Kernels are stored in causal layout: the last tap multiplies the
-current timestep, so [0, ..., 0, 1] is the identity filter. Output at
-time t never sees input beyond t.
+Kernels are stored in lag order, the order the convolution reads: row
+j multiplies x[t - j], so [1, 0, ..., 0] is the identity filter. Output
+at time t never sees input beyond t.
 
 The mixture is linear in the kernels, so sum_m a_m (k_m * x) equals
 (sum_m a_m k_m) * x once every kernel is zero-padded to the longest
-size K_max. Each forward flips the bank to lag order, pads it to
-(M, K_max*D), blends one kernel per sample with one (..., M) @
-(M, K_max*D) matmul and runs a single convolution with it. The padding
-is rebuilt on every forward; padded taps are constants and carry no
-parameters.
+size K_max. Each forward appends zero rows (the oldest lags) to every
+kernel, views the bank as (M, K_max*D), blends one kernel per sample
+with one (..., M) @ (M, K_max*D) matmul and runs a single convolution
+with it. The padding is rebuilt on every forward; padded taps are
+constants and carry no parameters.
+
+The meta-network's weights are stored as the right operands of its two
+products, s @ W1 with W1 (2, META_HIDDEN) and h @ W2 with W2
+(META_HIDDEN, M).
 """
 
 from __future__ import annotations
@@ -44,14 +48,16 @@ __all__ = [
     "predict_weights",
     "dynamic_mix",
     "DEFAULT_KERNEL_SIZES",
+    "META_HIDDEN",
 ]
 
 DEFAULT_KERNEL_SIZES = (3, 5, 7, 11)
+META_HIDDEN = 16  # meta-network hidden width
 
 
 @dataclass
 class KernelBank:
-    kernels: list[Tensor]  # each (K_m, D), causal layout (last tap = now)
+    kernels: list[Tensor]  # each (K_m, D), lag order (row j multiplies x[t - j])
     w_gate: Tensor  # (D, D)
 
     @property
@@ -61,8 +67,8 @@ class KernelBank:
 
 @dataclass
 class MetaNetwork:
-    w1: Tensor  # (16, 2)
-    w2: Tensor  # (M, 16)
+    w1: Tensor  # (2, META_HIDDEN)
+    w2: Tensor  # (META_HIDDEN, M)
 
 
 def init_kernel_bank(
@@ -75,8 +81,9 @@ def init_kernel_bank(
 
     The one-state system (transition 0.7, unit input and output maps)
     has taps (1, 0.7, 0.49, ...); they are truncated to each bank size
-    and written in causal layout, then perturbed so the filters are not
-    identical across features.
+    and perturbed so the filters are not identical across features. The
+    noise draw is a (size, D) block read bottom-up, so lag j takes its
+    row size-1-j.
     """
     base = DiscreteSsm(
         a_bar=np.array([[0.7]]),
@@ -87,18 +94,20 @@ def init_kernel_bank(
     )
     kernels = []
     for size in sizes:
-        taps = materialize_kernel(base, size)[::-1]  # causal layout
-        k = np.tile(taps[:, None], (1, d)) + noise * rng.uniform(-1, 1, size=(size, d))
+        taps = materialize_kernel(base, size)
+        k = np.tile(taps[:, None], (1, d)) + noise * rng.uniform(-1, 1, size=(size, d))[::-1]
         kernels.append(Tensor(k, requires_grad=True))
     bound = 1.0 / np.sqrt(d)
     w_gate = Tensor(rng.uniform(-bound, bound, size=(d, d)), requires_grad=True)
     return KernelBank(kernels=kernels, w_gate=w_gate)
 
 
-def init_meta_network(rng: np.random.Generator, m: int = 4, hidden: int = 16) -> MetaNetwork:
-    w1 = rng.uniform(-1, 1, size=(hidden, 2)) / np.sqrt(2.0)
-    w2 = rng.uniform(-1, 1, size=(m, hidden)) / np.sqrt(hidden)
-    return MetaNetwork(w1=Tensor(w1, requires_grad=True), w2=Tensor(w2, requires_grad=True))
+def init_meta_network(rng: np.random.Generator, m: int = 4) -> MetaNetwork:
+    """Uniform weights; each is drawn as its (out, in) transpose."""
+    w1 = rng.uniform(-1, 1, size=(META_HIDDEN, 2)).T / np.sqrt(2.0)
+    w2 = rng.uniform(-1, 1, size=(m, META_HIDDEN)).T / np.sqrt(META_HIDDEN)
+    return MetaNetwork(w1=Tensor(np.ascontiguousarray(w1), requires_grad=True),
+                       w2=Tensor(np.ascontiguousarray(w2), requires_grad=True))
 
 
 def temporal_variance(x: Tensor) -> Tensor:
@@ -134,16 +143,13 @@ def predict_weights(meta: MetaNetwork, variance: Tensor, entropy: Tensor) -> Ten
 
     variance enters through log1p to keep its unbounded scale O(1);
     entropy is expected already divided by its ln(F) maximum (the caller
-    knows the bin count). Accepts scalars or (...,) batches; returns
-    (..., M).
+    knows the bin count). Takes () or (...,) Tensors; returns (..., M).
     """
-    variance = variance if isinstance(variance, Tensor) else Tensor(np.asarray(variance))
-    entropy = entropy if isinstance(entropy, Tensor) else Tensor(np.asarray(entropy))
     log_var = te.log(variance + 1.0)
     s = te.stack([log_var, entropy], axis=-1)  # (..., 2)
     flat = s.reshape((-1, 2))
-    h = te.gelu(te.matmul(flat, te.swapaxes(meta.w1, 0, 1)))
-    logits = te.matmul(h, te.swapaxes(meta.w2, 0, 1))
+    h = te.gelu(te.matmul(flat, meta.w1))
+    logits = te.matmul(h, meta.w2)
     alphas = te.softmax(logits)
     return alphas.reshape(variance.shape + (alphas.shape[-1],))
 
@@ -184,10 +190,9 @@ def dynamic_mix(
 
 
 def _lag_bank(bank: KernelBank) -> Tensor:
-    """The bank as (M, K_max*D): lag order, each kernel zero-padded to K_max taps."""
+    """The bank as (M, K_max*D), each kernel zero-padded to K_max taps."""
     k_max, d = max(bank.sizes), bank.kernels[0].shape[1]
     parts = []
-    for k in bank.kernels:  # causal layout: the padding holds the oldest lags
-        parts += [Tensor(np.zeros((k_max - k.shape[0], d))), k]
-    causal = te.concat(parts, axis=0).reshape((len(bank.kernels), k_max, d))
-    return causal[:, ::-1, :].reshape((len(bank.kernels), k_max * d))
+    for k in bank.kernels:  # the padding holds the oldest lags
+        parts += [k, Tensor(np.zeros((k_max - k.shape[0], d)))]
+    return te.concat(parts, axis=0).reshape((len(bank.kernels), k_max * d))

@@ -12,6 +12,12 @@ Top-k selection uses the biased scores and breaks ties toward the
 lowest column index, so results are deterministic. The temperature on
 the bias term is kept positive through a softplus.
 
+The bias readout is one GEMM weight: w_bias is (D, H*C) with head-major
+columns, so columns h*C .. h*C+C-1 read head h's (C, C) bias out of each
+channel's diffused features. Every parameter is the right operand of a
+2-D matmul; the batched (N-D @ N-D) products are the adjacency
+diffusion, the scores and attention @ V, all between activations.
+
 Heads are an array axis: Q, K and V are laid out head-major as
 (H*B, C, d_k), so one score matmul, one masked softmax over
 (H, B, C, C) and one (C, C) @ (C, d_k) matmul with V serve all heads.
@@ -63,7 +69,7 @@ class SpatialAttention:
     w_v: Tensor  # (D, D)
     w_o: Tensor  # (D, D)
     w_graph: Tensor  # (D, D)
-    w_bias: Tensor  # (H, D, C) per-head bias readout
+    w_bias: Tensor  # (D, H*C), head h's readout in columns h*C .. h*C+C-1
     raw_beta: Tensor  # scalar, temperature = softplus(raw_beta)
     heads: int
     k_top: int = 16
@@ -149,12 +155,13 @@ def graph_conv(g: ElectrodeGraph, h_feat: Tensor, w: Tensor) -> Tensor:
 def spatial_biases(h_tilde: Tensor, w_bias: Tensor) -> Tensor:
     """Per-head channel-pair biases from diffused features.
 
-    h_tilde is (B, C, D) graph_conv output, w_bias (H, D, C).
-    Returns (H, B, C, C) from one broadcast (1, B, C, D) @ (H, 1, D, C).
+    h_tilde is (B, C, D) graph_conv output, w_bias (D, H*C).
+    Returns (H, B, C, C): one (B*C, D) @ (D, H*C) GEMM, then a view.
     """
-    b, c, d = h_tilde.shape
-    heads = w_bias.shape[0]
-    return te.matmul(h_tilde.reshape((1, b, c, d)), w_bias.reshape((heads, 1, d, c)))
+    b, c, _ = h_tilde.shape
+    heads = w_bias.shape[1] // c
+    per_head = te.matmul(h_tilde, w_bias).reshape((b, c, heads, c))
+    return te.transpose(per_head, (2, 0, 1, 3))
 
 
 def masked_softmax_topk(scores: Tensor, k: int) -> Tensor:
@@ -220,13 +227,17 @@ def init_spatial_attention(
     def mat(shape):
         return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
+    def bias_readout():  # drawn per head as (H, D, C), stored as (D, H*C)
+        per_head = rng.uniform(-bound, bound, size=(heads, d, c))
+        return Tensor(per_head.transpose(1, 0, 2).reshape(d, heads * c), requires_grad=True)
+
     return SpatialAttention(
         w_q=mat((d, d)),
         w_k=mat((d, d)),
         w_v=mat((d, d)),
         w_o=mat((d, d)),
         w_graph=mat((d, d)),
-        w_bias=mat((heads, d, c)),
+        w_bias=bias_readout(),
         raw_beta=Tensor(np.asarray(te.inv_softplus(1.0)), requires_grad=True),
         heads=heads,
         k_top=k_top,

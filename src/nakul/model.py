@@ -16,11 +16,15 @@ Band-filter centers are specified in source-signal hertz and rescaled
 by 1/P to the patch sequence rate, preserving band ordering inside the
 patch-level Nyquist range.
 
-Checkpoints are a flat binary: magic `NAKL`, u32 version, u32 tensor
-count, then per tensor a u16 name length, UTF-8 name, u8 rank, u32
-dims, and float32 values, all little-endian. A checkpoint holds exactly
-the parameters `init_model` creates from the run's `ModelConfig`, and
-loading one needs that config: sizes are never read from the shapes.
+Checkpoints are a flat binary: magic `NAKL`, u32 version (2), u32
+tensor count, then per tensor a u16 name length, UTF-8 name, u8 rank,
+u32 dims, and float32 values, all little-endian. A checkpoint holds
+exactly the parameters `init_model` creates from the run's
+`ModelConfig`, and loading one needs that config: sizes are never read
+from the shapes. Each tensor is stored in the layout its forward reads.
+Version 2 stores the kernel bank in lag order; version 1 files held the
+same names and shapes with every kernel's taps reversed, so they are
+refused rather than loaded reversed.
 
 Each tensor is named by its dotted field path (`w_embed`,
 `blocks.0.bands.w_r` holding all K bands, `blocks.0.bank.kernels.2`);
@@ -39,6 +43,7 @@ import numpy as np
 from . import tensor as te
 from .dynamic import (
     DEFAULT_KERNEL_SIZES,
+    META_HIDDEN,
     KernelBank,
     MetaNetwork,
     dynamic_mix,
@@ -73,7 +78,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"NAKL"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -382,7 +387,8 @@ def count_flops(model: NakulModel, input_shape) -> dict:
     # one convolution with a blended kernel of the longest size per sample
     out["kernel_convs"] = n_blocks * trunk * k_max
     out["kernel_gate"] = n_blocks * trunk * d
-    out["meta"] = n_blocks * b * c * (2 * 16 + 16 * n_kernels + n_kernels * k_max * d)
+    out["meta"] = n_blocks * b * c * (
+        2 * META_HIDDEN + META_HIDDEN * n_kernels + n_kernels * k_max * d)
     rows = b * t_p
     out["graph_conv"] = n_blocks * (rows * c * c * d + rows * c * d * d)
     out["bias_readout"] = n_blocks * heads * rows * c * d * c
@@ -441,7 +447,9 @@ def load_checkpoint(path) -> dict:
         raise ValueError("not a model checkpoint (bad magic)")
     version, count = struct.unpack_from("<II", blob, 4)
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise ValueError(
+            f"checkpoint version {version} is not supported: this build reads "
+            f"version {CHECKPOINT_VERSION} (kernel banks in lag order)")
     offset = 12
     out = {}
     for _ in range(count):

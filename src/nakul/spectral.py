@@ -113,12 +113,12 @@ def band_mask(bands: BandBank, t: int, rate: float) -> Tensor:
 
 
 def band_importance(bands: BandBank, x_mag: Tensor, masks: Tensor) -> Tensor:
-    """Per-sample band gates; x_mag is |spectrum| of shape (..., F, D).
+    """Per-sample band gates; x_mag is |spectrum| of shape (..., D, F).
 
     Z_k sums the (F, K) masks' column k times the magnitudes over bins;
     the gate is sigmoid(Z_k . w_gate), one value per sample per band, in (0, 1).
     """
-    z = te.matmul(te.swapaxes(x_mag, -1, -2), masks)  # (..., D, K)
+    z = te.matmul(x_mag, masks)  # (..., D, K)
     return te.sigmoid((z * bands.w_gate).sum(axis=-2))  # (..., K)
 
 
@@ -139,15 +139,15 @@ def spectral_mix(
     k = bands.raw_mu.shape[0]
     xt = te.swapaxes(x, -1, -2)  # (..., D, T)
     spec = te.fft_real(xt)  # re/im (..., D, F)
-    re = te.swapaxes(spec.re, -1, -2)  # (..., F, D)
-    im = te.swapaxes(spec.im, -1, -2)
     masks = band_mask(bands, t, rate)  # (F, K)
 
     if alphas is None:
-        mag = te.complex_abs(ComplexTensor(re, im))
-        gates = band_importance(bands, mag, masks)
+        gates = band_importance(bands, te.complex_abs(spec), masks)
     else:
         gates = te.Tensor(np.asarray(alphas, dtype=np.float64))
+
+    re = te.swapaxes(spec.re, -1, -2)  # (..., F, D)
+    im = te.swapaxes(spec.im, -1, -2)
 
     # alpha_k * M_k(f) scales band k's copy of each bin
     weight = gates.reshape(gates.shape[:-1] + (1, k, 1)) * masks.reshape((-1, k, 1))

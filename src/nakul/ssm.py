@@ -14,6 +14,9 @@ next term's norm drops below 1e-14, so A = 0 yields exactly delta B
 instead of hitting the singular closed form.
 
 Everything here is plain numpy (verification plumbing, no gradients).
+causal_convolve runs the model's own depthwise convolution kernel
+(`backends.depthwise_causal_fwd`) on one row and one feature, so the
+scan/convolution equivalence checks the code the model runs.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .backends import depthwise_causal_fwd
 
 __all__ = [
     "SsmParams",
@@ -145,11 +150,8 @@ def causal_convolve(kernel: np.ndarray, x: np.ndarray, skip: float = 0.0) -> np.
     """Same-length causal convolution, left-zero-padded, plus skip * x."""
     kernel = np.asarray(kernel, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    taps = kernel.shape[0]
-    if taps < 1:
+    if kernel.shape[0] < 1:
         raise ValueError("kernel must have at least one tap")
-    T = x.shape[0]
-    y = kernel[0] * x
-    for j in range(1, min(taps, T)):
-        y[j:] += kernel[j] * x[: T - j]
-    return y + float(skip) * x
+    columns = int(np.prod(x.shape[1:]))  # each convolved along axis 0
+    y = depthwise_causal_fwd(x.reshape(1, x.shape[0], columns), kernel.reshape(1, -1, 1))
+    return y.reshape(x.shape) + float(skip) * x

@@ -19,7 +19,9 @@ computation built on them is differentiable without special casing.
 
 matmul with a 2-D right operand (every weight) runs as one GEMM over the
 flattened leading rows of the left operand, forward and backward; only
-N-D @ N-D products use numpy's batched matmul. Gradient accumulation
+N-D @ N-D products use numpy's batched matmul.
+depthwise_causal_conv takes one kernel per row of its input, (..., taps,
+D) with the input's leading dims; there is no shared-kernel mode. Gradient accumulation
 never adds in place: a node's first gradient is stored as given, often
 the very array a sibling or the upstream node holds.
 
@@ -48,7 +50,6 @@ from . import backends
 __all__ = [
     "Tensor",
     "ComplexTensor",
-    "backward",
     "mac_counter",
     "no_grad",
     "add",
@@ -682,23 +683,23 @@ def complex_abs(z: ComplexTensor) -> Tensor:
 
 
 def depthwise_causal_conv(x: Tensor, kernel: Tensor) -> Tensor:
-    """Per-feature causal convolution along the time axis.
+    """Per-feature causal convolution along the time axis, one kernel per row.
 
-    x has shape (..., T, D). kernel is (taps, D), shared by every row,
-    or (..., taps, D) with x's leading dims, one kernel per row. Each
-    feature column has its own filter; output at t sees inputs t, t-1,
-    ..., t-taps+1 only. Taps are in lag order: tap j multiplies x[t-j].
+    x has shape (..., T, D) and kernel (..., taps, D) with the same
+    leading dims. Each feature column has its own filter; output at t
+    sees inputs t, t-1, ..., t-taps+1 only. Taps are in lag order: tap j
+    multiplies x[t-j].
     """
     x, kernel = _wrap(x), _wrap(kernel)
     lead = x.data.shape[:-2]
     t, d = x.data.shape[-2], x.data.shape[-1]
     taps = kernel.data.shape[-2]
-    if kernel.data.ndim != 2 and kernel.data.shape[:-2] != lead:
-        raise ValueError("a per-row kernel needs the input's leading dims")
+    if kernel.data.shape[:-2] != lead:
+        raise ValueError(
+            f"kernel {kernel.data.shape} needs the input's leading dims {lead}: one kernel per row")
     rows = int(np.prod(lead, dtype=np.int64)) if lead else 1
-    k_rows = 1 if kernel.data.ndim == 2 else rows
     x3 = np.ascontiguousarray(x.data.reshape(rows, t, d))
-    k3 = np.ascontiguousarray(kernel.data.reshape(k_rows, taps, d))
+    k3 = np.ascontiguousarray(kernel.data.reshape(rows, taps, d))
     data = backends.depthwise_causal_fwd(x3, k3).reshape(x.data.shape)
     _count(data.size * taps)
 
@@ -720,28 +721,3 @@ def inv_softplus(y) -> np.ndarray:
     """Inverse of log(1 + exp(x)); y must be positive."""
     y = np.asarray(y, dtype=np.float64)
     return np.where(y > 30.0, y, np.log(np.expm1(np.minimum(y, 30.0))))
-
-
-def backward(loss: Tensor) -> dict:
-    """Run reverse mode from a scalar; return {tensor: gradient array}.
-
-    Gradients are also left on each tensor's .grad field. The returned
-    map covers every tensor in the graph marked requires_grad.
-    """
-    for node in _walk(loss):
-        if node.requires_grad:
-            node.grad = None
-    loss.backward()
-    return {n: n.grad for n in _walk(loss) if n.requires_grad and n.grad is not None}
-
-
-def _walk(root: Tensor):
-    seen = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        yield node
-        stack.extend(node._prev)

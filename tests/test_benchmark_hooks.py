@@ -3,17 +3,25 @@
 perfbench/spans.py names module attributes to wrap and, for each mixing
 branch, the positional index of the mixed input. A refactor that renames
 a function or moves `x` would otherwise surface only in the benchmark's
-own self-test. The file is loaded, never changed.
+own self-test. perfbench/worker.py groups `count_flops` components by
+layer and records `backends.BACKEND` and `backends.HAS_NUMBA`. The files
+are read, never changed.
 """
 
 import importlib
 import importlib.util
 import inspect
 import os
+import re
 
+import numpy as np
 import pytest
 
-SPANS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+from nakul import backends
+from nakul.model import ModelConfig, count_flops, init_model
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+SPANS_PATH = os.path.join(PERFBENCH, "spans.py")
 
 
 @pytest.fixture(scope="module")
@@ -43,3 +51,22 @@ def test_branch_input_positions_name_x(spans):
     for name, pos in spans.BRANCH_INPUT.items():
         params = list(inspect.signature(resolve(*by_span[name])).parameters)
         assert params[pos] == "x", (name, params)
+
+
+def test_count_flops_keys_are_the_ones_the_worker_reads():
+    with open(os.path.join(PERFBENCH, "worker.py")) as fh:
+        source = fh.read()
+    body = source[source.index("def flops_by_layer"):]
+    body = body[: body.index("\ndef ")]
+    read = set(re.findall(r'est\["(\w+)"\]', body))
+    assert len(read) == 15, sorted(read)
+    model = init_model(ModelConfig(n_channels=3, n_classes=2, d=8, n_blocks=1, heads=2,
+                                   patch=4, n_bands=2, band_mu_hz=(2.0, 4.0),
+                                   kernel_sizes=(3, 5), sample_rate=20.0),
+                       np.random.default_rng(0))
+    assert set(count_flops(model, (1, 3, 16))) == read
+
+
+def test_environment_constants_the_worker_records_exist():
+    assert isinstance(backends.BACKEND, str)
+    assert isinstance(backends.HAS_NUMBA, bool)

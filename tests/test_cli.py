@@ -23,7 +23,13 @@ from nakul.cli import (
     write_trial,
 )
 from nakul.config import ConfigError, RunConfig, config_text, parse_config
-from nakul.model import init_model, load_checkpoint, model_forward, save_checkpoint
+from nakul.model import (
+    init_model,
+    load_checkpoint,
+    load_into,
+    model_forward,
+    save_checkpoint,
+)
 from nakul.config import model_config
 from nakul.rng import stream
 from nakul.tensor import Tensor
@@ -294,6 +300,33 @@ def test_eval_pre_field_path_checkpoint_exits_4(workdir, tmp_path, capsys):
     assert any(name in err for name in old)
 
 
+def test_eval_version_1_checkpoint_exits_4(workdir, tmp_path, capsys):
+    # version 1 held the same names and shapes with every kernel's taps in
+    # the opposite order: it must be refused, never loaded reversed
+    blob = bytearray((workdir / "run" / "model.nakl").read_bytes())
+    assert blob[4:8] == (2).to_bytes(4, "little")
+    blob[4:8] = (1).to_bytes(4, "little")
+    (tmp_path / "v1.nakl").write_bytes(bytes(blob))
+    assert main(["eval", "--ckpt", str(tmp_path / "v1.nakl"),
+                 "--data", str(workdir / "data"), "--config", str(workdir / "small.cfg")]) == 4
+    assert "version 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,code", [
+    ("train", 2), ("eval", 4), ("dump-bands", 4), ("dump-kernel-weights", 4)])
+def test_trials_shorter_than_a_patch_exit_cleanly(workdir, tmp_path, capsys, command, code):
+    data = tmp_path / "short"  # 9 samples per trial; SMALL_CFG patches are 10
+    save_dataset(data, np.zeros((4, 4, 9)), np.array([0, 1, 0, 1]), 20.0, "m")
+    out = tmp_path / "never.nakl"
+    target = (["--out", str(out)] if command == "train"
+              else ["--ckpt", str(workdir / "run" / "model.nakl")])
+    assert main([command, *target, "--data", str(data),
+                 "--config", str(workdir / "small.cfg")]) == code
+    err = capsys.readouterr().err
+    assert "9 samples" in err and "patch" in err
+    assert not out.exists()
+
+
 def test_predict_releases_previous_batch_graph(monkeypatch):
     # as in evaluate: each batch's forward must start after the previous
     # batch's graph is gone (Tensor has no weakref slot; watch its data)
@@ -468,6 +501,29 @@ def test_dump_bands_untrained_shows_init_centers(workdir, tmp_path, capsys):
     np.testing.assert_allclose(widths, [1.0, 1.0, 1.0, 1.0], rtol=1e-4)
     for r in rows:
         assert 0.0 <= float(r[3]) <= 1.0
+
+
+def test_dump_bands_averages_every_trial(workdir, tmp_path, capsys):
+    # 40 trials span two batches of 32; the mean gate covers all of them
+    signals = stream(5, "data").normal(size=(40, 4, 80))
+    save_dataset(tmp_path / "many", signals, np.arange(40) % 2, 20.0, "m")
+    ckpt = workdir / "run" / "model.nakl"
+    assert main(["dump-bands", "--ckpt", str(ckpt), "--data", str(tmp_path / "many"),
+                 "--config", str(workdir / "small.cfg")]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    got = np.array([float(r[3]) for r in rows]).reshape(2, 2)  # (block, band)
+
+    model = init_model(model_config(parse_config(SMALL_CFG)), np.random.default_rng(0))
+    load_into(model, ckpt)
+    sums = np.zeros((2, 2))
+    for trial in signals:  # one trial at a time, then the mean by hand
+        diags = []
+        with te_mod.no_grad():
+            model_forward(model, trial[None], diags=diags)
+        for b_i, diag in enumerate(diags):
+            sums[b_i] += diag["band_gates"].data.reshape(-1, 2).sum(axis=0)
+    want = sums / (40 * 4)  # trials x channels gate rows per block
+    np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
 def test_dump_kernel_weights_rows(workdir, capsys):

@@ -102,7 +102,7 @@ def test_entropy_noise_exceeds_tone():
 
 
 def test_zero_meta_gives_uniform():
-    meta = MetaNetwork(w1=Tensor(np.zeros((16, 2))), w2=Tensor(np.zeros((4, 16))))
+    meta = MetaNetwork(w1=Tensor(np.zeros((2, 16))), w2=Tensor(np.zeros((16, 4))))
     alphas = predict_weights(meta, Tensor(np.array(2.0)), Tensor(np.array(0.5)))
     np.testing.assert_allclose(alphas.data, 0.25, rtol=1e-15)
 
@@ -125,9 +125,8 @@ def test_logit_shift_invariance():
     base = predict_weights(meta, Tensor(np.array(1.5)), Tensor(np.array(0.7)))
     # same constant added to every logit: append it through a rank-one
     # change is overkill; shift the softmax input directly instead
-    h = te.gelu(te.matmul(
-        Tensor(np.array([[np.log(2.5), 0.7]])), te.swapaxes(meta.w1, 0, 1)))
-    logits = te.matmul(h, te.swapaxes(meta.w2, 0, 1))
+    h = te.gelu(te.matmul(Tensor(np.array([[np.log(2.5), 0.7]])), meta.w1))
+    logits = te.matmul(h, meta.w2)
     again = te.softmax(logits + 10.0)
     np.testing.assert_allclose(again.data[0], base.data, rtol=1e-12)
     del shifted
@@ -146,13 +145,24 @@ def test_reversal_preserves_alphas():
 # --- dynamic mixing ------------------------------------------------------------
 
 
+def test_init_bank_is_lag_order_impulse_response():
+    # row j multiplies x[t - j] and starts at 0.7**j; each kernel's
+    # (size, D) noise block is read bottom-up
+    draws = np.random.default_rng(15)
+    bank = init_kernel_bank(4, np.random.default_rng(15), sizes=(3, 5))
+    for size, k in zip((3, 5), bank.kernels):
+        noise = draws.uniform(-1, 1, size=(size, 4))
+        want = 0.7 ** np.arange(size)[:, None] + 0.01 * noise[::-1]
+        np.testing.assert_allclose(k.data, want, rtol=0, atol=1e-15)
+
+
 def test_identity_kernels_saturated_gate():
     d = 5
     rng = np.random.default_rng(7)
     kernels = []
     for size in (3, 5, 7, 11):
         k = np.zeros((size, d))
-        k[-1, :] = 1.0  # causal layout: last tap is the current sample
+        k[0, :] = 1.0  # lag order: row 0 multiplies the current sample
         kernels.append(Tensor(k))
     bank = KernelBank(kernels=kernels, w_gate=Tensor(1000.0 * np.eye(d)))
     meta = init_meta_network(rng)
@@ -179,14 +189,14 @@ def test_one_hot_isolates_branch():
         onehot = np.zeros((2, 4))
         onehot[:, m] = 1.0
         got, _ = dynamic_mix(bank, meta, Tensor(x), alphas=onehot)
-        y_m = te.depthwise_causal_conv(Tensor(x), bank.kernels[m][::-1, :])
+        per_row = np.broadcast_to(bank.kernels[m].data, (2,) + bank.kernels[m].shape)
+        y_m = te.depthwise_causal_conv(Tensor(x), Tensor(per_row))
         gate = te.sigmoid(te.matmul(Tensor(x), bank.w_gate))
         np.testing.assert_allclose(got.data, (y_m * gate).data, rtol=1e-12)
 
 
-def causal_filter_oracle(kernel, x):
-    """Direct sums of one causal-layout (K, D) kernel over x (..., T, D)."""
-    lag = kernel[::-1]
+def causal_filter_oracle(lag, x):
+    """Direct sums of one lag-order (K, D) kernel over x (..., T, D)."""
     out = np.zeros_like(x)
     for j in range(min(lag.shape[0], x.shape[-2])):
         out[..., j:, :] += lag[j] * x[..., : x.shape[-2] - j, :]

@@ -135,7 +135,7 @@ def test_graph_conv_permutation_equivariance():
 
 def test_zero_bias_weights_give_zero_biases():
     h_tilde = Tensor(np.random.default_rng(5).normal(size=(2, 6, 4)))
-    biases = spatial_biases(h_tilde, Tensor(np.zeros((3, 4, 6))))
+    biases = spatial_biases(h_tilde, Tensor(np.zeros((4, 3 * 6))))  # (D, H*C)
     assert biases.shape == (3, 2, 6, 6)
     np.testing.assert_array_equal(biases.data, 0.0)
 
@@ -143,7 +143,7 @@ def test_zero_bias_weights_give_zero_biases():
 def test_biases_differ_across_heads():
     rng = np.random.default_rng(6)
     h_tilde = Tensor(rng.normal(size=(1, 5, 4)))
-    biases = spatial_biases(h_tilde, Tensor(rng.normal(size=(2, 4, 5))))
+    biases = spatial_biases(h_tilde, Tensor(rng.normal(size=(4, 2 * 5))))
     assert not np.allclose(biases.data[0], biases.data[1])
 
 
@@ -206,7 +206,7 @@ def full_attention_oracle(sa, g, x):
     for h in range(sa.heads):
         sl = slice(h * dk, (h + 1) * dk)
         s = q[..., sl] @ k[..., sl].swapaxes(-1, -2) / np.sqrt(dk)
-        s = s + beta * (h_tilde @ sa.w_bias.data[h])
+        s = s + beta * (h_tilde @ sa.w_bias.data[:, h * c : (h + 1) * c])
         floor = np.sort(s, axis=-1)[..., c - keep : c - keep + 1]  # k-th largest
         a = np.exp(np.where(s >= floor, s, -np.inf) - s.max(axis=-1, keepdims=True))
         a /= a.sum(axis=-1, keepdims=True)
@@ -232,7 +232,7 @@ def test_full_k_zero_bias_matches_standard_attention(heads, k_top, bias):
     g = build_graph(circle_layout(c))
     sa = init_spatial_attention(d, heads=heads, c=c, rng=rng, k_top=k_top or c)
     if bias == "zero":
-        sa.w_bias = Tensor(np.zeros((heads, d, c)))
+        sa.w_bias = Tensor(np.zeros((d, heads * c)))
     x = rng.normal(size=(3, c, d))
     out, attn, scores = topk_masked_attention(sa, g, Tensor(x))
     want_out, want_attn, want_scores = full_attention_oracle(sa, g, x)
@@ -290,7 +290,7 @@ def test_doubling_beta_doubles_bias_share():
         _, _, scores = topk_masked_attention(sa, g, x)
         return scores.data
 
-    zero_bias = SpatialAttention(**{**sa.__dict__, "w_bias": Tensor(np.zeros((2, d, c)))})
+    zero_bias = SpatialAttention(**{**sa.__dict__, "w_bias": Tensor(np.zeros((d, 2 * c)))})
     _, _, base = topk_masked_attention(zero_bias, g, x)
     lift1 = scores_with_beta(1.0) - base.data
     lift2 = scores_with_beta(2.0) - base.data
@@ -307,7 +307,8 @@ def test_attention_permutation_equivariance():
     perm = rng.permutation(c)
 
     out, _, _ = topk_masked_attention(sa, build_graph(pos), Tensor(x))
-    sa_p = SpatialAttention(**{**sa.__dict__, "w_bias": Tensor(sa.w_bias.data[:, :, perm])})
+    w_bias_p = sa.w_bias.data.reshape(d, 2, c)[:, :, perm].reshape(d, 2 * c)
+    sa_p = SpatialAttention(**{**sa.__dict__, "w_bias": Tensor(w_bias_p)})
     out_p, _, _ = topk_masked_attention(
         sa_p, build_graph(pos[perm]), Tensor(x[:, perm, :].copy()))
     np.testing.assert_allclose(out_p.data, out.data[:, perm, :], atol=1e-10)

@@ -165,6 +165,31 @@ def test_no_grad_logits_bitwise_at_default_config():
     assert traced._prev  # outside the block the graph is recorded as before
 
 
+def test_batched_matmuls_multiply_only_activations(monkeypatch):
+    # every parameter is the right operand of a 2-D GEMM; the only N-D @ N-D
+    # products are the adjacency diffusion, the scores and attention @ V
+    rc = parse_config("")
+    model = init_model(model_config(rc), stream(0, "init"))
+    x = stream(1, "data").normal(size=(2, rc.data.n_channels, rc.data.t_len))
+    batched = []
+    real_matmul = te.matmul
+
+    def recording(a, b):
+        if np.ndim(b.data if isinstance(b, Tensor) else b) != 2:
+            batched.append((a, b))
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(te, "matmul", recording)
+    model_forward(model, x)
+    assert len(batched) == 3 * len(model.blocks)
+    params = model.parameters()
+    for a, b in batched:
+        for operand in (a, b):
+            data = operand.data if isinstance(operand, Tensor) else np.asarray(operand)
+            # a reshape, transpose or slice of a parameter would be a view of it
+            assert not any(np.may_share_memory(data, p.data) for p in params)
+
+
 def test_training_noise_reproducible_by_seed():
     model = tiny_model(seed=6)
     x = np.random.default_rng(6).normal(size=(2, 3, 20))
@@ -248,7 +273,7 @@ def test_checkpoint_bytes_frozen(tmp_path):
     save_checkpoint(path, {"w": np.array([[1.5, -2.0]])})
     want = (
         b"NAKL"
-        + (1).to_bytes(4, "little")
+        + (2).to_bytes(4, "little")  # version
         + (1).to_bytes(4, "little")
         + (1).to_bytes(2, "little")
         + b"w"

@@ -140,6 +140,33 @@ def test_causal_convolve_matches_direct_sum():
         assert np.abs(got - want).max() < 1e-12
 
 
+def loop_causal_convolve(kernel, x, skip=0.0):
+    """The shift-and-add loop causal_convolve ran before it called the
+    model's depthwise kernel, kept as a bitwise reference."""
+    T = x.shape[0]
+    y = kernel[0] * x
+    for j in range(1, min(kernel.shape[0], T)):
+        y[j:] += kernel[j] * x[: T - j]
+    return y + float(skip) * x
+
+
+def test_causal_convolve_bitwise_equal_to_loop_on_random_systems():
+    rng = np.random.default_rng(104)
+    for i in range(200):
+        d = ssm.discretize(random_stable_params(rng), float(rng.uniform(0.02, 0.5)))
+        length = int(rng.integers(1, 65))
+        taps = int(rng.integers(1, 2 * length + 1))  # also longer than the input
+        x = rng.normal(size=(length,) if i % 2 else (length, 3))  # columns along axis 0
+        k = ssm.materialize_kernel(d, taps)
+        got = ssm.causal_convolve(k, x, skip=d.d_skip)
+        assert np.array_equal(got, loop_causal_convolve(k, x, skip=d.d_skip))
+
+
+def test_causal_convolve_rejects_empty_kernel():
+    with pytest.raises(ValueError):
+        ssm.causal_convolve(np.zeros(0), np.ones(4))
+
+
 # --- scan / convolution equivalence ------------------------------------------------
 
 
