@@ -15,8 +15,10 @@ shape mismatch, 5 verification failure.
 
 Trial file format: a header line
     # channels=<C> samples=<T> rate=<Hz> label=<int>
-followed by C lines of T comma-separated floats. labels.csv maps each
-trial filename to its label; manifest.txt echoes the generating config.
+followed by C lines of T comma-separated floats; <Hz> is an unsigned
+decimal number. labels.csv maps each trial filename to its integer
+label; manifest.txt echoes the generating config. A malformed trial
+file or labels.csv row is an artifact error.
 
 Every command takes `--config`. eval and the dump commands build the
 model from it and then load the checkpoint, which must hold exactly the
@@ -86,7 +88,7 @@ class VerificationError(Exception):
 # --- dataset files -----------------------------------------------------------------
 
 _HEADER = re.compile(
-    r"# channels=(\d+) samples=(\d+) rate=([0-9eE.+-]+) label=(\d+)\s*$")
+    r"# channels=(\d+) samples=(\d+) rate=(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?) label=(\d+)\s*$")
 
 
 def write_trial(path, signal: np.ndarray, rate: float, label: int) -> None:
@@ -155,12 +157,16 @@ def load_dataset(data_dir):
     if not lines or lines[0] != "filename,label":
         raise ArtifactError(f"{index}: expected a filename,label header")
     signals, labels, rates = [], [], set()
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         name, _, label = line.partition(",")
+        try:
+            listed = int(label)
+        except ValueError:
+            raise ArtifactError(f"{index}: line {lineno}: label {label!r} is not an integer") from None
         signal, rate, file_label = read_trial(os.path.join(data_dir, name))
-        if int(label) != file_label:
+        if listed != file_label:
             raise ArtifactError(f"{name}: labels.csv says {label}, header says {file_label}")
         signals.append(signal)
         labels.append(file_label)

@@ -124,14 +124,14 @@ def temporal_variance(x: Tensor) -> Tensor:
 def spectral_entropy(x: Tensor) -> Tensor:
     """Shannon entropy of the bin-magnitude distribution, per sample.
 
-    Magnitudes are pooled over features by the Euclidean norm per bin.
-    An identically zero spectrum yields 0 by convention rather than NaN;
-    that case carries no gradient.
+    x is (..., T, D), transformed along time to a (..., F, D) spectrum.
+    Magnitudes are pooled over features (axis -1) by the Euclidean norm
+    per bin. An identically zero spectrum yields 0 by convention rather
+    than NaN; that case carries no gradient.
     """
-    xt = te.swapaxes(x, -1, -2)  # (..., D, T)
-    spec = te.fft_real(xt)
-    power = spec.re * spec.re + spec.im * spec.im  # (..., D, F)
-    mags = te.sqrt(power.sum(axis=-2))  # (..., F)
+    spec = te.fft_real(x)
+    power = spec.re * spec.re + spec.im * spec.im  # (..., F, D)
+    mags = te.sqrt(power.sum(axis=-1))  # (..., F)
     total = mags.sum(axis=-1, keepdims=True)
     zero_rows = (total.data == 0.0).astype(np.float64)
     p = mags / (total + zero_rows)  # zero rows divide by 1, give p = 0

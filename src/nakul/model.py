@@ -79,6 +79,7 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"NAKL"
 CHECKPOINT_VERSION = 2
+FUSED_SCALE = 0.5  # fixed damping on each block's fused update
 
 
 @dataclass
@@ -126,7 +127,6 @@ class NakulBlock:
     ffn_b1: Tensor
     ffn_w2: Tensor  # (4D, D)
     ffn_b2: Tensor
-    scale: float = 0.5  # fixed damping on the fused update
 
 
 @dataclass
@@ -257,6 +257,14 @@ def _dropout(x: Tensor, rate: float, rng) -> Tensor:
     return x * keep
 
 
+def _drop_path(update: Tensor, rate: float, rng) -> Tensor:
+    """Stochastic depth: drop each sample's whole residual update with probability rate."""
+    if rng is None or rate <= 0.0:
+        return update
+    keep = (rng.random((update.shape[0],) + (1,) * (update.ndim - 1)) >= rate) / (1.0 - rate)
+    return update * keep
+
+
 def block_forward(
     blk: NakulBlock,
     x: Tensor,
@@ -292,19 +300,11 @@ def block_forward(
     fused = fusion[0] * y_spec + fusion[1] * y_dyn + fusion[2] * y_graph
 
     update = te.layer_norm(te.matmul(fused, blk.w_proj), blk.lnf_gain, blk.lnf_bias)
-    update = update * blk.scale
-    if rng is not None and stoch_rate > 0.0:
-        keep = (rng.random((b, 1, 1, 1)) >= stoch_rate) / (1.0 - stoch_rate)
-        update = update * keep
-    z = x + update
+    z = x + _drop_path(update * FUSED_SCALE, stoch_rate, rng)
 
     hidden = te.gelu(te.matmul(te.layer_norm(z, blk.ln2_gain, blk.ln2_bias), blk.ffn_w1) + blk.ffn_b1)
     hidden = _dropout(hidden, dropout, rng)
-    ffn_update = te.matmul(hidden, blk.ffn_w2) + blk.ffn_b2
-    if rng is not None and stoch_rate > 0.0:
-        keep = (rng.random((b, 1, 1, 1)) >= stoch_rate) / (1.0 - stoch_rate)
-        ffn_update = ffn_update * keep
-    out = z + ffn_update
+    out = z + _drop_path(te.matmul(hidden, blk.ffn_w2) + blk.ffn_b2, stoch_rate, rng)
 
     diag = {
         "fusion": fusion,

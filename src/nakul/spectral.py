@@ -7,16 +7,16 @@ band contributes alpha_k * M_k(f) * (W_r + i W_i) X[f], and the sum
 returns to the time domain. Phase information survives because the
 mixing is complex multiplication, not a magnitude operation.
 
-Bands are an array axis in storage as in the arithmetic: a BandBank
-holds each quantity of all K bands as one tensor, so the forward never
-re-stacks per-band pieces. It builds the (F, K) masks once, for gates
-and mixing, and sums the bands inside one GEMM per product, of the
-(..., F, K*D) band-scaled spectrum with W_r or W_i viewed as (K*D, D).
+Time is axis -2, as in the trunk, so (..., T, D) maps to a (..., F, D)
+spectrum and back with no transpose. A BandBank holds each quantity of
+all K bands as one tensor. The forward builds the (F, K) masks once,
+for gates and mixing, and sums the bands inside one GEMM per product,
+of the (..., F, K*D) band-scaled spectrum with W_r or W_i as (K*D, D).
 
 mu and sigma stay positive through softplus reparameterization; sigma
 additionally sits above a configurable floor so gradient steps cannot
-collapse a band to a spike. Band gates alpha_k = sigmoid(w_gate . Z_k)
-are computed per sample from that sample's own spectrum.
+collapse a band to a spike. Band gates alpha_k = sigmoid(Z_k) are
+computed per sample from that sample's own spectrum.
 
 The "rate"/"Hz" vocabulary reads naturally for time series, but nothing
 here requires seconds: for any sequence, rate is samples per unit and
@@ -113,13 +113,13 @@ def band_mask(bands: BandBank, t: int, rate: float) -> Tensor:
 
 
 def band_importance(bands: BandBank, x_mag: Tensor, masks: Tensor) -> Tensor:
-    """Per-sample band gates; x_mag is |spectrum| of shape (..., D, F).
+    """Per-sample band gates; x_mag is |spectrum| of shape (..., F, D).
 
-    Z_k sums the (F, K) masks' column k times the magnitudes over bins;
-    the gate is sigmoid(Z_k . w_gate), one value per sample per band, in (0, 1).
+    Z_k = sum_f M_k(f) (|X[f]| . w_gate[:, k]), and the gate is
+    sigmoid(Z_k), one value per sample per band, in (0, 1).
     """
-    z = te.matmul(x_mag, masks)  # (..., D, K)
-    return te.sigmoid((z * bands.w_gate).sum(axis=-2))  # (..., K)
+    z = te.matmul(x_mag, bands.w_gate) * masks  # (..., F, K)
+    return te.sigmoid(z.sum(axis=-2))  # (..., K)
 
 
 def spectral_mix(
@@ -137,17 +137,13 @@ def spectral_mix(
     """
     t, d = x.shape[-2], x.shape[-1]
     k = bands.raw_mu.shape[0]
-    xt = te.swapaxes(x, -1, -2)  # (..., D, T)
-    spec = te.fft_real(xt)  # re/im (..., D, F)
+    spec = te.fft_real(x)  # re/im (..., F, D)
     masks = band_mask(bands, t, rate)  # (F, K)
 
     if alphas is None:
         gates = band_importance(bands, te.complex_abs(spec), masks)
     else:
         gates = te.Tensor(np.asarray(alphas, dtype=np.float64))
-
-    re = te.swapaxes(spec.re, -1, -2)  # (..., F, D)
-    im = te.swapaxes(spec.im, -1, -2)
 
     # alpha_k * M_k(f) scales band k's copy of each bin
     weight = gates.reshape(gates.shape[:-1] + (1, k, 1)) * masks.reshape((-1, k, 1))
@@ -156,16 +152,13 @@ def spectral_mix(
         scaled = part.reshape(part.shape[:-1] + (1, d)) * weight  # (..., F, K, D)
         return scaled.reshape(scaled.shape[:-2] + (k * d,))
 
-    s_re, s_im = by_band(re), by_band(im)
+    s_re, s_im = by_band(spec.re), by_band(spec.im)
     w_r = bands.w_r.reshape((k * d, d))  # band k's rows follow band k-1's
     w_i = bands.w_i.reshape((k * d, d))
     mix_re = te.matmul(s_re, w_r) - te.matmul(s_im, w_i)
     mix_im = te.matmul(s_re, w_i) + te.matmul(s_im, w_r)
 
-    out = te.ifft_real(
-        ComplexTensor(te.swapaxes(mix_re, -1, -2), te.swapaxes(mix_im, -1, -2)), n=t
-    )
-    out = te.swapaxes(out, -1, -2)
+    out = te.ifft_real(ComplexTensor(mix_re, mix_im), n=t)
     if not np.all(np.isfinite(out.data)):
         raise FloatingPointError("spectral mixing produced non-finite values")
     return out, gates

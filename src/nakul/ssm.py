@@ -30,7 +30,6 @@ from .backends import depthwise_causal_fwd
 __all__ = [
     "SsmParams",
     "DiscreteSsm",
-    "stable_diag_init",
     "matrix_exp",
     "discretize",
     "materialize_kernel",
@@ -61,12 +60,6 @@ class DiscreteSsm:
     c: np.ndarray  # 1 x N
     d_skip: float
     delta: float
-
-
-def stable_diag_init(n: int, d_skip: float = 1.0) -> SsmParams:
-    """Diagonal A with entries -(1 + k); B and C all ones."""
-    a = np.diag(-np.arange(1.0, n + 1.0))
-    return SsmParams(a=a, b=np.ones((n, 1)), c=np.ones((1, n)), d_skip=d_skip, n=n)
 
 
 # Pade [6/6] numerator coefficients for exp; the denominator uses the

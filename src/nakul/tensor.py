@@ -11,17 +11,18 @@ Conventions fixed here and relied on throughout the package:
 - layer_norm normalizes the last axis with eps = 1e-5.
 - softmax acts on the last axis.
 - gelu is the exact erf form, not the tanh approximation.
-- fft_real is the unnormalized one-sided real FFT (T//2 + 1 bins);
-  ifft_real carries the 1/T factor and inverts it exactly.
+- Sequences are (..., T, D), time on axis -2 for both sequence ops:
+  fft_real is the unnormalized one-sided real FFT, (..., T, D) to
+  (..., T//2 + 1, D), and ifft_real carries 1/T and inverts it exactly;
+  depthwise_causal_conv takes one kernel per row, (..., taps, D).
+- transpose is the one permutation primitive; swapaxes calls it.
 
 Complex spectra are carried as a (re, im) pair of real Tensors, so any
 computation built on them is differentiable without special casing.
 
 matmul with a 2-D right operand (every weight) runs as one GEMM over the
 flattened leading rows of the left operand, forward and backward; only
-N-D @ N-D products use numpy's batched matmul.
-depthwise_causal_conv takes one kernel per row of its input, (..., taps,
-D) with the input's leading dims; there is no shared-kernel mode. Gradient accumulation
+N-D @ N-D products use numpy's batched matmul. Gradient accumulation
 never adds in place: a node's first gradient is stored as given, often
 the very array a sibling or the upstream node holds.
 
@@ -163,7 +164,7 @@ class Tensor:
 
     def _accum(self, g: np.ndarray) -> None:
         # g may be a sibling's or the upstream node's gradient (add, reshape
-        # and swapaxes pass it through), so it is stored, never added into.
+        # and transpose pass it through), so it is stored, never added into.
         if self.grad is None:
             self.grad = g
         else:
@@ -382,13 +383,9 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
-    x = _wrap(x)
-    data = x.data.swapaxes(a, b)
-
-    def bw(g):
-        x._accum(g.swapaxes(a, b))
-
-    return Tensor._result(data, (x,), bw)
+    axes = list(range(_wrap(x).ndim))
+    axes[a], axes[b] = axes[b], axes[a]
+    return transpose(x, axes)
 
 
 def transpose(x: Tensor, axes) -> Tensor:
@@ -629,18 +626,20 @@ def _fft_macs(t: int, rows: int) -> int:
 
 
 def fft_real(x) -> ComplexTensor:
-    """One-sided unnormalized real FFT along the last axis."""
+    """One-sided unnormalized real FFT along time axis -2: (..., T, D) to (..., F, D)."""
     x = _wrap(x)
-    spec = np.fft.rfft(x.data, axis=-1)
-    t = x.data.shape[-1]
-    scale = t / _bin_weights(t)
+    if x.data.ndim < 2:
+        raise ValueError("fft_real requires a (..., T, D) input with ndim >= 2")
+    spec = np.fft.rfft(x.data, axis=-2)
+    t = x.data.shape[-2]
+    scale = (t / _bin_weights(t))[:, None]
     _count(_fft_macs(t, x.data.size // t))
 
     def bw_re(g):
-        x._accum(np.fft.irfft(g * scale, n=t, axis=-1))
+        x._accum(np.fft.irfft(g * scale, n=t, axis=-2))
 
     def bw_im(g):
-        x._accum(np.fft.irfft(1j * g * scale, n=t, axis=-1))
+        x._accum(np.fft.irfft(1j * g * scale, n=t, axis=-2))
 
     re = Tensor._result(np.ascontiguousarray(spec.real), (x,), bw_re)
     im = Tensor._result(np.ascontiguousarray(spec.imag), (x,), bw_im)
@@ -648,14 +647,14 @@ def fft_real(x) -> ComplexTensor:
 
 
 def ifft_real(z: ComplexTensor, n: int) -> Tensor:
-    """Inverse of fft_real: real signal of length n, 1/n normalized."""
+    """Inverse of fft_real: (..., F, D) to a real (..., n, D), 1/n normalized."""
     re, im = z.re, z.im
-    data = np.fft.irfft(re.data + 1j * im.data, n=n, axis=-1)
-    scale = _bin_weights(n) / n
+    data = np.fft.irfft(re.data + 1j * im.data, n=n, axis=-2)
+    scale = (_bin_weights(n) / n)[:, None]
     _count(_fft_macs(n, data.size // n))
 
     def bw(g):
-        spec = np.fft.rfft(g, axis=-1)
+        spec = np.fft.rfft(g, axis=-2)
         if re.requires_grad:
             re._accum(spec.real * scale)
         if im.requires_grad:

@@ -121,10 +121,10 @@ def test_discretization_matches_elementwise_exp():
 
 def test_fft_roundtrip_parseval_and_dft_agreement():
     for t in [1, 2, 3, 5, 8, 17, 31, 32, 63, 64]:
-        x = RNG.normal(size=(3, t))
+        x = RNG.normal(size=(t, 3))
         z = te.fft_real(Tensor(x))
 
-        ref = naive_dft(x)
+        ref = naive_dft(x.T).T
         assert np.abs(z.re.data - ref.real).max() < 1e-9
         assert np.abs(z.im.data - ref.imag).max() < 1e-9
 
@@ -132,12 +132,12 @@ def test_fft_roundtrip_parseval_and_dft_agreement():
         assert np.abs(back.data - x).max() < 1e-9
 
         power = z.re.data**2 + z.im.data**2
-        w = np.full(t // 2 + 1, 2.0)
+        w = np.full((t // 2 + 1, 1), 2.0)
         w[0] = 1.0
         if t % 2 == 0:
             w[-1] = 1.0
-        lhs = (x**2).sum(axis=-1)
-        rhs = (w * power).sum(axis=-1) / t
+        lhs = (x**2).sum(axis=0)
+        rhs = (w * power).sum(axis=0) / t
         assert (np.abs(lhs - rhs) / np.abs(lhs)).max() < 1e-8
 
 

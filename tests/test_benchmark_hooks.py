@@ -3,7 +3,9 @@
 perfbench/spans.py names module attributes to wrap and, for each mixing
 branch, the positional index of the mixed input. A refactor that renames
 a function or moves `x` would otherwise surface only in the benchmark's
-own self-test. perfbench/worker.py groups `count_flops` components by
+own self-test. One test runs the tracer itself on a tiny model: a
+training step, then the re-run of each branch's backward from its
+recorded input. perfbench/worker.py groups `count_flops` components by
 layer and records `backends.BACKEND` and `backends.HAS_NUMBA`. The files
 are read, never changed.
 """
@@ -17,7 +19,9 @@ import re
 import numpy as np
 import pytest
 
-from nakul import backends
+from nakul import backends, training
+from nakul import model as model_module
+from nakul import tensor as te
 from nakul.model import ModelConfig, count_flops, init_model
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
@@ -53,6 +57,34 @@ def test_branch_input_positions_name_x(spans):
         assert params[pos] == "x", (name, params)
 
 
+def tiny_model():
+    return init_model(ModelConfig(n_channels=3, n_classes=2, d=8, n_blocks=1, heads=2,
+                                  patch=4, n_bands=2, band_mu_hz=(2.0, 4.0),
+                                  kernel_sizes=(3, 5), sample_rate=20.0),
+                      np.random.default_rng(0))
+
+
+def test_tracer_reruns_each_branch_backward_and_restores(spans):
+    originals = {(module, attr): resolve(module, attr) for module, attr, _, _ in spans.SPANS}
+    model = tiny_model()
+    x = np.random.default_rng(1).normal(size=(2, 3, 16))
+    with te.mac_counter() as counter:
+        tracer = spans.Tracer(counter)
+        tracer.install()
+        try:
+            tracer.set_bucket("op")
+            logits = model_module.model_forward(model, x, rng=np.random.default_rng(2))
+            training.smoothed_cross_entropy(logits, np.array([0, 1])).backward()
+            tracer.end_op()
+        finally:
+            tracer.restore()
+    assert set(tracer.bwd_s) == set(spans.BRANCH_INPUT)
+    assert all(seconds > 0.0 for seconds in tracer.bwd_s.values()), dict(tracer.bwd_s)
+    assert len(tracer.nodes) == 1 and tracer.nodes[0] > 1
+    for (module, attr), orig in originals.items():
+        assert resolve(module, attr) is orig, (module, attr)
+
+
 def test_count_flops_keys_are_the_ones_the_worker_reads():
     with open(os.path.join(PERFBENCH, "worker.py")) as fh:
         source = fh.read()
@@ -60,11 +92,7 @@ def test_count_flops_keys_are_the_ones_the_worker_reads():
     body = body[: body.index("\ndef ")]
     read = set(re.findall(r'est\["(\w+)"\]', body))
     assert len(read) == 15, sorted(read)
-    model = init_model(ModelConfig(n_channels=3, n_classes=2, d=8, n_blocks=1, heads=2,
-                                   patch=4, n_bands=2, band_mu_hz=(2.0, 4.0),
-                                   kernel_sizes=(3, 5), sample_rate=20.0),
-                       np.random.default_rng(0))
-    assert set(count_flops(model, (1, 3, 16))) == read
+    assert set(count_flops(tiny_model(), (1, 3, 16))) == read
 
 
 def test_environment_constants_the_worker_records_exist():

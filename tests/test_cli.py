@@ -178,6 +178,28 @@ def test_dataset_label_mismatch(tmp_path):
         load_dataset(tmp_path / "d")
 
 
+def test_eval_non_integer_label_exits_4(workdir, tmp_path, capsys):
+    save_dataset(tmp_path / "d", np.zeros((2, 4, 80)), np.array([0, 1]), 20.0, "m")
+    index = tmp_path / "d" / "labels.csv"
+    index.write_text(index.read_text().replace("trial_00001.txt,1", "trial_00001.txt,x"))
+    assert main(["eval", "--ckpt", str(workdir / "run" / "model.nakl"),
+                 "--data", str(tmp_path / "d"), "--config", str(workdir / "small.cfg")]) == 4
+    err = capsys.readouterr().err
+    assert "labels.csv" in err and "line 3" in err and "'x'" in err
+
+
+def test_train_non_numeric_header_rate_exits_4(workdir, tmp_path, capsys):
+    save_dataset(tmp_path / "d", np.zeros((2, 4, 80)), np.array([0, 1]), 20.0, "m")
+    trial = tmp_path / "d" / "trial_00000.txt"
+    trial.write_text(trial.read_text().replace("rate=20 ", "rate=2e ", 1))
+    out = tmp_path / "never.nakl"
+    assert main(["train", "--config", str(workdir / "small.cfg"), "--data", str(tmp_path / "d"),
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "trial_00000.txt" in err and "rate=2e" in err
+    assert not out.exists()
+
+
 # --- gen-data -----------------------------------------------------------------------
 
 

@@ -81,7 +81,8 @@ def test_discretize_diagonal_exact():
 
 
 def test_discretize_rejects_bad_delta():
-    p = ssm.stable_diag_init(2)
+    p = ssm.SsmParams(a=np.diag([-1.0, -2.0]), b=np.ones((2, 1)), c=np.ones((1, 2)),
+                      d_skip=1.0, n=2)
     with pytest.raises(ValueError):
         ssm.discretize(p, 0.0)
 

@@ -35,41 +35,46 @@ def test_float64_row_major():
 
 def test_fft_frozen_small_case():
     # direct DFT of [1, 2, 3, 4], computed by hand from the definition
-    z = T.fft_real(T.Tensor([1.0, 2.0, 3.0, 4.0]))
-    assert np.allclose(z.re.data, [10.0, -2.0, -2.0], atol=1e-12)
-    assert np.allclose(z.im.data, [0.0, 2.0, 0.0], atol=1e-12)
+    z = T.fft_real(T.Tensor([[1.0], [2.0], [3.0], [4.0]]))
+    assert np.allclose(z.re.data[:, 0], [10.0, -2.0, -2.0], atol=1e-12)
+    assert np.allclose(z.im.data[:, 0], [0.0, 2.0, 0.0], atol=1e-12)
+
+
+def test_fft_rejects_input_without_a_time_and_feature_axis():
+    with pytest.raises(ValueError, match=r"\(\.\.\., T, D\)"):
+        T.fft_real(T.Tensor([1.0, 2.0, 3.0, 4.0]))
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 8, 17, 32, 64])
 def test_fft_matches_direct_dft(t):
-    x = RNG.normal(size=(3, t))
+    x = RNG.normal(size=(t, 3))
     z = T.fft_real(T.Tensor(x))
-    ref = naive_dft(x)
+    ref = naive_dft(x.T).T
     assert np.abs(z.re.data - ref.real).max() < 1e-9
     assert np.abs(z.im.data - ref.imag).max() < 1e-9
 
 
 @pytest.mark.parametrize("t", [2, 5, 16, 31, 64])
 def test_fft_roundtrip(t):
-    x = RNG.normal(size=(2, t))
+    x = RNG.normal(size=(t, 2))
     back = T.ifft_real(T.fft_real(T.Tensor(x)), n=t)
     assert np.abs(back.data - x).max() < 1e-9
 
 
 def test_ifft_matches_direct_inverse():
     t = 12
-    x = RNG.normal(size=t)
-    spec = naive_dft(x)
+    x = RNG.normal(size=(t, 1))
+    spec = naive_dft(x.T).T
     z = T.ComplexTensor(T.Tensor(spec.real), T.Tensor(spec.imag))
-    assert np.abs(T.ifft_real(z, n=t).data - naive_idft(spec, t)).max() < 1e-9
+    assert np.abs(T.ifft_real(z, n=t).data - naive_idft(spec.T, t).T).max() < 1e-9
 
 
 @pytest.mark.parametrize("t", [8, 21, 64])
 def test_parseval(t):
-    x = RNG.normal(size=t)
+    x = RNG.normal(size=(t, 1))
     z = T.fft_real(T.Tensor(x))
     power = z.re.data**2 + z.im.data**2
-    w = np.full(t // 2 + 1, 2.0)
+    w = np.full((t // 2 + 1, 1), 2.0)
     w[0] = 1.0
     if t % 2 == 0:
         w[-1] = 1.0
@@ -80,9 +85,9 @@ def test_parseval(t):
 
 def test_dc_only_spectrum_gives_constant():
     nbins = 5
-    re = np.zeros(nbins)
+    re = np.zeros((nbins, 1))
     re[0] = 3.0
-    z = T.ComplexTensor(T.Tensor(re), T.Tensor(np.zeros(nbins)))
+    z = T.ComplexTensor(T.Tensor(re), T.Tensor(np.zeros((nbins, 1))))
     y = T.ifft_real(z, n=8)
     assert np.allclose(y.data, 3.0 / 8.0, atol=1e-12)
 
@@ -300,8 +305,8 @@ def test_grad_softmax_layernorm():
 
 
 def test_grad_fft_path():
-    x = randt(2, 16)
-    w = randt(16 // 2 + 1)
+    x = randt(16, 2)
+    w = randt(16 // 2 + 1, 1)
 
     def build():
         z = T.fft_real(x)
@@ -314,7 +319,7 @@ def test_grad_fft_path():
 
 
 def test_grad_fft_odd_length():
-    x = randt(2, 9)
+    x = randt(9, 2)
 
     def build():
         z = T.fft_real(x)
