@@ -217,7 +217,6 @@ def _predict(model, signals, batch_size: int = 32) -> np.ndarray:
         with te.no_grad():
             logits = model_forward(model, signals[lo : lo + batch_size])
         out.append(np.argmax(logits.data, axis=-1))
-        del logits  # release this batch before the next forward
     return np.concatenate(out)
 
 

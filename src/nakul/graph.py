@@ -169,12 +169,14 @@ def masked_softmax_topk(scores: Tensor, k: int) -> Tensor:
 
     scores (..., C): keeps min(k, C) entries per row, ties resolved
     toward the lowest column, and normalizes over them. Returns the
-    dense (..., C) map. The mask costs one argsort; the softmax and
-    everything after it stay dense in C, whatever k is.
+    dense (..., C) map. The mask costs one argsort, skipped when k >= C
+    keeps every entry; the softmax and everything after it stay dense in
+    C, whatever k is.
     """
-    c = scores.shape[-1]
+    if k >= scores.shape[-1]:
+        return te.softmax(scores)
     # stable sort on the negated scores: equal values keep ascending column order
-    idx = np.argsort(-scores.data, axis=-1, kind="stable")[..., : min(k, c)]
+    idx = np.argsort(-scores.data, axis=-1, kind="stable")[..., :k]
     keep = np.zeros(scores.shape, dtype=bool)
     np.put_along_axis(keep, idx, True, axis=-1)
     return te.softmax(scores, keep)

@@ -17,6 +17,14 @@ Conventions fixed here and relied on throughout the package:
   depthwise_causal_conv takes one kernel per row, (..., taps, D).
 - transpose is the one permutation primitive; swapaxes calls it.
 
+``backward`` frees as it goes: once an interior node (one with parents)
+has routed its gradient, its ``grad`` and ``_backward`` closure are set
+to None, so interior gradients and closure-held arrays do not outlive
+their use. Leaves keep their gradients, and every node keeps ``_prev``,
+so the graph can still be walked afterwards. A second ``backward``
+through a consumed node (``_prev`` set, ``_backward`` None) raises
+RuntimeError.
+
 Complex spectra are carried as a (re, im) pair of real Tensors, so any
 computation built on them is differentiable without special casing.
 
@@ -187,6 +195,10 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._prev and node._backward is None:
+                raise RuntimeError(
+                    "backward through a graph that was already consumed: each "
+                    "backward frees the gradients and closures of the nodes it runs")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._prev:
@@ -194,8 +206,10 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.ones(self.data.shape)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._prev:  # interior: route its gradient, then free it and the closure
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad = node._backward = None
 
     # operator sugar
     def __add__(self, other):

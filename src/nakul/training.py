@@ -226,7 +226,6 @@ def evaluate(model: NakulModel, signals, labels, eps: float = 0.1, batch_size: i
         losses.append(loss.item() * (hi - lo))
         hits += int((logits.data.argmax(axis=-1) == labels[lo:hi]).sum())
         count += hi - lo
-        del logits, loss  # release this batch before the next forward
     return sum(losses) / count, hits / count
 
 
@@ -271,7 +270,9 @@ def train(model: NakulModel, signals, labels, cfg: TrainConfig, log=None):
             adamw_step(params, grads, state, cfg, lr_t)
             epoch_loss += loss.item() * len(take)
             step += 1
-            del logits, loss  # release this step's graph before the next forward
+            # backward freed the gradients and closures, but logits still reaches
+            # this step's forward activations through its parent links
+            del logits, loss
 
         val_loss, val_acc = evaluate(
             model, signals[val_idx], labels[val_idx], eps=cfg.label_smoothing)

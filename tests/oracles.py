@@ -114,15 +114,20 @@ def direct_ssm_outputs(a_bar, b_bar, c, d_skip, x):
     return y
 
 
-def graph_size(*roots) -> int:
+def graph_nodes(*roots) -> list:
     """Autograd nodes reachable from the given Tensors through their parents."""
-    seen, stack = set(), list(roots)
+    seen, stack, out = set(), list(roots), []
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
+            out.append(node)
             stack.extend(node._prev)
-    return len(seen)
+    return out
+
+
+def graph_size(*roots) -> int:
+    return len(graph_nodes(*roots))
 
 
 def gaussian_density(f, mu, sigma):

@@ -4,7 +4,6 @@ import gc
 import os
 import re
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -347,26 +346,6 @@ def test_trials_shorter_than_a_patch_exit_cleanly(workdir, tmp_path, capsys, com
     err = capsys.readouterr().err
     assert "9 samples" in err and "patch" in err
     assert not out.exists()
-
-
-def test_predict_releases_previous_batch_graph(monkeypatch):
-    # as in evaluate: each batch's forward must start after the previous
-    # batch's graph is gone (Tensor has no weakref slot; watch its data)
-    real_forward = cli.model_forward
-    refs = []
-
-    def forward(*args, **kwargs):
-        alive = bool(refs) and refs[-1]() is not None
-        assert not alive, f"forward {len(refs)} still holds its logits"
-        logits = real_forward(*args, **kwargs)
-        refs.append(weakref.ref(logits.data))
-        return logits
-
-    monkeypatch.setattr(cli, "model_forward", forward)
-    model = init_model(model_config(parse_config(SMALL_CFG)), stream(1, "init"))
-    signals = np.random.default_rng(2).normal(size=(12, 4, 80))
-    assert _predict(model, signals, batch_size=5).shape == (12,)
-    assert len(refs) == 3
 
 
 def test_predict_forwards_record_no_graph(monkeypatch):

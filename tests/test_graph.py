@@ -160,6 +160,21 @@ def test_rows_sum_one_support_exactly_k():
         assert np.all((dense.data > 0).sum(axis=-1) == support)
 
 
+def test_k_at_least_c_equals_the_all_kept_mask_bitwise():
+    rng = np.random.default_rng(10)
+    scores = rng.normal(size=(3, 7, 7))
+    weights = Tensor(rng.normal(size=(3, 7, 7)))
+    everything = np.ones(scores.shape, dtype=bool)
+    for k in (7, 50):
+        x, x_all = Tensor(scores, requires_grad=True), Tensor(scores, requires_grad=True)
+        dense = masked_softmax_topk(x, k)
+        masked = te.softmax(x_all, everything)
+        np.testing.assert_array_equal(dense.data, masked.data)
+        (dense * weights).sum().backward()
+        (masked * weights).sum().backward()
+        np.testing.assert_array_equal(x.grad, x_all.grad)
+
+
 def test_k_one_is_argmax_onehot():
     rng = np.random.default_rng(8)
     scores = Tensor(rng.normal(size=(4, 6, 6)))

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from nakul import tensor as T
-from oracles import check_gradients, naive_dft, naive_idft
+from oracles import check_gradients, graph_nodes, naive_dft, naive_idft
 
 RNG = np.random.default_rng(1234)
 
@@ -419,6 +419,34 @@ def test_backward_on_graph_less_root_raises():
     constant = (randt(2, grad=False) * 3.0).sum()  # no leaf requires grad
     with pytest.raises(RuntimeError, match="requires_grad"):
         constant.backward()
+
+
+def test_backward_frees_interior_nodes_and_keeps_leaf_gradients():
+    x, w, b = randt(4, 3, grad=False), randt(3, 5), randt(5)
+    hidden = T.gelu(T.matmul(x, w) + b)
+    loss = (T.softmax(hidden) * hidden).sum()
+    loss.backward()
+    interior = [n for n in graph_nodes(loss) if n._prev]
+    assert len(interior) >= 5
+    for node in interior:
+        assert node.grad is None and node._backward is None
+    assert hidden._prev  # parent links stay, so the graph can still be walked
+    for leaf in (w, b):
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+    assert x.grad is None
+
+
+def test_second_backward_on_a_consumed_graph_raises():
+    w = randt(3, 3)
+    hidden = T.exp(w * 0.5)
+    loss = hidden.sum()
+    loss.backward()
+    first = w.grad
+    with pytest.raises(RuntimeError, match="already consumed"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="already consumed"):
+        (hidden * 2.0).sum().backward()  # a fresh root on consumed nodes
+    assert w.grad is first
 
 
 # --- inference mode -------------------------------------------------------------

@@ -441,25 +441,6 @@ def test_train_releases_previous_step_graph(monkeypatch):
     assert len(refs) == 2 * (3 + 1)  # per epoch: three steps, one validation batch
 
 
-def test_evaluate_releases_previous_batch_graph(monkeypatch):
-    # as in train: each batch's forward must start after the previous
-    # batch's graph is gone (Tensor has no weakref slot; watch its data)
-    real_forward = training.model_forward
-    refs = []
-
-    def forward(*args, **kwargs):
-        alive = bool(refs) and refs[-1]() is not None
-        assert not alive, f"forward {len(refs)} still holds its logits"
-        logits = real_forward(*args, **kwargs)
-        refs.append(weakref.ref(logits.data))
-        return logits
-
-    monkeypatch.setattr(training, "model_forward", forward)
-    signals, labels = generate_synthetic(tiny_spec(), seed=15)
-    evaluate(tiny_model(seed=9), signals, labels, batch_size=5)
-    assert len(refs) == 5  # 24 trials in batches of 5
-
-
 def test_evaluate_forwards_record_no_graph(monkeypatch):
     real_forward = training.model_forward
     parents = []
