@@ -189,6 +189,10 @@ def validate(values: dict) -> None:
             positive(key, value)
     for key in ("rate", "lr", "grad_clip", "band_width_hz", "band_floor_hz"):
         positive(key, getattr(rc, key))
+    if rc.band_width_hz <= rc.band_floor_hz:
+        raise ConfigError(
+            "band_width_hz",
+            f"must exceed band_floor_hz={rc.band_floor_hz}, got {rc.band_width_hz}")
     if rc.embed_dim % rc.heads:
         raise ConfigError("heads", f"must divide embed_dim={rc.embed_dim}, got {rc.heads}")
     if rc.t_len < rc.patch:

@@ -124,14 +124,14 @@ def temporal_variance(x: Tensor) -> Tensor:
 def spectral_entropy(x: Tensor) -> Tensor:
     """Shannon entropy of the bin-magnitude distribution, per sample.
 
-    x is (..., T, D), transformed along time to a (..., F, D) spectrum.
-    Magnitudes are pooled over features (axis -1) by the Euclidean norm
-    per bin. An identically zero spectrum yields 0 by convention rather
-    than NaN; that case carries no gradient.
+    x is (..., T, D), transformed along time to a (..., F, 2, D) spectrum.
+    Each bin's magnitude is the Euclidean norm over its real and
+    imaginary parts and all features together (axes -2 and -1). An
+    identically zero spectrum yields 0 by convention rather than NaN;
+    that case carries no gradient.
     """
     spec = te.fft_real(x)
-    power = spec.re * spec.re + spec.im * spec.im  # (..., F, D)
-    mags = te.sqrt(power.sum(axis=-1))  # (..., F)
+    mags = te.sqrt((spec * spec).sum(axis=(-2, -1)))  # (..., F)
     total = mags.sum(axis=-1, keepdims=True)
     zero_rows = (total.data == 0.0).astype(np.float64)
     p = mags / (total + zero_rows)  # zero rows divide by 1, give p = 0

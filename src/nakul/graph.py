@@ -204,7 +204,7 @@ def topk_masked_attention(sa: SpatialAttention, g: ElectrodeGraph, x: Tensor):
         return per_head.reshape((heads * b, c, dk))
 
     q = split(te.matmul(x, sa.w_q))
-    k_t = te.swapaxes(split(te.matmul(x, sa.w_k)), -1, -2)  # (H*B, dk, C)
+    k_t = te.transpose(split(te.matmul(x, sa.w_k)), (0, 2, 1))  # (H*B, dk, C)
     v = split(te.matmul(x, sa.w_v))
     qk = te.matmul(q, k_t).reshape((heads, b, c, c))
     scores = qk * scale + beta * biases  # (H, B, C, C)

@@ -289,9 +289,9 @@ def block_forward(
     y_dyn, kernel_weights = dynamic_mix(blk.bank, blk.meta, x_norm, stats_out=stats)
 
     g_used = drop_edges(g, drop_edge, rng) if rng is not None else g
-    tokens = te.swapaxes(x_norm, 1, 2).reshape((b * t_p, c, d))
+    tokens = te.transpose(x_norm, (0, 2, 1, 3)).reshape((b * t_p, c, d))
     y_graph, attention, _ = topk_masked_attention(blk.attn, g_used, tokens)
-    y_graph = te.swapaxes(y_graph.reshape((b, t_p, c, d)), 1, 2)
+    y_graph = te.transpose(y_graph.reshape((b, t_p, c, d)), (0, 2, 1, 3))
 
     if fusion_override is None:
         fusion = te.softmax(blk.fusion_logits)
@@ -440,30 +440,38 @@ def save_checkpoint(path, named: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Read the flat binary format back into {name: float64 array}."""
+    """Read the flat binary format back into {name: float64 array}.
+
+    A file cut short anywhere raises ValueError ("truncated checkpoint").
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError("not a model checkpoint (bad magic)")
-    version, count = struct.unpack_from("<II", blob, 4)
+    offset = 4
+
+    def take(n: int) -> bytes:
+        nonlocal offset
+        if offset + n > len(blob):
+            raise ValueError(
+                f"truncated checkpoint: {len(blob)} bytes, the next field ends at byte "
+                f"{offset + n}")
+        offset += n
+        return blob[offset - n : offset]
+
+    version, count = struct.unpack("<II", take(8))
     if version != CHECKPOINT_VERSION:
         raise ValueError(
             f"checkpoint version {version} is not supported: this build reads "
             f"version {CHECKPOINT_VERSION} (kernel banks in lag order)")
-    offset = 12
     out = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        dims = struct.unpack_from(f"<{rank}I", blob, offset)
-        offset += 4 * rank
+        (name_len,) = struct.unpack("<H", take(2))
+        name = take(name_len).decode("utf-8")
+        (rank,) = struct.unpack("<B", take(1))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
         size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        values = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
-        offset += 4 * size
+        values = np.frombuffer(take(4 * size), dtype="<f4")
         out[name] = values.astype(np.float64).reshape(dims)
     if offset != len(blob):
         raise ValueError("trailing bytes after last tensor")

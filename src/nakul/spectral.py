@@ -7,11 +7,13 @@ band contributes alpha_k * M_k(f) * (W_r + i W_i) X[f], and the sum
 returns to the time domain. Phase information survives because the
 mixing is complex multiplication, not a magnitude operation.
 
-Time is axis -2, as in the trunk, so (..., T, D) maps to a (..., F, D)
-spectrum and back with no transpose. A BandBank holds each quantity of
-all K bands as one tensor. The forward builds the (F, K) masks once,
-for gates and mixing, and sums the bands inside one GEMM per product,
-of the (..., F, K*D) band-scaled spectrum with W_r or W_i as (K*D, D).
+Time is axis -2, as in the trunk, so (..., T, D) maps to a (..., F, 2, D)
+spectrum (real parts at index 0 of axis -2, imaginary at 1) and back
+with no transpose. A BandBank holds each quantity of all K bands as one
+tensor. The forward builds the (F, K) masks once, for gates and mixing,
+scales the bands once into a (..., F, 2, K*D) spectrum S, and sums the
+bands inside two GEMMs over its stacked real and imaginary rows:
+S @ W_r + i (S @ W_i), with W_r and W_i as (K*D, D).
 
 mu and sigma stay positive through softplus reparameterization; sigma
 additionally sits above a configurable floor so gradient steps cannot
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as te
-from .tensor import ComplexTensor, Tensor
+from .tensor import Tensor
 
 __all__ = [
     "BandBank",
@@ -134,10 +136,15 @@ def spectral_mix(
     the shape of x and gates is the (..., K) Tensor of band gates used.
     Passing `alphas` (a plain array) freezes the gates at those values,
     which makes the whole map linear in x.
+
+    The band-scaled spectrum S (..., F, 2, K*D) meets the complex
+    mixing matrix as (W_r + i W_i) S = S @ W_r + i (S @ W_i): two real
+    GEMMs over the stacked real and imaginary rows, and one product
+    with i, which swaps the halves and negates the new real half.
     """
     t, d = x.shape[-2], x.shape[-1]
     k = bands.raw_mu.shape[0]
-    spec = te.fft_real(x)  # re/im (..., F, D)
+    spec = te.fft_real(x)  # (..., F, 2, D)
     masks = band_mask(bands, t, rate)  # (F, K)
 
     if alphas is None:
@@ -145,20 +152,16 @@ def spectral_mix(
     else:
         gates = te.Tensor(np.asarray(alphas, dtype=np.float64))
 
-    # alpha_k * M_k(f) scales band k's copy of each bin
-    weight = gates.reshape(gates.shape[:-1] + (1, k, 1)) * masks.reshape((-1, k, 1))
-
-    def by_band(part):  # (..., F, D) -> (..., F, K*D)
-        scaled = part.reshape(part.shape[:-1] + (1, d)) * weight  # (..., F, K, D)
-        return scaled.reshape(scaled.shape[:-2] + (k * d,))
-
-    s_re, s_im = by_band(spec.re), by_band(spec.im)
+    # alpha_k * M_k(f) scales band k's copy of each bin, real and imaginary alike
+    weight = gates.reshape(gates.shape[:-1] + (1, 1, k, 1)) * masks.reshape((-1, 1, k, 1))
+    scaled = spec.reshape(spec.shape[:-1] + (1, d)) * weight  # (..., F, 2, K, D)
+    s = scaled.reshape(scaled.shape[:-2] + (k * d,))
     w_r = bands.w_r.reshape((k * d, d))  # band k's rows follow band k-1's
     w_i = bands.w_i.reshape((k * d, d))
-    mix_re = te.matmul(s_re, w_r) - te.matmul(s_im, w_i)
-    mix_im = te.matmul(s_re, w_i) + te.matmul(s_im, w_r)
+    s_w_r, s_w_i = te.matmul(s, w_r), te.matmul(s, w_i)
+    mixed = s_w_r + s_w_i[..., ::-1, :] * [[-1.0], [1.0]]  # i (a + ib) = -b + ia
 
-    out = te.ifft_real(ComplexTensor(mix_re, mix_im), n=t)
+    out = te.ifft_real(mixed, n=t)
     if not np.all(np.isfinite(out.data)):
         raise FloatingPointError("spectral mixing produced non-finite values")
     return out, gates

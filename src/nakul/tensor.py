@@ -13,9 +13,12 @@ Conventions fixed here and relied on throughout the package:
 - gelu is the exact erf form, not the tanh approximation.
 - Sequences are (..., T, D), time on axis -2 for both sequence ops:
   fft_real is the unnormalized one-sided real FFT, (..., T, D) to
-  (..., T//2 + 1, D), and ifft_real carries 1/T and inverts it exactly;
+  (..., T//2 + 1, 2, D), and ifft_real carries 1/T and inverts it exactly;
   depthwise_causal_conv takes one kernel per row, (..., taps, D).
-- transpose is the one permutation primitive; swapaxes calls it.
+- A one-sided spectrum is one real Tensor (..., F, 2, D): index 0 on
+  axis -2 holds the real parts, index 1 the imaginary parts. Any
+  computation built on it uses the ordinary primitives; multiplying by
+  i is z[..., ::-1, :] * [[-1], [1]].
 
 ``backward`` frees as it goes: once an interior node (one with parents)
 has routed its gradient, its ``grad`` and ``_backward`` closure are set
@@ -24,9 +27,6 @@ their use. Leaves keep their gradients, and every node keeps ``_prev``,
 so the graph can still be walked afterwards. A second ``backward``
 through a consumed node (``_prev`` set, ``_backward`` None) raises
 RuntimeError.
-
-Complex spectra are carried as a (re, im) pair of real Tensors, so any
-computation built on them is differentiable without special casing.
 
 matmul with a 2-D right operand (every weight) runs as one GEMM over the
 flattened leading rows of the left operand, forward and backward; only
@@ -49,7 +49,6 @@ their own outputs.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf, expit
@@ -58,7 +57,6 @@ from . import backends
 
 __all__ = [
     "Tensor",
-    "ComplexTensor",
     "mac_counter",
     "no_grad",
     "add",
@@ -252,26 +250,11 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
 
-    def swapaxes(self, a, b):
-        return swapaxes(self, a, b)
-
     def transpose(self, axes):
         return transpose(self, axes)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
-
-
-@dataclass
-class ComplexTensor:
-    """One-sided complex spectrum carried as real/imaginary Tensors."""
-
-    re: Tensor
-    im: Tensor
-
-    @property
-    def shape(self):
-        return self.re.shape
 
 
 def _wrap(x) -> Tensor:
@@ -394,12 +377,6 @@ def reshape(x: Tensor, shape) -> Tensor:
         x._accum(g.reshape(x.data.shape))
 
     return Tensor._result(data, (x,), bw)
-
-
-def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
-    axes = list(range(_wrap(x).ndim))
-    axes[a], axes[b] = axes[b], axes[a]
-    return transpose(x, axes)
 
 
 def transpose(x: Tensor, axes) -> Tensor:
@@ -639,8 +616,15 @@ def _fft_macs(t: int, rows: int) -> int:
     return int(1.25 * t * max(np.log2(t), 1.0)) * rows
 
 
-def fft_real(x) -> ComplexTensor:
-    """One-sided unnormalized real FFT along time axis -2: (..., T, D) to (..., F, D)."""
+def _complex(z: np.ndarray) -> np.ndarray:
+    """The (..., F, D) complex array a (..., F, 2, D) spectrum holds."""
+    c = np.empty(z.shape[:-2] + z.shape[-1:], dtype=np.complex128)
+    c.real, c.imag = z[..., 0, :], z[..., 1, :]
+    return c
+
+
+def fft_real(x) -> Tensor:
+    """One-sided unnormalized real FFT along time axis -2: (..., T, D) to (..., F, 2, D)."""
     x = _wrap(x)
     if x.data.ndim < 2:
         raise ValueError("fft_real requires a (..., T, D) input with ndim >= 2")
@@ -649,47 +633,41 @@ def fft_real(x) -> ComplexTensor:
     scale = (t / _bin_weights(t))[:, None]
     _count(_fft_macs(t, x.data.size // t))
 
-    def bw_re(g):
-        x._accum(np.fft.irfft(g * scale, n=t, axis=-2))
+    def bw(g):
+        c = _complex(g)
+        c *= scale
+        x._accum(np.fft.irfft(c, n=t, axis=-2))
 
-    def bw_im(g):
-        x._accum(np.fft.irfft(1j * g * scale, n=t, axis=-2))
-
-    re = Tensor._result(np.ascontiguousarray(spec.real), (x,), bw_re)
-    im = Tensor._result(np.ascontiguousarray(spec.imag), (x,), bw_im)
-    return ComplexTensor(re, im)
+    return Tensor._result(np.stack((spec.real, spec.imag), axis=-2), (x,), bw)
 
 
-def ifft_real(z: ComplexTensor, n: int) -> Tensor:
-    """Inverse of fft_real: (..., F, D) to a real (..., n, D), 1/n normalized."""
-    re, im = z.re, z.im
-    data = np.fft.irfft(re.data + 1j * im.data, n=n, axis=-2)
+def ifft_real(z, n: int) -> Tensor:
+    """Inverse of fft_real: (..., F, 2, D) to a real (..., n, D), 1/n normalized."""
+    z = _wrap(z)
+    data = np.fft.irfft(_complex(z.data), n=n, axis=-2)
     scale = (_bin_weights(n) / n)[:, None]
     _count(_fft_macs(n, data.size // n))
 
     def bw(g):
         spec = np.fft.rfft(g, axis=-2)
-        if re.requires_grad:
-            re._accum(spec.real * scale)
-        if im.requires_grad:
-            im._accum(spec.imag * scale)
+        spec *= scale
+        z._accum(np.stack((spec.real, spec.imag), axis=-2))
 
-    return Tensor._result(data, (re, im), bw)
+    return Tensor._result(data, (z,), bw)
 
 
-def complex_abs(z: ComplexTensor) -> Tensor:
-    re, im = z.re, z.im
-    data = np.hypot(re.data, im.data)
+def complex_abs(z) -> Tensor:
+    """|z| of a (..., F, 2, D) spectrum, shape (..., F, D)."""
+    z = _wrap(z)
+    data = np.hypot(z.data[..., 0, :], z.data[..., 1, :])
     _count(2 * data.size)
 
     def bw(g):
-        safe = np.where(data > 0.0, data, 1.0)
-        if re.requires_grad:
-            re._accum(np.where(data > 0.0, g * re.data / safe, 0.0))
-        if im.requires_grad:
-            im._accum(np.where(data > 0.0, g * im.data / safe, 0.0))
+        live = data[..., None, :] > 0.0
+        safe = np.where(live, data[..., None, :], 1.0)
+        z._accum(np.where(live, g[..., None, :] * z.data / safe, 0.0))
 
-    return Tensor._result(data, (re, im), bw)
+    return Tensor._result(data, (z,), bw)
 
 
 # --- depthwise causal convolution ---------------------------------------------

@@ -118,8 +118,9 @@ def with_line(text: str, line: str) -> str:
     ("class_channels = 0,1;", "class_channels"),  # class 1 has no channel
     ("tone_amp = 0", "tone_amp"),
     ("rate = 12.0", "class_bands"),  # the shared rate moves Nyquist below 6.5 Hz
+    ("band_width_hz = 0.05", "band_width_hz"),  # equal to band_floor_hz: no room above it
 ], ids=["heads", "class_bands", "class_channels", "warmup_fraction",
-        "label_smoothing", "empty_channel_group", "tone_amp", "shared_rate"])
+        "label_smoothing", "empty_channel_group", "tone_amp", "shared_rate", "band_width"])
 def test_config_cross_field_checks(line, key):
     with pytest.raises(ConfigError) as err:
         parse_config(with_line(SMALL_CFG, line))
@@ -331,6 +332,19 @@ def test_eval_version_1_checkpoint_exits_4(workdir, tmp_path, capsys):
     assert main(["eval", "--ckpt", str(tmp_path / "v1.nakl"),
                  "--data", str(workdir / "data"), "--config", str(workdir / "small.cfg")]) == 4
     assert "version 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cut", [
+    6,  # inside the version and count header
+    17,  # inside the first tensor's name
+    -2,  # inside the last tensor's values
+], ids=["header", "name", "values"])
+def test_truncated_checkpoint_exits_4(workdir, tmp_path, capsys, cut):
+    blob = (workdir / "run" / "model.nakl").read_bytes()
+    (tmp_path / "cut.nakl").write_bytes(blob[:cut])
+    assert main(["dump-bands", "--ckpt", str(tmp_path / "cut.nakl"),
+                 "--config", str(workdir / "small.cfg")]) == 4
+    assert "truncated checkpoint" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,code", [

@@ -239,6 +239,25 @@ def test_mix_graph_size_independent_of_band_count():
     assert len(set(sizes)) == 1, sizes
 
 
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_mix_runs_one_gate_and_two_band_gemms(monkeypatch, k):
+    # the stacked real and imaginary rows meet W_r and W_i once each
+    matmul = te.matmul
+    calls = []
+
+    def counted(a, b):
+        calls.append((a.shape, b.shape))
+        return matmul(a, b)
+
+    monkeypatch.setattr(te, "matmul", counted)
+    d, t = 3, 16
+    filters = default_filters(d=d, mus_hz=tuple(float(m) for m in range(1, k + 1)))
+    sp.spectral_mix(filters, te.Tensor(np.random.default_rng(k).normal(size=(2, t, d))), rate=8.0)
+    assert calls == [((2, t // 2 + 1, d), (d, k)),
+                     ((2, t // 2 + 1, 2, k * d), (k * d, d)),
+                     ((2, t // 2 + 1, 2, k * d), (k * d, d))]
+
+
 def test_mix_wallclock_subquadratic():
     d = 2
     filters = default_filters(d=d)
