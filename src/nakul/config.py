@@ -178,7 +178,7 @@ def validate(values: dict) -> None:
         if value <= 0:
             raise ConfigError(key, f"{kind} must be positive, got {value}")
 
-    for key in ("embed_dim", "n_blocks", "heads", "n_bands", "k_top", "patch",
+    for key in ("embed_dim", "n_blocks", "heads", "k_top", "patch",
                 "ffn_mult", "head_hidden", "n_channels", "n_classes", "t_len",
                 "trials_per_class", "epochs", "batch_size", "patience"):
         value = getattr(rc, key)
@@ -197,10 +197,6 @@ def validate(values: dict) -> None:
         raise ConfigError("heads", f"must divide embed_dim={rc.embed_dim}, got {rc.heads}")
     if rc.t_len < rc.patch:
         raise ConfigError("t_len", f"must cover at least one patch of {rc.patch}")
-    if len(rc.band_centers_hz) != rc.n_bands:
-        raise ConfigError(
-            "band_centers_hz",
-            f"{len(rc.band_centers_hz)} centers for n_bands={rc.n_bands}")
     if any(m <= 0 for m in rc.band_centers_hz):
         raise ConfigError("band_centers_hz", "centers must be positive")
     if not rc.kernel_sizes or any(k < 1 for k in rc.kernel_sizes):
@@ -268,7 +264,10 @@ def model_config(rc: RunConfig) -> ModelConfig:
     """The model section, with electrode positions from the `positions` file."""
     positions = None
     if rc.positions:
-        _, positions = read_positions(rc.positions)
+        try:
+            _, positions = read_positions(rc.positions)
+        except (OSError, ValueError) as exc:
+            raise ConfigError("positions", str(exc)) from None
         if positions.shape[0] != rc.model.n_channels:
             raise ConfigError(
                 "positions",

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as te
-from .ssm import DiscreteSsm, materialize_kernel
 from .tensor import Tensor
 
 __all__ = [
@@ -80,21 +79,15 @@ def init_kernel_bank(
     """Kernels start at the impulse response of a stable linear system.
 
     The one-state system (transition 0.7, unit input and output maps)
-    has taps (1, 0.7, 0.49, ...); they are truncated to each bank size
+    has the impulse response (1, 0.7, 0.49, ...), built here as a running
+    product of the transition; the taps are truncated to each bank size
     and perturbed so the filters are not identical across features. The
     noise draw is a (size, D) block read bottom-up, so lag j takes its
     row size-1-j.
     """
-    base = DiscreteSsm(
-        a_bar=np.array([[0.7]]),
-        b_bar=np.array([[1.0]]),
-        c=np.array([[1.0]]),
-        d_skip=0.0,
-        delta=1.0,
-    )
     kernels = []
     for size in sizes:
-        taps = materialize_kernel(base, size)
+        taps = np.cumprod(np.r_[1.0, np.full(size - 1, 0.7)])
         k = np.tile(taps[:, None], (1, d)) + noise * rng.uniform(-1, 1, size=(size, d))[::-1]
         kernels.append(Tensor(k, requires_grad=True))
     bound = 1.0 / np.sqrt(d)
@@ -178,7 +171,7 @@ def dynamic_mix(
             stats_out["variance"] = var
             stats_out["entropy"] = ent
     else:
-        gates = Tensor(np.asarray(alphas, dtype=np.float64))
+        gates = Tensor(alphas)
 
     # one blended kernel per sample: (R, M) @ (M, K_max*D)
     kernel = te.matmul(gates.reshape((-1, len(bank.kernels))), _lag_bank(bank))

@@ -119,13 +119,17 @@ def read_positions(path) -> tuple[list, np.ndarray]:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 'name x y z'")
-            names.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
+            name, *coords = line.split()
+            try:
+                x, y, z = (float(v) for v in coords)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected 'name x y z'") from None
+            names.append(name)
+            rows.append([x, y, z])
     if not rows:
         raise ValueError(f"{path}: no channels found")
+    if not np.isfinite(rows).all():
+        raise ValueError(f"{path}: positions must be finite")
     return names, np.asarray(rows, dtype=np.float64)
 
 
@@ -240,7 +244,7 @@ def init_spatial_attention(
         w_o=mat((d, d)),
         w_graph=mat((d, d)),
         w_bias=bias_readout(),
-        raw_beta=Tensor(np.asarray(te.inv_softplus(1.0)), requires_grad=True),
+        raw_beta=Tensor(te.inv_softplus(1.0), requires_grad=True),
         heads=heads,
         k_top=k_top,
     )

@@ -91,7 +91,6 @@ class ModelConfig:
     n_blocks: int = 6
     heads: int = 8
     patch: int = 50
-    n_bands: int = 4
     kernel_sizes: tuple = DEFAULT_KERNEL_SIZES
     k_top: int = 16
     ffn_mult: int = 4
@@ -155,19 +154,20 @@ def named_tensors(node) -> dict:
 
     Fields are the only declaration of a module's parameters.
     """
+    # An explicit stack, not a closure that calls itself: such a closure is a
+    # reference cycle, which would keep `out`, and so every parameter of a
+    # discarded model, alive until the cyclic garbage collector next runs.
     out = {}
-
-    def walk(value, path):
+    stack = [("", node)]
+    while stack:
+        path, value = stack.pop()
         if isinstance(value, Tensor):
             out[path] = value
         elif is_dataclass(value):
-            for f in fields(value):
-                walk(getattr(value, f.name), f"{path}.{f.name}" if path else f.name)
+            stack.extend((f"{path}.{f.name}" if path else f.name, getattr(value, f.name))
+                         for f in reversed(fields(value)))
         elif isinstance(value, list):
-            for i, item in enumerate(value):
-                walk(item, f"{path}.{i}")
-
-    walk(node, "")
+            stack.extend((f"{path}.{i}", value[i]) for i in reversed(range(len(value))))
     return out
 
 
@@ -237,7 +237,7 @@ def embed(model: NakulModel, x: Tensor) -> Tensor:
 
     T below one patch is an error; a ragged tail is zero-padded.
     """
-    x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    x = x if isinstance(x, Tensor) else Tensor(x)
     b, c, t = x.shape
     p = model.cfg.patch
     if t < p:
@@ -268,27 +268,27 @@ def _drop_path(update: Tensor, rate: float, rng) -> Tensor:
 def block_forward(
     blk: NakulBlock,
     x: Tensor,
-    g: ElectrodeGraph,
-    rate: float,
+    model: NakulModel,
     rng=None,
-    dropout: float = 0.0,
     stoch_rate: float = 0.0,
-    drop_edge: float = 0.0,
     fusion_override: np.ndarray | None = None,
 ):
-    """One mixing block over (B, C, T_p, D); rng enables train-time noise.
+    """One mixing block of `model` over (B, C, T_p, D); rng enables train-time noise.
 
-    Returns (output, diagnostics) where diagnostics carries the fusion
-    weights, band gates, and kernel weights for dumps and tests.
+    The graph, patch rate, dropout and drop-edge rate come from `model`;
+    stoch_rate is this block's own. Returns (output, diagnostics) where
+    diagnostics carries the fusion weights, band gates, and kernel
+    weights for dumps and tests.
     """
+    cfg = model.cfg
     b, c, t_p, d = x.shape
     x_norm = te.layer_norm(x, blk.ln1_gain, blk.ln1_bias)
 
-    y_spec, band_gates = spectral_mix(blk.bands, x_norm, rate)
+    y_spec, band_gates = spectral_mix(blk.bands, x_norm, cfg.patch_rate)
     stats = {}
     y_dyn, kernel_weights = dynamic_mix(blk.bank, blk.meta, x_norm, stats_out=stats)
 
-    g_used = drop_edges(g, drop_edge, rng) if rng is not None else g
+    g_used = drop_edges(model.graph, cfg.drop_edge, rng) if rng is not None else model.graph
     tokens = te.transpose(x_norm, (0, 2, 1, 3)).reshape((b * t_p, c, d))
     y_graph, attention, _ = topk_masked_attention(blk.attn, g_used, tokens)
     y_graph = te.transpose(y_graph.reshape((b, t_p, c, d)), (0, 2, 1, 3))
@@ -296,14 +296,14 @@ def block_forward(
     if fusion_override is None:
         fusion = te.softmax(blk.fusion_logits)
     else:
-        fusion = Tensor(np.asarray(fusion_override, dtype=np.float64))
+        fusion = Tensor(fusion_override)
     fused = fusion[0] * y_spec + fusion[1] * y_dyn + fusion[2] * y_graph
 
     update = te.layer_norm(te.matmul(fused, blk.w_proj), blk.lnf_gain, blk.lnf_bias)
     z = x + _drop_path(update * FUSED_SCALE, stoch_rate, rng)
 
     hidden = te.gelu(te.matmul(te.layer_norm(z, blk.ln2_gain, blk.ln2_bias), blk.ffn_w1) + blk.ffn_b1)
-    hidden = _dropout(hidden, dropout, rng)
+    hidden = _dropout(hidden, cfg.dropout, rng)
     out = z + _drop_path(te.matmul(hidden, blk.ffn_w2) + blk.ffn_b2, stoch_rate, rng)
 
     diag = {
@@ -336,17 +336,7 @@ def model_forward(
     n = len(model.blocks)
     for i, blk in enumerate(model.blocks):
         p_l = cfg.stoch_depth * i / max(n - 1, 1)
-        h, diag = block_forward(
-            blk,
-            h,
-            model.graph,
-            cfg.patch_rate,
-            rng=rng,
-            dropout=cfg.dropout,
-            stoch_rate=p_l,
-            drop_edge=cfg.drop_edge,
-            fusion_override=fusion_override,
-        )
+        h, diag = block_forward(blk, h, model, rng, p_l, fusion_override)
         if diags is not None:
             diags.append(diag)
     pooled = h.mean(axis=(1, 2))  # (B, D)
@@ -370,7 +360,7 @@ def count_flops(model: NakulModel, input_shape) -> dict:
     d, p = cfg.d, cfg.patch
     t_p = -(-t // p)
     f = t_p // 2 + 1
-    k_bands = cfg.n_bands
+    k_bands = len(cfg.band_mu_hz)
     heads = cfg.heads
     n_kernels, k_max = len(cfg.kernel_sizes), max(cfg.kernel_sizes)
     n_blocks = len(model.blocks)

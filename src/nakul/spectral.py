@@ -150,7 +150,7 @@ def spectral_mix(
     if alphas is None:
         gates = band_importance(bands, te.complex_abs(spec), masks)
     else:
-        gates = te.Tensor(np.asarray(alphas, dtype=np.float64))
+        gates = Tensor(alphas)
 
     # alpha_k * M_k(f) scales band k's copy of each bin, real and imaginary alike
     weight = gates.reshape(gates.shape[:-1] + (1, 1, k, 1)) * masks.reshape((-1, 1, k, 1))

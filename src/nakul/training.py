@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 ADAM_EPS = 1e-8
+INFERENCE_BATCH = 32  # trials per no-grad forward: validation, eval and the dumps
 
 
 @dataclass
@@ -215,7 +216,8 @@ def stratified_split(labels: np.ndarray, fraction: float, rng: np.random.Generat
     return np.flatnonzero(mask), val
 
 
-def evaluate(model: NakulModel, signals, labels, eps: float = 0.1, batch_size: int = 32):
+def evaluate(model: NakulModel, signals, labels, eps: float = 0.1,
+             batch_size: int = INFERENCE_BATCH):
     """Deterministic loss and accuracy over a dataset, with no autograd graph."""
     losses, hits, count = [], 0, 0
     for lo in range(0, len(labels), batch_size):

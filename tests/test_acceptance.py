@@ -263,7 +263,7 @@ def test_zeroed_mixing_is_identity_on_embeddings():
     h = embed(model, x)
     out = h
     for blk in model.blocks:
-        out, _ = block_forward(blk, out, model.graph, mcfg.patch_rate)
+        out, _ = block_forward(blk, out, model)
     assert np.abs(out.data - h.data).max() <= 1e-12
 
 
@@ -272,7 +272,6 @@ def test_training_reproducibility_bitwise(tmp_path):
     embed_dim = 16
     n_blocks = 2
     heads = 2
-    n_bands = 2
     band_centers_hz = 3.0, 6.0
     band_width_hz = 1.0
     band_floor_hz = 0.05

@@ -59,7 +59,7 @@ def test_branch_input_positions_name_x(spans):
 
 def tiny_model():
     return init_model(ModelConfig(n_channels=3, n_classes=2, d=8, n_blocks=1, heads=2,
-                                  patch=4, n_bands=2, band_mu_hz=(2.0, 4.0),
+                                  patch=4, band_mu_hz=(2.0, 4.0),
                                   kernel_sizes=(3, 5), sample_rate=20.0),
                       np.random.default_rng(0))
 

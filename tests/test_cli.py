@@ -38,7 +38,6 @@ SMALL_CFG = """\
 embed_dim = 16
 n_blocks = 2
 heads = 2
-n_bands = 2
 band_centers_hz = 3,6
 band_width_hz = 1.0
 band_floor_hz = 0.05
@@ -127,6 +126,16 @@ def test_config_cross_field_checks(line, key):
     assert err.value.key == key
 
 
+@pytest.mark.parametrize("key", ["n_bands", "state_dim"])
+def test_removed_keys_exit_2(tmp_path, capsys, key):
+    # the band count is the number of band_centers_hz, never a key of its own
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(SMALL_CFG + f"{key} = 2\n")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+    assert f"{key}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_default_config_is_valid():
     rc = RunConfig()
     assert parse_config(config_text(rc)) == rc
@@ -186,6 +195,39 @@ def test_eval_non_integer_label_exits_4(workdir, tmp_path, capsys):
                  "--data", str(tmp_path / "d"), "--config", str(workdir / "small.cfg")]) == 4
     err = capsys.readouterr().err
     assert "labels.csv" in err and "line 3" in err and "'x'" in err
+
+
+@pytest.mark.parametrize("edit, code", [
+    (lambda text: text.replace("\n0,", "\nabc,", 1), 4),  # a field that is not a number
+    (lambda text: text.replace("\n0,0,", "\n0,,", 1), 4),  # an empty field
+    (lambda text: text.replace("\n0,", "\nnan,", 1), 3),
+    (lambda text: text.replace("\n0,", "\n1e999,", 1), 3),  # overflows to Inf
+    (lambda text: "# channels=0 samples=80 rate=20 label=1\n", 4),
+], ids=["non_numeric", "empty_field", "nan", "inf", "no_channels"])
+def test_eval_bad_trial_values_exit_cleanly(workdir, tmp_path, capsys, edit, code):
+    save_dataset(tmp_path / "d", np.zeros((2, 4, 80)), np.array([0, 1]), 20.0, "m")
+    trial = tmp_path / "d" / "trial_00001.txt"
+    trial.write_text(edit(trial.read_text()))
+    assert main(["eval", "--ckpt", str(workdir / "run" / "model.nakl"),
+                 "--data", str(tmp_path / "d"), "--config", str(workdir / "small.cfg")]) == code
+    assert "trial_00001.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "No such file"),
+    ("e0 0 0 1\ne1 0 one 0\ne2 1 0 0\ne3 0 0 -1\n", ":2: expected 'name x y z'"),
+    ("e0 0 0 1\ne1 0 nan 0\ne2 1 0 0\ne3 0 0 -1\n", "positions must be finite"),
+], ids=["missing", "malformed_line", "not_finite"])
+def test_bad_positions_file_exits_2(workdir, tmp_path, capsys, text, message):
+    positions = tmp_path / "positions.txt"
+    if text is not None:
+        positions.write_text(text)
+    cfg = tmp_path / "with_positions.cfg"
+    cfg.write_text(SMALL_CFG + f"positions = {positions}\n")
+    assert main(["dump-bands", "--ckpt", str(workdir / "run" / "model.nakl"),
+                 "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "positions:" in err and message in err
 
 
 def test_train_non_numeric_header_rate_exits_4(workdir, tmp_path, capsys):
@@ -477,6 +519,15 @@ def test_grad_check_passes_and_lists_modules(workdir, capsys):
     assert names == ["tensor", "ssm", "spectral", "dynamic", "graph",
                      "model", "training", "cli"]
     assert all(line.endswith("pass") for line in out[1:])
+
+
+def test_grad_check_passes_a_small_default_config(tmp_path):
+    # a step of h = 1e-4 puts blocks.0.ln1_bias[1] at 2.5e-3 relative here:
+    # the central difference's own truncation error, not a wrong gradient
+    cfg = tmp_path / "small_default.cfg"
+    cfg.write_text("embed_dim = 8\nn_blocks = 1\nheads = 2\nffn_mult = 2\n"
+                   "head_hidden = 8\nt_len = 100\n")
+    assert main(["grad-check", "--config", str(cfg), "--seed", "0"]) == 0
 
 
 def test_grad_check_catches_corrupted_backward(workdir, capsys, monkeypatch):

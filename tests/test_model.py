@@ -1,5 +1,7 @@
 """Block assembly, shapes, residual identity, checkpoints, cost model."""
 
+import gc
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -33,7 +35,6 @@ def tiny_config(**kw):
         n_blocks=2,
         heads=2,
         patch=4,
-        n_bands=2,
         band_mu_hz=(2.0, 4.0),
         kernel_sizes=(3, 5),
         k_top=2,
@@ -59,7 +60,7 @@ def test_patch_count_even_split():
 
 def test_patch_count_1000_over_50():
     cfg = ModelConfig(n_channels=2, n_classes=2, d=8, n_blocks=0, heads=2,
-                      band_mu_hz=(4.0, 10.0), n_bands=2, kernel_sizes=(3, 5))
+                      band_mu_hz=(4.0, 10.0), kernel_sizes=(3, 5))
     model = init_model(cfg, np.random.default_rng(0))
     out = embed(model, Tensor(np.zeros((1, 2, 1000))))
     assert out.shape[2] == 20
@@ -98,7 +99,7 @@ def test_zeroed_block_is_identity():
     blk.w_proj.data[:] = 0.0
     blk.ffn_w2.data[:] = 0.0
     x = np.random.default_rng(2).normal(size=(2, 3, 5, 8))
-    out, diag = block_forward(blk, Tensor(x), model.graph, model.cfg.patch_rate)
+    out, diag = block_forward(blk, Tensor(x), model)
     np.testing.assert_array_equal(out.data, x)  # exact, not approximate
     np.testing.assert_allclose(diag["fusion"].data.sum(), 1.0, atol=1e-12)
 
@@ -108,9 +109,8 @@ def test_saturated_fusion_matches_override():
     blk = model.blocks[0]
     x = Tensor(np.random.default_rng(3).normal(size=(2, 3, 5, 8)))
     blk.fusion_logits.data[:] = [50.0, -50.0, -50.0]
-    a, _ = block_forward(blk, x, model.graph, model.cfg.patch_rate)
-    b, _ = block_forward(blk, x, model.graph, model.cfg.patch_rate,
-                         fusion_override=np.array([1.0, 0.0, 0.0]))
+    a, _ = block_forward(blk, x, model)
+    b, _ = block_forward(blk, x, model, fusion_override=np.array([1.0, 0.0, 0.0]))
     np.testing.assert_allclose(a.data, b.data, atol=1e-6)
 
 
@@ -118,8 +118,21 @@ def test_block_preserves_shape():
     for seed, (bsz, c) in enumerate([(1, 2), (3, 4)]):
         model = tiny_model(seed=seed, n_channels=c)
         x = Tensor(np.random.default_rng(seed).normal(size=(bsz, c, 5, 8)))
-        out, _ = block_forward(model.blocks[0], x, model.graph, model.cfg.patch_rate)
+        out, _ = block_forward(model.blocks[0], x, model)
         assert out.shape == x.shape
+
+
+def test_block_forward_reads_its_settings_from_the_model():
+    params = inspect.signature(block_forward).parameters
+    assert not {"g", "rate", "dropout", "drop_edge"} & set(params)
+    x = Tensor(np.random.default_rng(5).normal(size=(2, 3, 5, 8)))
+    quiet = tiny_model(seed=5, dropout=0.0, drop_edge=0.0)
+    a, _ = block_forward(quiet.blocks[0], x, quiet)
+    b, _ = block_forward(quiet.blocks[0], x, quiet, rng=np.random.default_rng(0))
+    np.testing.assert_array_equal(a.data, b.data)
+    noisy = tiny_model(seed=5, dropout=0.5, drop_edge=0.0)  # same parameters
+    c, _ = block_forward(noisy.blocks[0], x, noisy, rng=np.random.default_rng(0))
+    assert not np.array_equal(a.data, c.data)
 
 
 def test_axis_separation():
@@ -134,10 +147,8 @@ def test_axis_separation():
         (np.array([0.0, 1.0, 0.0]), True),  # kernel mixing: per channel
         (np.array([0.0, 0.0, 1.0]), False),  # attention couples channels
     ]:
-        a, _ = block_forward(blk, Tensor(x), model.graph, model.cfg.patch_rate,
-                             fusion_override=override)
-        b, _ = block_forward(blk, Tensor(bumped), model.graph, model.cfg.patch_rate,
-                             fusion_override=override)
+        a, _ = block_forward(blk, Tensor(x), model, fusion_override=override)
+        b, _ = block_forward(blk, Tensor(bumped), model, fusion_override=override)
         same = np.array_equal(a.data[0, :2], b.data[0, :2])
         assert same == expect_local
         assert not np.array_equal(a.data[0, 2], b.data[0, 2])
@@ -279,6 +290,15 @@ def test_flops_patch_doubling():
         assert double[key] == 2 * base[key]
 
 
+def test_flops_count_the_configured_band_centers():
+    cfg = ModelConfig(n_channels=2, n_classes=2, d=8, n_blocks=1, heads=2,
+                      band_mu_hz=(4.0, 10.0), kernel_sizes=(3, 5))
+    model = init_model(cfg, np.random.default_rng(0))
+    assert model.blocks[0].bands.raw_mu.shape == (2,)
+    b, c, f, d = 1, 2, 1000 // 50 // 2 + 1, 8
+    assert count_flops(model, (b, c, 1000))["band_mixing"] == 4 * 2 * b * c * f * d * d
+
+
 def test_flops_track_instrumented_count():
     model = tiny_model(seed=8, d=32, n_channels=4, heads=4, k_top=4, n_blocks=1)
     x = np.random.default_rng(8).normal(size=(2, 4, 32))  # T_p = 8
@@ -286,6 +306,19 @@ def test_flops_track_instrumented_count():
         model_forward(model, x)
     analytic = count_flops(model, (2, 4, 32))["total"]
     assert 0.5 <= analytic / macs["total"] <= 2.0
+
+
+def test_named_leaves_no_reference_cycle():
+    """A discarded model's parameters are freed at once, not at the next gc pass."""
+    model = tiny_model(seed=0)
+    gc.collect()
+    gc.disable()
+    try:
+        names = list(model.named())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert names[:2] == ["w_embed", "b_embed"] and names[2].startswith("blocks.0.")
 
 
 # --- checkpoints ------------------------------------------------------------------
@@ -371,5 +404,5 @@ def test_checkpoint_preserves_scalar_shapes(tmp_path):
     save_checkpoint(path, model.named())
     other = tiny_model(seed=32)
     load_into(other, path)
-    assert other.blocks[0].bands.raw_mu.data.shape == (other.cfg.n_bands,)
+    assert other.blocks[0].bands.raw_mu.data.shape == (len(other.cfg.band_mu_hz),)
     assert other.blocks[0].attn.raw_beta.data.shape == ()

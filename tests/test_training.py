@@ -52,7 +52,6 @@ def tiny_model(seed=0, **kw):
         n_blocks=1,
         heads=2,
         patch=4,
-        n_bands=2,
         band_mu_hz=(3.0, 7.0),
         kernel_sizes=(3, 5),
         k_top=2,
