@@ -20,9 +20,10 @@ decimal number. labels.csv maps each trial filename to its integer
 label; manifest.txt echoes the generating config. A malformed trial
 file or labels.csv row is an artifact error.
 
-Every command takes `--config`. eval and the dump commands build the
-model from it and then load the checkpoint, which must hold exactly the
-parameters that config creates.
+Every command takes `--config`, the only source of run settings; other
+flags name files or seed gen-data's trials or a check's probes. eval
+and the dump commands build the model from it and then load the
+checkpoint, which must hold exactly the parameters that config creates.
 
 eval, the dump commands and bench run their forwards under
 `te.no_grad()`: no autograd graph is built, so bench times inference
@@ -62,6 +63,7 @@ from .training import (
     INFERENCE_BATCH,
     generate_synthetic,
     smoothed_cross_entropy,
+    stratified_split,
     train,
     write_metrics,
 )
@@ -93,7 +95,8 @@ _HEADER = re.compile(
 
 def write_trial(path, signal: np.ndarray, rate: float, label: int) -> None:
     c, t = signal.shape
-    lines = [f"# channels={c} samples={t} rate={rate:g} label={int(label)}"]
+    rate_text = repr(float(rate)).removesuffix(".0")  # reads back to the same float
+    lines = [f"# channels={c} samples={t} rate={rate_text} label={int(label)}"]
     for row in signal:
         lines.append(",".join(f"{v:.17g}" for v in row))
     with open(path, "w") as fh:
@@ -248,20 +251,7 @@ def _log_row(row) -> None:
 
 def cmd_train(args) -> int:
     rc = load_config(args.config)
-    if args.epochs is not None:
-        if args.epochs < 0:
-            raise ConfigError("epochs", "must be nonnegative")
-        rc.train.epochs = args.epochs
-    if args.seed is not None:
-        rc.train.seed = args.seed
-    data_dir = args.data or rc.data_dir
-    if not data_dir:
-        raise ConfigError("data_dir", "no dataset directory given (flag or config)")
-    out = args.out or rc.checkpoint
-    if not out:
-        raise ConfigError("checkpoint", "no checkpoint path given (flag or config)")
-
-    signals, labels, rate = load_dataset(data_dir)
+    signals, labels, rate = load_dataset(args.data)
     spec = rc.data
     if abs(rate - spec.rate) > 1e-9:
         raise ConfigError("rate", f"config says {spec.rate}, dataset says {rate}")
@@ -274,6 +264,11 @@ def cmd_train(args) -> int:
     if signals.shape[2] < rc.model.patch:
         raise ConfigError(
             "patch", f"config says {rc.model.patch}, dataset trials have {signals.shape[2]} samples")
+    train_idx, _ = stratified_split(labels, rc.train.val_fraction, stream(rc.train.seed, "split"))
+    if not len(train_idx):
+        raise ConfigError(
+            "val_fraction", f"{rc.train.val_fraction} holds out all {len(labels)} trials "
+            "(at least one per class), leaving none to train on")
 
     model = init_model(model_config(rc), stream(rc.train.seed, "init"))
     if rc.train.epochs > 0:
@@ -284,11 +279,11 @@ def cmd_train(args) -> int:
         rows = []
         print("0 epochs requested: writing the initial parameters")
 
-    parent = os.path.dirname(os.path.abspath(out))
+    parent = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(parent, exist_ok=True)
-    save_checkpoint(out, model.named())
+    save_checkpoint(args.out, model.named())
     write_metrics(os.path.join(parent, "metrics.csv"), rows)
-    print(f"checkpoint {out}")
+    print(f"checkpoint {args.out}")
     return 0
 
 
@@ -605,10 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train on a dataset directory")
     p.add_argument("--config", required=True)
-    p.add_argument("--data", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--epochs", type=int, default=None, help="override config epochs; 0 dumps the initialization")
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="metrics for a checkpoint on a dataset")

@@ -1,7 +1,8 @@
 """Flat key=value run configuration shared by every command.
 
 One file drives the whole pipeline: model size, synthetic data recipe,
-optimizer settings, and artifact paths. The format is plain text, one
+optimizer settings and seed. File paths for datasets and checkpoints
+are command-line flags, never keys. The format is plain text, one
 `key = value` per line, `#` comments, so configs stay diffable. Unknown
 keys are rejected rather than ignored; a typo must not silently fall
 back to a default.
@@ -12,8 +13,8 @@ and the defaults come from those dataclasses, so each setting is
 declared once, in the class that uses it. A key is the field's name
 except where `_RENAMED` below gives another. `n_channels`, `n_classes`
 and `rate` each set a field of both the model and the data section.
-The paths `positions`, `data_dir` and `checkpoint` are keys of their
-own; electrode positions reach the model through `model_config`.
+The one path key is `positions`; electrode positions reach the model
+through `model_config`. Every number must be finite.
 
 Grouped values use commas, per-class groups are separated by
 semicolons: `class_channels = 4,5,6,7;0,1,2,3` gives class 0 the first
@@ -23,6 +24,7 @@ group and class 1 the second.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
@@ -59,14 +61,10 @@ class RunConfig:
     model: ModelConfig = field(default_factory=_default_model)
     data: SyntheticSpec = field(default_factory=lambda: replace(DEFAULT_SYNTHETIC))
     train: TrainConfig = field(default_factory=TrainConfig)
-    # paths (empty means "not set"; command-line flags take precedence)
-    positions: str = ""
-    data_dir: str = ""
-    checkpoint: str = ""
+    positions: str = ""  # electrode positions file; empty means a circle layout
 
 
 _SECTIONS = {"model": ModelConfig, "data": SyntheticSpec, "train": TrainConfig}
-_PATHS = ("positions", "data_dir", "checkpoint")
 # section field -> flat key, where the two names differ
 _RENAMED = {
     "d": "embed_dim",
@@ -95,19 +93,18 @@ def _flat(rc: RunConfig) -> dict:
     """Flat key -> value; a shared key reads its first section."""
     values = {key: getattr(getattr(rc, targets[0][0]), targets[0][1])
               for key, targets in _KEYS.items()}
-    values.update((key, getattr(rc, key)) for key in _PATHS)
+    values["positions"] = rc.positions
     return values
 
 
 def _parse_scalar(key: str, raw: str, kind: type):
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigError(key, f"expected {kind.__name__}, got {raw!r}") from None
-    return raw
+    if not math.isfinite(value):
+        raise ConfigError(key, f"must be finite, got {raw!r}")
+    return value
 
 
 def _parse_value(key: str, raw: str, default):
@@ -158,7 +155,7 @@ def parse_config(text: str) -> RunConfig:
         for section, name in targets:
             sections[section][name] = values[key]
     return RunConfig(**{name: cls(**sections[name]) for name, cls in _SECTIONS.items()},
-                     **{key: values[key] for key in _PATHS})
+                     positions=values["positions"])
 
 
 def load_config(path) -> RunConfig:

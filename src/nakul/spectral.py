@@ -104,8 +104,6 @@ def init_band_filters(
 
 def band_mask(bands: BandBank, t: int, rate: float) -> Tensor:
     """Gaussian densities over the one-sided bin frequencies; shape (T//2+1, K)."""
-    if t < 2:
-        raise ValueError("need at least two samples for a spectrum")
     freqs = (np.arange(t // 2 + 1) * (rate / t)).reshape(-1, 1)  # (F, 1)
     mu, sigma = bands.mu, bands.sigma  # (K,)
     diff = te.add(freqs, -mu)  # (F, K)

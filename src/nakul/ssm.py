@@ -8,10 +8,11 @@ K_k = C A_bar^k B_bar plus the skip term, which is what the equivalence
 tests exercise.
 
 The matrix exponential is scaling-and-squaring with a Pade order-6
-approximant. B_bar is computed from the series
-delta (I + delta A / 2! + (delta A)^2 / 3! + ...) B, truncated once the
-next term's norm drops below 1e-14, so A = 0 yields exactly delta B
-instead of hitting the singular closed form.
+approximant. One exponential gives both discrete matrices (Van Loan,
+"Computing integrals involving the matrix exponential", IEEE TAC 1978):
+exp(delta [[A, B], [0, 0]]) = [[A_bar, B_bar], [0, 1]], with
+B_bar = integral over [0, delta] of exp(s A) B ds. It never inverts A,
+so A = 0 yields exactly A_bar = I and B_bar = delta B.
 
 Everything here is plain numpy (verification plumbing, no gradients).
 causal_convolve runs the model's own depthwise convolution kernel
@@ -90,26 +91,16 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     return result
 
 
-def _b_bar_series(a: np.ndarray, b: np.ndarray, delta: float) -> np.ndarray:
-    """delta (I + dA/2! + (dA)^2/3! + ...) B, truncated at term norm 1e-14."""
-    term = delta * b
-    acc = term.copy()
-    for k in range(2, 64):
-        term = (delta / k) * (a @ term)
-        if np.linalg.norm(term) < 1e-14:
-            break
-        acc += term
-    return acc
-
-
 def discretize(p: SsmParams, delta: float) -> DiscreteSsm:
     if delta <= 0:
         raise ValueError("delta must be positive")
-    a = np.asarray(p.a, dtype=np.float64).reshape(p.n, p.n)
-    b = np.asarray(p.b, dtype=np.float64).reshape(p.n, 1)
-    c = np.array(p.c, dtype=np.float64).reshape(1, p.n)
-    a_bar = matrix_exp(delta * a)
-    b_bar = _b_bar_series(a, b, delta)
+    n = p.n
+    block = np.zeros((n + 1, n + 1))
+    block[:n, :n] = np.asarray(p.a, dtype=np.float64).reshape(n, n)
+    block[:n, n:] = np.asarray(p.b, dtype=np.float64).reshape(n, 1)
+    c = np.array(p.c, dtype=np.float64).reshape(1, n)
+    both = matrix_exp(delta * block)
+    a_bar, b_bar = both[:n, :n], both[:n, n:]
     if not (np.all(np.isfinite(a_bar)) and np.all(np.isfinite(b_bar))):
         raise FloatingPointError("discretization produced non-finite values")
     return DiscreteSsm(a_bar=a_bar, b_bar=b_bar, c=c, d_skip=float(p.d_skip), delta=delta)

@@ -235,7 +235,8 @@ def train(model: NakulModel, signals, labels, cfg: TrainConfig, log=None):
     """Full loop with schedule, early stopping, best-checkpoint restore.
 
     Returns (metrics rows, info dict); the best parameters are written
-    back into the model. Non-finite loss aborts.
+    back into the model. Non-finite loss aborts; a split that holds out
+    every trial raises ValueError.
     """
     order_rng = stream(cfg.seed, "order")
     aug_rng = stream(cfg.seed, "augmentation")
@@ -243,6 +244,8 @@ def train(model: NakulModel, signals, labels, cfg: TrainConfig, log=None):
     split_rng = stream(cfg.seed, "split")
 
     train_idx, val_idx = stratified_split(labels, cfg.val_fraction, split_rng)
+    if not len(train_idx):
+        raise ValueError("val_fraction holds out every trial; none are left to train on")
     params = model.parameters()
     state = init_adam_state(params)
     n_batches = -(-len(train_idx) // cfg.batch_size)

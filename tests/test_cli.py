@@ -126,14 +126,31 @@ def test_config_cross_field_checks(line, key):
     assert err.value.key == key
 
 
-@pytest.mark.parametrize("key", ["n_bands", "state_dim"])
+@pytest.mark.parametrize("key", ["n_bands", "state_dim", "data_dir", "checkpoint"])
 def test_removed_keys_exit_2(tmp_path, capsys, key):
-    # the band count is the number of band_centers_hz, never a key of its own
+    # the band count is the number of band_centers_hz, never a key of its own;
+    # dataset and checkpoint paths are train's --data and --out, never keys
     cfg = tmp_path / "old.cfg"
     cfg.write_text(SMALL_CFG + f"{key} = 2\n")
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
     assert f"{key}: unknown key" in capsys.readouterr().err
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("line, key", [
+    ("lr = nan", "lr"),
+    ("rate = inf", "rate"),
+    ("band_centers_hz = 3.0, nan", "band_centers_hz"),
+    ("grad_clip = inf", "grad_clip"),
+], ids=["lr", "rate", "list_element", "grad_clip"])
+def test_config_non_finite_values_exit_2(tmp_path, capsys, line, key):
+    with pytest.raises(ConfigError, match="must be finite") as err:
+        parse_config(with_line(SMALL_CFG, line))
+    assert err.value.key == key
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(with_line(SMALL_CFG, line))
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+    assert f"{key}: must be finite" in capsys.readouterr().err
 
 
 def test_default_config_is_valid():
@@ -149,10 +166,22 @@ def test_trial_file_roundtrip(tmp_path):
     signal = rng.normal(size=(3, 17))
     path = tmp_path / "t.txt"
     write_trial(path, signal, 128.0, 2)
+    assert " rate=128 " in path.read_text().splitlines()[0]  # integral rates stay short
     back, rate, label = read_trial(path)
     np.testing.assert_array_equal(back, signal)  # %.17g is exact for float64
     assert rate == 128.0
     assert label == 2
+
+
+def test_gen_data_rate_needing_many_digits_trains(tmp_path):
+    # the header keeps every digit of the rate, so train sees the config's rate
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(with_line(SMALL_CFG, "rate = 20.0000001"))
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+    _, rate, _ = read_trial(tmp_path / "d" / "trial_00000.txt")
+    assert rate == 20.0000001
+    assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "d"),
+                 "--out", str(tmp_path / "run" / "model.nakl")]) == 0
 
 
 def test_trial_file_validation(tmp_path):
@@ -287,10 +316,11 @@ def test_train_writes_checkpoint_and_metrics(workdir):
 
 
 def test_epochs_zero_writes_initialization(workdir, tmp_path):
-    cfg = workdir / "small.cfg"
+    cfg = tmp_path / "init.cfg"
+    cfg.write_text(with_line(SMALL_CFG, "epochs = 0"))
     out = tmp_path / "init" / "init.nakl"
     assert main(["train", "--config", str(cfg), "--data", str(workdir / "data"),
-                 "--out", str(out), "--epochs", "0"]) == 0
+                 "--out", str(out)]) == 0
     saved = load_checkpoint(out)
     fresh = init_model(model_config(parse_config(SMALL_CFG)), stream(1, "init"))
     for name, tensor in fresh.named().items():
@@ -404,6 +434,26 @@ def test_trials_shorter_than_a_patch_exit_cleanly(workdir, tmp_path, capsys, com
     assert not out.exists()
 
 
+def test_trials_one_patch_long_run_every_command(tmp_path, capsys):
+    # a one-patch trial has a one-bin (DC only) spectrum along the patch axis
+    cfg = tmp_path / "one_patch.cfg"
+    cfg.write_text(with_line(SMALL_CFG, "t_len = 10"))
+    data, ckpt = str(tmp_path / "data"), str(tmp_path / "run" / "model.nakl")
+    commands = [
+        ["gen-data", "--out", data],
+        ["train", "--data", data, "--out", ckpt],
+        ["eval", "--ckpt", ckpt, "--data", data],
+        ["dump-bands", "--ckpt", ckpt],
+        ["dump-kernel-weights", "--ckpt", ckpt, "--data", data],
+        ["bench", "--lengths", "10,20"],
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in commands:
+            assert main([*command, "--config", str(cfg)]) == 0, command
+    assert "length,median_seconds" in capsys.readouterr().out
+
+
 def test_predict_forwards_record_no_graph(monkeypatch):
     real_forward = cli.model_forward
     parents = []
@@ -454,6 +504,44 @@ def test_eval_non_finite_checkpoint_exits_3(workdir, tmp_path, capsys):
     assert "w_embed" in err
     assert "training" not in err
     assert "spectral" not in err
+
+
+@pytest.mark.parametrize("extra, dropped", [
+    (["--seed", "7"], None),
+    (["--epochs", "0"], None),
+    ([], "--data"),
+    ([], "--out"),
+], ids=["seed", "epochs", "no_data", "no_out"])
+def test_train_takes_exactly_config_data_and_out(workdir, tmp_path, extra, dropped):
+    # seed and epochs come from the config alone, so the config describes the run
+    out = tmp_path / "never.nakl"
+    given = {"--config": str(workdir / "small.cfg"), "--data": str(workdir / "data"),
+             "--out": str(out)}
+    given.pop(dropped, None)
+    with pytest.raises(SystemExit) as err:
+        main(["train", *[part for pair in given.items() for part in pair], *extra])
+    assert err.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines", [
+    ["trials_per_class = 1"],
+    ["trials_per_class = 2", "val_fraction = 0.9"],
+], ids=["one_trial_per_class", "large_val_fraction"])
+def test_train_empty_split_exits_2(tmp_path, capsys, lines):
+    text = SMALL_CFG
+    for line in lines:
+        text = with_line(text, line)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(text)
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+    out = tmp_path / "never.nakl"
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "d"),
+                 "--out", str(out)]) == 2
+    assert "val_fraction:" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "metrics.csv").exists()
 
 
 def test_resume_flag_absent(workdir):
@@ -549,10 +637,11 @@ def test_grad_check_catches_corrupted_backward(workdir, capsys, monkeypatch):
 
 
 def test_dump_bands_untrained_shows_init_centers(workdir, tmp_path, capsys):
+    cfg = tmp_path / "init.cfg"
+    cfg.write_text(with_line(SMALL_CFG, "epochs = 0"))
     out = tmp_path / "fresh.nakl"
-    assert main(["train", "--config", str(workdir / "small.cfg"),
-                 "--data", str(workdir / "data"), "--out", str(out),
-                 "--epochs", "0"]) == 0
+    assert main(["train", "--config", str(cfg),
+                 "--data", str(workdir / "data"), "--out", str(out)]) == 0
     capsys.readouterr()
     assert main(["dump-bands", "--ckpt", str(out),
                  "--config", str(workdir / "small.cfg")]) == 0

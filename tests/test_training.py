@@ -410,6 +410,13 @@ def val_arrays(seed):
     return signals[val_idx], labels[val_idx]
 
 
+def test_empty_training_split_raises():
+    # one trial per class: the split keeps at least one per class for validation
+    signals, labels = generate_synthetic(tiny_spec(trials_per_class=1), seed=11)
+    with pytest.raises(ValueError, match="val_fraction"):
+        train(tiny_model(), signals, labels, TrainConfig(epochs=1, batch_size=8))
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_nonfinite_loss_aborts():
     spec = tiny_spec()
