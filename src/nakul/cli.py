@@ -17,17 +17,21 @@ Trial file format: a header line
     # channels=<C> samples=<T> rate=<Hz> label=<int>
 followed by C lines of T comma-separated floats; <Hz> is an unsigned
 decimal number. labels.csv maps each trial filename to its integer
-label; manifest.txt echoes the generating config. A malformed trial
-file or labels.csv row is an artifact error.
+label; manifest.txt is a `# gen-data --seed <n>` line followed by the
+generating config, unchanged. A malformed trial file or labels.csv row
+is an artifact error. A dataset that disagrees with the config (rate,
+channel or class count, trials shorter than one patch) is a
+configuration error naming the key, in every command that reads one.
 
 Every command takes `--config`, the only source of run settings; other
 flags name files or seed gen-data's trials or a check's probes. eval
 and the dump commands build the model from it and then load the
 checkpoint, which must hold exactly the parameters that config creates.
 
-eval, the dump commands and bench run their forwards under
-`te.no_grad()`: no autograd graph is built, so bench times inference
-forwards.
+eval, the dump commands and validation inside train all run
+`training.forward_batches`, one `te.no_grad()` forward per batch of
+trials; bench times `te.no_grad()` forwards of its own. No autograd
+graph is built in any of them.
 
 Resuming an interrupted run is not supported; train always starts from
 a fresh initialization.
@@ -60,7 +64,7 @@ from .rng import stream
 from .spectral import init_band_filters, spectral_mix
 from .tensor import Tensor
 from .training import (
-    INFERENCE_BATCH,
+    forward_batches,
     generate_synthetic,
     smoothed_cross_entropy,
     stratified_split,
@@ -189,43 +193,40 @@ def load_dataset(data_dir):
     return np.stack(signals), np.asarray(labels, dtype=np.int64), rates.pop()
 
 
-# --- checkpoint loading ----------------------------------------------------------------
+# --- dataset and checkpoint loading ---------------------------------------------------
 
 
-def _load_model_for(args, signals: np.ndarray | None = None, data_rate: float | None = None):
-    """Model for eval/dump commands, built from `--config` and then loaded.
+def _check_dataset(mc, signals: np.ndarray, labels: np.ndarray, rate: float) -> None:
+    """ConfigError naming the key of model config `mc` that the dataset disagrees with."""
+    if abs(rate - mc.sample_rate) > 1e-9:
+        raise ConfigError("rate", f"config says {mc.sample_rate}, dataset says {rate}")
+    if signals.shape[1] != mc.n_channels:
+        raise ConfigError(
+            "n_channels", f"config says {mc.n_channels}, dataset has {signals.shape[1]}")
+    if labels.max() >= mc.n_classes:
+        raise ConfigError(
+            "n_classes", f"config says {mc.n_classes}, dataset has label {labels.max()}")
+    if signals.shape[2] < mc.patch:
+        raise ConfigError(
+            "patch", f"config says {mc.patch}, dataset trials have {signals.shape[2]} samples")
 
-    With a dataset (`signals` and its rate), the config's rate and the
-    model's channel count must match it, and its trials must cover one
-    patch.
+
+def _load_model(args):
+    """(model, dataset or None) for eval and the dumps.
+
+    The model is built from `--config`, checked against the `--data`
+    dataset when one is given, and then loaded from `--ckpt`.
     """
-    rc = load_config(args.config)
-    if signals is not None and abs(rc.data.rate - data_rate) > 1e-9:
-        raise ConfigError("rate", f"config says {rc.data.rate}, dataset says {data_rate}")
-    model = init_model(model_config(rc), np.random.default_rng(0))
+    dataset = load_dataset(args.data) if args.data else None
+    mc = model_config(load_config(args.config))
+    if dataset is not None:
+        _check_dataset(mc, *dataset)
+    model = init_model(mc, np.random.default_rng(0))
     try:
         load_into(model, args.ckpt)
     except (OSError, ValueError) as exc:
         raise ArtifactError(f"{args.ckpt}: {exc}") from None
-    if signals is not None and signals.shape[1] != model.graph.n_channels:
-        raise ArtifactError(
-            f"dataset has {signals.shape[1]} channels, model expects "
-            f"{model.graph.n_channels}")
-    if signals is not None and signals.shape[2] < model.cfg.patch:
-        raise ArtifactError(
-            f"dataset trials have {signals.shape[2]} samples, model patches are "
-            f"{model.cfg.patch}")
-    return model
-
-
-def _predict(model, signals, batch_size: int = INFERENCE_BATCH) -> np.ndarray:
-    """Predicted class per trial; forwards run under `te.no_grad()`."""
-    out = []
-    for lo in range(0, len(signals), batch_size):
-        with te.no_grad():
-            logits = model_forward(model, signals[lo : lo + batch_size])
-        out.append(np.argmax(logits.data, axis=-1))
-    return np.concatenate(out)
+    return model, dataset
 
 
 # --- commands --------------------------------------------------------------------
@@ -233,10 +234,10 @@ def _predict(model, signals, batch_size: int = INFERENCE_BATCH) -> np.ndarray:
 
 def cmd_gen_data(args) -> int:
     rc = load_config(args.config)
-    rc.train.seed = args.seed
     spec = rc.data
     signals, labels = generate_synthetic(spec, seed=args.seed)
-    names = save_dataset(args.out, signals, labels, spec.rate, config_text(rc))
+    manifest = f"# gen-data --seed {args.seed}\n" + config_text(rc)
+    names = save_dataset(args.out, signals, labels, spec.rate, manifest)
     print(f"wrote {len(names)} trials ({spec.n_classes} classes, "
           f"{spec.n_channels} channels, {spec.t_len} samples at {spec.rate:g} Hz) "
           f"to {args.out}")
@@ -252,25 +253,22 @@ def _log_row(row) -> None:
 def cmd_train(args) -> int:
     rc = load_config(args.config)
     signals, labels, rate = load_dataset(args.data)
-    spec = rc.data
-    if abs(rate - spec.rate) > 1e-9:
-        raise ConfigError("rate", f"config says {spec.rate}, dataset says {rate}")
-    if signals.shape[1] != spec.n_channels:
-        raise ConfigError(
-            "n_channels", f"config says {spec.n_channels}, dataset has {signals.shape[1]}")
-    if labels.max() >= spec.n_classes:
-        raise ConfigError(
-            "n_classes", f"config says {spec.n_classes}, dataset has label {labels.max()}")
-    if signals.shape[2] < rc.model.patch:
-        raise ConfigError(
-            "patch", f"config says {rc.model.patch}, dataset trials have {signals.shape[2]} samples")
+    mc = model_config(rc)
+    _check_dataset(mc, signals, labels, rate)
     train_idx, _ = stratified_split(labels, rc.train.val_fraction, stream(rc.train.seed, "split"))
     if not len(train_idx):
         raise ConfigError(
             "val_fraction", f"{rc.train.val_fraction} holds out all {len(labels)} trials "
             "(at least one per class), leaving none to train on")
+    if os.path.isdir(args.out) or not os.path.basename(args.out):
+        raise ArtifactError(f"--out {args.out} names a directory; name the checkpoint file")
+    parent = os.path.dirname(os.path.abspath(args.out))
+    try:
+        os.makedirs(parent, exist_ok=True)
+    except OSError as exc:
+        raise ArtifactError(f"cannot create {parent}: {exc}") from None
 
-    model = init_model(model_config(rc), stream(rc.train.seed, "init"))
+    model = init_model(mc, stream(rc.train.seed, "init"))
     if rc.train.epochs > 0:
         rows, info = train(model, signals, labels, rc.train, log=_log_row)
         print(f"best epoch {info['best_epoch']}: val_acc {info['best_val_acc']:.4f} "
@@ -279,8 +277,6 @@ def cmd_train(args) -> int:
         rows = []
         print("0 epochs requested: writing the initial parameters")
 
-    parent = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(parent, exist_ok=True)
     save_checkpoint(args.out, model.named())
     write_metrics(os.path.join(parent, "metrics.csv"), rows)
     print(f"checkpoint {args.out}")
@@ -303,12 +299,10 @@ def _f1_scores(matrix: np.ndarray) -> np.ndarray:
 
 
 def cmd_eval(args) -> int:
-    signals, labels, rate = load_dataset(args.data)
-    model = _load_model_for(args, signals, rate)
+    model, (signals, labels, _) = _load_model(args)
     n = model.cfg.n_classes
-    if labels.max() >= n:
-        raise ArtifactError(f"dataset has label {labels.max()}, model has {n} classes")
-    preds = _predict(model, signals)
+    preds = np.concatenate([np.argmax(logits.data, axis=-1)
+                            for _, _, logits, _ in forward_batches(model, signals)])
     matrix = _confusion(labels, preds, n)
     f1 = _f1_scores(matrix)
     print("metric,value")
@@ -496,60 +490,40 @@ def cmd_grad_check(args) -> int:
 # --- analysis dumps ---------------------------------------------------------------
 
 
-def _dump_probe(args):
-    """(model, probe batch) for dump commands; data dir preferred over noise."""
-    if getattr(args, "data", None):
-        signals, _, rate = load_dataset(args.data)
-        return _load_model_for(args, signals, rate), signals
-    # no data given: seeded white-noise probe, flat in frequency
-    model = _load_model_for(args)
-    cfg = model.cfg
-    probe = stream(args.seed, "data").normal(
-        size=(16, cfg.n_channels, 8 * cfg.patch))
-    return model, probe
-
-
 def cmd_dump_bands(args) -> int:
-    model, probe = _dump_probe(args)
-    k = len(model.cfg.band_mu_hz)
+    model, dataset = _load_model(args)
+    cfg = model.cfg
+    if dataset is None:  # seeded white-noise probe, flat in frequency
+        probe = stream(args.seed, "data").normal(size=(16, cfg.n_channels, 8 * cfg.patch))
+    else:
+        probe = dataset[0]
+    k = len(cfg.band_mu_hz)
     gates = [[] for _ in model.blocks]  # per block, each batch's (rows, K) gates
-    for lo in range(0, len(probe), INFERENCE_BATCH):
-        diags = []
-        with te.no_grad():
-            model_forward(model, probe[lo : lo + INFERENCE_BATCH], diags=diags)
+    for _, _, _, diags in forward_batches(model, probe, diags=True):
         for per_block, diag in zip(gates, diags):
             per_block.append(diag["band_gates"].data.reshape(-1, k))
-    patch = model.cfg.patch
     print("band_index,mu_hz,sigma_hz,mean_alpha")
     for b_i, (blk, per_block) in enumerate(zip(model.blocks, gates)):
         mean_gates = np.concatenate(per_block).mean(axis=0)  # over every trial
-        mu_hz = blk.bands.mu.data * patch
-        sigma_hz = blk.bands.sigma.data * patch
+        mu_hz = blk.bands.mu.data * cfg.patch
+        sigma_hz = blk.bands.sigma.data * cfg.patch
         for j in range(k):
             print(f"{b_i * k + j},{mu_hz[j]:.10g},{sigma_hz[j]:.10g},{mean_gates[j]:.10g}")
     return 0
 
 
 def cmd_dump_kernel_weights(args) -> int:
-    signals, _, rate = load_dataset(args.data)
-    model = _load_model_for(args, signals, rate)
+    model, (signals, _, _) = _load_model(args)
     sizes = model.cfg.kernel_sizes
-    header = "sample," + ",".join(f"alpha_{s}" for s in sizes) + ",variance,entropy"
-    print(header)
-    row_id = 0
-    for lo in range(0, len(signals), INFERENCE_BATCH):
-        batch = signals[lo : lo + INFERENCE_BATCH]
-        diags = []
-        with te.no_grad():
-            model_forward(model, batch, diags=diags)
+    print("sample," + ",".join(f"alpha_{s}" for s in sizes) + ",variance,entropy")
+    for lo, hi, _, diags in forward_batches(model, signals, diags=True):
         # average the per-channel values over channels and blocks
         alpha = np.mean([d["kernel_weights"].data for d in diags], axis=0).mean(axis=1)
         variance = np.mean([d["variance"].data for d in diags], axis=0).mean(axis=1)
         entropy = np.mean([d["entropy"].data for d in diags], axis=0).mean(axis=1)
-        for b in range(len(batch)):
+        for b in range(hi - lo):
             cells = ",".join(f"{v:.10g}" for v in alpha[b])
-            print(f"{row_id},{cells},{variance[b]:.10g},{entropy[b]:.10g}")
-            row_id += 1
+            print(f"{lo + b},{cells},{variance[b]:.10g},{entropy[b]:.10g}")
     return 0
 
 
@@ -586,6 +560,19 @@ def cmd_bench(args) -> int:
 # --- entry point ------------------------------------------------------------------
 
 
+def _count(lowest: int):
+    """argparse type: an int no smaller than `lowest`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nakul",
@@ -595,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="write a synthetic dataset")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train on a dataset directory")
@@ -612,15 +599,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-check", help="backward pass versus finite differences")
     p.add_argument("--config", required=True)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_count(1), default=50)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("dump-bands", help="band centers, widths, mean gates as CSV")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", default=None, help="probe dataset; omitted, a seeded white-noise probe at the config's rate is used")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.set_defaults(func=cmd_dump_bands)
 
     p = sub.add_parser("dump-kernel-weights", help="per-sample kernel mixtures as CSV")
@@ -636,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", required=True)
     p.add_argument("--lengths", default="128,256,512,1024,2048")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.set_defaults(func=cmd_bench)
     return parser
 

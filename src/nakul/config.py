@@ -177,13 +177,11 @@ def validate(values: dict) -> None:
 
     for key in ("embed_dim", "n_blocks", "heads", "k_top", "patch",
                 "ffn_mult", "head_hidden", "n_channels", "n_classes", "t_len",
-                "trials_per_class", "epochs", "batch_size", "patience"):
-        value = getattr(rc, key)
-        if key == "epochs":
-            if value < 0:
-                raise ConfigError(key, f"must be nonnegative, got {value}")
-        else:
-            positive(key, value)
+                "trials_per_class", "batch_size", "patience"):
+        positive(key, getattr(rc, key))
+    for key in ("epochs", "seed"):
+        if getattr(rc, key) < 0:
+            raise ConfigError(key, f"must be nonnegative, got {getattr(rc, key)}")
     for key in ("rate", "lr", "grad_clip", "band_width_hz", "band_floor_hz"):
         positive(key, getattr(rc, key))
     if rc.band_width_hz <= rc.band_floor_hz:

@@ -260,13 +260,7 @@ class Tensor:
 def _wrap(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    out = Tensor.__new__(Tensor)
-    out.data = np.asarray(x, dtype=np.float64)
-    out.grad = None
-    out.requires_grad = False
-    out._prev = ()
-    out._backward = None
-    return out
+    return Tensor._result(np.asarray(x, dtype=np.float64), (), None)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

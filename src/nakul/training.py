@@ -29,6 +29,7 @@ __all__ = [
     "augment",
     "generate_synthetic",
     "stratified_split",
+    "forward_batches",
     "evaluate",
     "train",
     "write_metrics",
@@ -216,19 +217,27 @@ def stratified_split(labels: np.ndarray, fraction: float, rng: np.random.Generat
     return np.flatnonzero(mask), val
 
 
+def forward_batches(model: NakulModel, signals, batch_size: int = INFERENCE_BATCH,
+                    diags: bool = False):
+    """Yields (lo, hi, logits, per-block diags or None), one `te.no_grad()` forward per batch."""
+    for lo in range(0, len(signals), batch_size):
+        hi = min(lo + batch_size, len(signals))
+        block_diags = [] if diags else None
+        with te.no_grad():
+            logits = model_forward(model, signals[lo:hi], diags=block_diags)
+        yield lo, hi, logits, block_diags
+
+
 def evaluate(model: NakulModel, signals, labels, eps: float = 0.1,
              batch_size: int = INFERENCE_BATCH):
     """Deterministic loss and accuracy over a dataset, with no autograd graph."""
-    losses, hits, count = [], 0, 0
-    for lo in range(0, len(labels), batch_size):
-        hi = min(lo + batch_size, len(labels))
-        with te.no_grad():
-            logits = model_forward(model, signals[lo:hi])
-            loss = smoothed_cross_entropy(logits, labels[lo:hi], eps=eps)
+    losses, hits = [], 0
+    for lo, hi, logits, _ in forward_batches(model, signals, batch_size):
+        # logits record no parents, so the loss builds no graph either
+        loss = smoothed_cross_entropy(logits, labels[lo:hi], eps=eps)
         losses.append(loss.item() * (hi - lo))
         hits += int((logits.data.argmax(axis=-1) == labels[lo:hi]).sum())
-        count += hi - lo
-    return sum(losses) / count, hits / count
+    return sum(losses) / len(labels), hits / len(labels)
 
 
 def train(model: NakulModel, signals, labels, cfg: TrainConfig, log=None):

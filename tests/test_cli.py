@@ -10,11 +10,11 @@ import pytest
 
 import nakul.cli as cli
 import nakul.tensor as te_mod
+import nakul.training as training
 from nakul.cli import (
     ArtifactError,
     _confusion,
     _f1_scores,
-    _predict,
     load_dataset,
     main,
     read_trial,
@@ -281,10 +281,10 @@ def test_gen_data_deterministic_and_manifest(workdir, tmp_path):
     a = (workdir / "data" / "trial_00003.txt").read_bytes()
     b = (tmp_path / "again" / "trial_00003.txt").read_bytes()
     assert a == b
-    manifest = parse_config((workdir / "data" / "manifest.txt").read_text())
-    want = parse_config(SMALL_CFG)
-    want.train.seed = 3
-    assert manifest == want
+    # the manifest records the data seed in a comment and the config as given
+    manifest = (workdir / "data" / "manifest.txt").read_text()
+    assert manifest.splitlines()[0] == "# gen-data --seed 3"
+    assert parse_config(manifest) == parse_config(SMALL_CFG)
 
 
 def test_gen_data_seed_changes_content(workdir, tmp_path):
@@ -348,11 +348,20 @@ def test_eval_output_shape(workdir, capsys):
         assert sum(int(v) for v in row[1:]) == 12
 
 
-def test_eval_channel_mismatch_exits_4(workdir, tmp_path, capsys):
+def test_eval_channel_mismatch_exits_2(workdir, tmp_path, capsys):
     signals = np.zeros((4, 3, 80))  # three channels, model expects four
     save_dataset(tmp_path / "skinny", signals, np.array([0, 1, 0, 1]), 20.0, "m")
     assert main(["eval", "--ckpt", str(workdir / "run" / "model.nakl"),
-                 "--data", str(tmp_path / "skinny"), "--config", str(workdir / "small.cfg")]) == 4
+                 "--data", str(tmp_path / "skinny"), "--config", str(workdir / "small.cfg")]) == 2
+    assert "n_channels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "dump-bands", "dump-kernel-weights"])
+def test_dataset_label_beyond_classes_exits_2(workdir, tmp_path, capsys, command):
+    save_dataset(tmp_path / "d", np.zeros((3, 4, 80)), np.array([0, 1, 2]), 20.0, "m")
+    assert main([command, "--ckpt", str(workdir / "run" / "model.nakl"),
+                 "--data", str(tmp_path / "d"), "--config", str(workdir / "small.cfg")]) == 2
+    assert "n_classes" in capsys.readouterr().err
 
 
 def test_eval_bad_checkpoint_exits_4(workdir):
@@ -420,7 +429,7 @@ def test_truncated_checkpoint_exits_4(workdir, tmp_path, capsys, cut):
 
 
 @pytest.mark.parametrize("command,code", [
-    ("train", 2), ("eval", 4), ("dump-bands", 4), ("dump-kernel-weights", 4)])
+    ("train", 2), ("eval", 2), ("dump-bands", 2), ("dump-kernel-weights", 2)])
 def test_trials_shorter_than_a_patch_exit_cleanly(workdir, tmp_path, capsys, command, code):
     data = tmp_path / "short"  # 9 samples per trial; SMALL_CFG patches are 10
     save_dataset(data, np.zeros((4, 4, 9)), np.array([0, 1, 0, 1]), 20.0, "m")
@@ -454,8 +463,12 @@ def test_trials_one_patch_long_run_every_command(tmp_path, capsys):
     assert "length,median_seconds" in capsys.readouterr().out
 
 
-def test_predict_forwards_record_no_graph(monkeypatch):
-    real_forward = cli.model_forward
+@pytest.mark.parametrize("command, data", [
+    ("eval", True), ("dump-bands", True), ("dump-bands", False),
+    ("dump-kernel-weights", True),
+], ids=["eval", "dump-bands-data", "dump-bands-noise", "dump-kernel-weights"])
+def test_inference_commands_record_no_graph(workdir, monkeypatch, command, data):
+    real_forward = training.model_forward
     parents = []
 
     def forward(*args, **kwargs):
@@ -463,11 +476,11 @@ def test_predict_forwards_record_no_graph(monkeypatch):
         parents.append((logits._prev, logits.requires_grad))
         return logits
 
-    monkeypatch.setattr(cli, "model_forward", forward)
-    model = init_model(model_config(parse_config(SMALL_CFG)), stream(1, "init"))
-    signals = np.random.default_rng(2).normal(size=(12, 4, 80))
-    _predict(model, signals, batch_size=5)
-    assert parents == [((), False)] * 3
+    monkeypatch.setattr(training, "model_forward", forward)
+    given = ["--data", str(workdir / "data")] if data else []
+    assert main([command, "--ckpt", str(workdir / "run" / "model.nakl"), *given,
+                 "--config", str(workdir / "small.cfg")]) == 0
+    assert parents and parents == [((), False)] * len(parents)
 
 
 def _live_tensors() -> int:
@@ -542,6 +555,58 @@ def test_train_empty_split_exits_2(tmp_path, capsys, lines):
     assert "val_fraction:" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_train_negative_seed_exits_2(workdir, tmp_path, capsys):
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text(with_line(SMALL_CFG, "seed = -1"))
+    out = tmp_path / "never.nakl"
+    assert main(["train", "--config", str(cfg), "--data", str(workdir / "data"),
+                 "--out", str(out)]) == 2
+    assert "seed: must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "grad-check", "dump-bands", "bench"])
+def test_negative_seed_flags_exit_2(workdir, tmp_path, capsys, command):
+    rest = {"gen-data": ["--out", str(tmp_path / "never")],
+            "dump-bands": ["--ckpt", str(workdir / "run" / "model.nakl")]}.get(command, [])
+    with pytest.raises(SystemExit) as err:
+        main([command, "--config", str(workdir / "small.cfg"), *rest, "--seed", "-1"])
+    assert err.value.code == 2
+    assert "--seed: must be at least 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_grad_check_samples_below_one_exit_2(workdir, capsys, samples):
+    with pytest.raises(SystemExit) as err:
+        main(["grad-check", "--config", str(workdir / "small.cfg"), "--samples", samples])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "--samples: must be at least 1" in captured.err
+    assert "pass" not in captured.out
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "trailing_slash"])
+def test_train_out_directory_exits_4(workdir, tmp_path, capsys, monkeypatch, existing):
+    trained, real_train = [], cli.train
+
+    def train(*args, **kwargs):
+        trained.append(1)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", train)
+    out = str(tmp_path / "runs") + os.sep
+    if existing:
+        os.mkdir(out)
+        out = out.rstrip(os.sep)
+    assert main(["train", "--config", str(workdir / "small.cfg"),
+                 "--data", str(workdir / "data"), "--out", out]) == 4
+    assert f"--out {out} names a directory" in capsys.readouterr().err
+    assert trained == []
+    # no checkpoint, no metrics.csv, nothing created
+    assert [p.name for p in tmp_path.rglob("*")] == (["runs"] if existing else [])
 
 
 def test_resume_flag_absent(workdir):

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from nakul import tensor as te
 from nakul import training
 from nakul.model import ModelConfig, init_model, model_forward
 from nakul.rng import stream
@@ -16,6 +17,7 @@ from nakul.training import (
     adamw_step,
     augment,
     evaluate,
+    forward_batches,
     generate_synthetic,
     init_adam_state,
     onecycle_lr,
@@ -474,6 +476,25 @@ def test_evaluate_bitwise_equal_to_grad_mode_loop():
         hits += int((logits.data.argmax(axis=-1) == labels[lo : lo + 5]).sum())
     assert evaluate(model, signals, labels, eps=0.1, batch_size=5) == (
         sum(losses) / len(labels), hits / len(labels))
+
+
+@pytest.mark.parametrize("diags", [False, True])
+def test_forward_batches_cover_every_trial_once(diags):
+    signals, _ = generate_synthetic(tiny_spec(), seed=15)  # 24 trials
+    model = tiny_model(seed=9)
+    seen = []
+    for lo, hi, logits, block_diags in forward_batches(model, signals, 10, diags=diags):
+        seen.append((lo, hi))
+        assert te._GRAD["enabled"]  # the caller's loop body runs outside no_grad
+        assert logits.shape == (hi - lo, 2) and logits._prev == ()
+        want = model_forward(model, signals[lo:hi]).data
+        np.testing.assert_array_equal(logits.data, want)
+        if diags:
+            assert len(block_diags) == 1
+            assert block_diags[0]["kernel_weights"].shape[0] == hi - lo
+        else:
+            assert block_diags is None
+    assert seen == [(0, 10), (10, 20), (20, 24)]
 
 
 def test_training_step_after_evaluate_gets_every_gradient():
