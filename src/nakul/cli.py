@@ -49,7 +49,7 @@ import time
 import numpy as np
 
 from . import tensor as te
-from .config import ConfigError, RunConfig, config_text, load_config, model_config
+from .config import ConfigError, RunConfig, config_text, load_config
 from .dynamic import dynamic_mix, init_kernel_bank, init_meta_network
 from .graph import build_graph, circle_layout, init_spatial_attention, topk_masked_attention
 from .model import (
@@ -218,7 +218,7 @@ def _load_model(args):
     dataset when one is given, and then loaded from `--ckpt`.
     """
     dataset = load_dataset(args.data) if args.data else None
-    mc = model_config(load_config(args.config))
+    mc = load_config(args.config).model
     if dataset is not None:
         _check_dataset(mc, *dataset)
     model = init_model(mc, np.random.default_rng(0))
@@ -253,7 +253,7 @@ def _log_row(row) -> None:
 def cmd_train(args) -> int:
     rc = load_config(args.config)
     signals, labels, rate = load_dataset(args.data)
-    mc = model_config(rc)
+    mc = rc.model
     _check_dataset(mc, signals, labels, rate)
     train_idx, _ = stratified_split(labels, rc.train.val_fraction, stream(rc.train.seed, "split"))
     if not len(train_idx):
@@ -415,7 +415,7 @@ def _check_graph(rng):
 
 def _probe_model(rc: RunConfig, rng):
     """Config-sized model on a short probe batch (2 patches); no rng, so no train-time noise."""
-    mc = model_config(rc)
+    mc = rc.model
     model = init_model(mc, rng)
     x = rng.normal(size=(2, mc.n_channels, 2 * mc.patch))
     labels = rng.integers(0, mc.n_classes, size=2)
@@ -539,7 +539,7 @@ def cmd_bench(args) -> int:
     mc = rc.model
     if not lengths or any(n < mc.patch for n in lengths):
         raise ConfigError("lengths", f"each length must cover one patch of {mc.patch}")
-    model = init_model(model_config(rc), stream(rc.train.seed, "init"))
+    model = init_model(mc, stream(rc.train.seed, "init"))
     data_rng = stream(args.seed, "data")
     print("length,median_seconds,flop_estimate")
     for n in lengths:

@@ -13,12 +13,14 @@ and the defaults come from those dataclasses, so each setting is
 declared once, in the class that uses it. A key is the field's name
 except where `_RENAMED` below gives another. `n_channels`, `n_classes`
 and `rate` each set a field of both the model and the data section.
-The one path key is `positions`; electrode positions reach the model
-through `model_config`. Every number must be finite.
+Config files hold values only; every file is named by a flag. Every
+number must be finite.
 
-Grouped values use commas, per-class groups are separated by
-semicolons: `class_channels = 4,5,6,7;0,1,2,3` gives class 0 the first
-group and class 1 the second.
+Grouped values use commas, groups are separated by semicolons:
+`class_channels = 4,5,6,7;0,1,2,3` gives class 0 the first group and
+class 1 the second. `positions = x,y,z; x,y,z; ...` gives each channel's
+electrode position in metres, in channel order; left empty, the
+electrodes sit on a circle.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import math
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
-from .graph import read_positions
 from .model import ModelConfig
 from .training import DEFAULT_SYNTHETIC, SyntheticSpec, TrainConfig
 
@@ -38,7 +39,6 @@ __all__ = [
     "parse_config",
     "load_config",
     "config_text",
-    "model_config",
 ]
 
 
@@ -61,7 +61,6 @@ class RunConfig:
     model: ModelConfig = field(default_factory=_default_model)
     data: SyntheticSpec = field(default_factory=lambda: replace(DEFAULT_SYNTHETIC))
     train: TrainConfig = field(default_factory=TrainConfig)
-    positions: str = ""  # electrode positions file; empty means a circle layout
 
 
 _SECTIONS = {"model": ModelConfig, "data": SyntheticSpec, "train": TrainConfig}
@@ -81,8 +80,7 @@ def _key_table() -> dict:
     keys = {}
     for section, cls in _SECTIONS.items():
         for f in dataclasses.fields(cls):
-            if f.name != "positions":  # an array, read from the `positions` path
-                keys.setdefault(_RENAMED.get(f.name, f.name), []).append((section, f.name))
+            keys.setdefault(_RENAMED.get(f.name, f.name), []).append((section, f.name))
     return keys
 
 
@@ -91,10 +89,8 @@ _KEYS = _key_table()
 
 def _flat(rc: RunConfig) -> dict:
     """Flat key -> value; a shared key reads its first section."""
-    values = {key: getattr(getattr(rc, targets[0][0]), targets[0][1])
-              for key, targets in _KEYS.items()}
-    values["positions"] = rc.positions
-    return values
+    return {key: getattr(getattr(rc, targets[0][0]), targets[0][1])
+            for key, targets in _KEYS.items()}
 
 
 def _parse_scalar(key: str, raw: str, kind: type):
@@ -108,27 +104,26 @@ def _parse_scalar(key: str, raw: str, kind: type):
 
 
 def _parse_value(key: str, raw: str, default):
-    if isinstance(default, str):
-        return raw
-    if isinstance(default, bool):  # before int: bool is an int subtype
-        raise ConfigError(key, "boolean keys are not supported")
-    if isinstance(default, (int, float)) and not isinstance(default, tuple):
+    """A number, a comma list, or groups of comma lists; `default` says which.
+
+    A tuple default that is empty or holds tuples reads groups, and an
+    empty value is no groups.
+    """
+    if not isinstance(default, tuple):
         return _parse_scalar(key, raw, type(default))
-    if isinstance(default, tuple):
-        if default and isinstance(default[0], tuple):
-            elem = type(default[0][0]) if default[0] else float
-            groups = []
-            for part in raw.split(";"):
-                part = part.strip()
-                items = [p for p in part.split(",") if p.strip()]
-                groups.append(tuple(_parse_scalar(key, p.strip(), elem) for p in items))
-            return tuple(groups)
-        elem = type(default[0]) if default else float
+    if default and not isinstance(default[0], tuple):
         items = [p for p in raw.split(",") if p.strip()]
         if not items:
             raise ConfigError(key, "expected at least one value")
-        return tuple(_parse_scalar(key, p.strip(), elem) for p in items)
-    raise ConfigError(key, "unsupported value type")  # pragma: no cover
+        return tuple(_parse_scalar(key, p.strip(), type(default[0])) for p in items)
+    if not raw:
+        return ()
+    elem = type(default[0][0]) if default and default[0] else float
+    groups = []
+    for part in raw.split(";"):
+        items = [p for p in part.split(",") if p.strip()]
+        groups.append(tuple(_parse_scalar(key, p.strip(), elem) for p in items))
+    return tuple(groups)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -154,8 +149,7 @@ def parse_config(text: str) -> RunConfig:
     for key, targets in _KEYS.items():
         for section, name in targets:
             sections[section][name] = values[key]
-    return RunConfig(**{name: cls(**sections[name]) for name, cls in _SECTIONS.items()},
-                     positions=values["positions"])
+    return RunConfig(**{name: cls(**sections[name]) for name, cls in _SECTIONS.items()})
 
 
 def load_config(path) -> RunConfig:
@@ -192,8 +186,6 @@ def validate(values: dict) -> None:
         raise ConfigError("heads", f"must divide embed_dim={rc.embed_dim}, got {rc.heads}")
     if rc.t_len < rc.patch:
         raise ConfigError("t_len", f"must cover at least one patch of {rc.patch}")
-    if any(m <= 0 for m in rc.band_centers_hz):
-        raise ConfigError("band_centers_hz", "centers must be positive")
     if not rc.kernel_sizes or any(k < 1 for k in rc.kernel_sizes):
         raise ConfigError("kernel_sizes", "need at least one size >= 1")
     if len(rc.class_bands) != rc.n_classes:
@@ -209,6 +201,10 @@ def validate(values: dict) -> None:
             if not 0.0 < f < nyquist:
                 raise ConfigError(
                     "class_bands", f"center {f} Hz not inside (0, {nyquist}) Hz")
+    for m in rc.band_centers_hz:
+        if not 0.0 < m < nyquist:
+            raise ConfigError(
+                "band_centers_hz", f"center {m} Hz not inside (0, {nyquist}) Hz")
     for group in rc.class_channels:
         if not group:
             raise ConfigError("class_channels", "every class needs a channel")
@@ -216,6 +212,12 @@ def validate(values: dict) -> None:
             if not 0 <= ch < rc.n_channels:
                 raise ConfigError(
                     "class_channels", f"channel {ch} outside 0..{rc.n_channels - 1}")
+    if rc.positions and len(rc.positions) != rc.n_channels:
+        raise ConfigError(
+            "positions", f"{len(rc.positions)} electrodes for n_channels={rc.n_channels}")
+    for group in rc.positions:
+        if len(group) != 3:
+            raise ConfigError("positions", f"expected x,y,z for each electrode, got {group}")
     if rc.noise_sigma < 0:
         raise ConfigError("noise_sigma", "must be nonnegative")
     if rc.tone_amp <= 0:
@@ -254,17 +256,3 @@ def config_text(rc: RunConfig) -> str:
     lines = [f"{key} = {_format_value(value)}" for key, value in _flat(rc).items()]
     return "\n".join(lines) + "\n"
 
-
-def model_config(rc: RunConfig) -> ModelConfig:
-    """The model section, with electrode positions from the `positions` file."""
-    positions = None
-    if rc.positions:
-        try:
-            _, positions = read_positions(rc.positions)
-        except (OSError, ValueError) as exc:
-            raise ConfigError("positions", str(exc)) from None
-        if positions.shape[0] != rc.model.n_channels:
-            raise ConfigError(
-                "positions",
-                f"file has {positions.shape[0]} electrodes, expected {rc.model.n_channels}")
-    return replace(rc.model, positions=positions)

@@ -41,7 +41,6 @@ __all__ = [
     "SpatialAttention",
     "build_graph",
     "circle_layout",
-    "read_positions",
     "drop_edges",
     "graph_conv",
     "spatial_biases",
@@ -72,7 +71,7 @@ class SpatialAttention:
     w_bias: Tensor  # (D, H*C), head h's readout in columns h*C .. h*C+C-1
     raw_beta: Tensor  # scalar, temperature = softplus(raw_beta)
     heads: int
-    k_top: int = 16
+    k_top: int
 
     @property
     def beta(self) -> Tensor:
@@ -109,28 +108,6 @@ def circle_layout(c: int, radius: float = 0.09) -> np.ndarray:
     return np.stack(
         [radius * np.cos(angles), radius * np.sin(angles), np.zeros(c)], axis=1
     )
-
-
-def read_positions(path) -> tuple[list, np.ndarray]:
-    """Parse a positions file: one `name x y z` line per channel, # comments."""
-    names, rows = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, *coords = line.split()
-            try:
-                x, y, z = (float(v) for v in coords)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected 'name x y z'") from None
-            names.append(name)
-            rows.append([x, y, z])
-    if not rows:
-        raise ValueError(f"{path}: no channels found")
-    if not np.isfinite(rows).all():
-        raise ValueError(f"{path}: positions must be finite")
-    return names, np.asarray(rows, dtype=np.float64)
 
 
 def drop_edges(g: ElectrodeGraph, rate: float, rng: np.random.Generator) -> ElectrodeGraph:

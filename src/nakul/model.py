@@ -16,6 +16,12 @@ Band-filter centers are specified in source-signal hertz and rescaled
 by 1/P to the patch sequence rate, preserving band ordering inside the
 patch-level Nyquist range.
 
+The electrode layout is a `ModelConfig` value like any size: one
+(x, y, z) tuple per channel in metres, or empty for sensors evenly
+spaced on a circle. `init_model` builds the fixed electrode graph from
+it, so the `ModelConfig` alone fixes the model's structure, graph
+included.
+
 Checkpoints are a flat binary: magic `NAKL`, u32 version (2), u32
 tensor count, then per tensor a u16 name length, UTF-8 name, u8 rank,
 u32 dims, and float32 values, all little-endian. A checkpoint holds
@@ -59,7 +65,13 @@ from .graph import (
     init_spatial_attention,
     topk_masked_attention,
 )
-from .spectral import CANONICAL_MU_HZ, BandBank, init_band_filters, spectral_mix
+from .spectral import (
+    CANONICAL_MU_HZ,
+    CANONICAL_SIGMA_HZ,
+    BandBank,
+    init_band_filters,
+    spectral_mix,
+)
 from .tensor import Tensor
 
 __all__ = [
@@ -99,9 +111,9 @@ class ModelConfig:
     stoch_depth: float = 0.1
     drop_edge: float = 0.2
     band_mu_hz: tuple = CANONICAL_MU_HZ
-    band_sigma_hz: float = 2.0
+    band_sigma_hz: float = CANONICAL_SIGMA_HZ
     sigma_floor_hz: float = 0.1
-    positions: np.ndarray | None = None  # default: circle layout
+    positions: tuple = ()  # one (x, y, z) per channel in metres; empty: circle layout
 
     @property
     def patch_rate(self) -> float:
@@ -214,8 +226,7 @@ def init_block(cfg: ModelConfig, rng: np.random.Generator) -> NakulBlock:
 
 
 def init_model(cfg: ModelConfig, rng: np.random.Generator) -> NakulModel:
-    positions = cfg.positions if cfg.positions is not None else circle_layout(cfg.n_channels)
-    graph = build_graph(positions)
+    graph = build_graph(cfg.positions or circle_layout(cfg.n_channels))
     if graph.n_channels != cfg.n_channels:
         raise ValueError("positions do not match the configured channel count")
     # keyword arguments evaluate in order: embed, blocks, head draw in that order

@@ -58,7 +58,7 @@ class BandBank:
     w_r: Tensor  # (K, D, D)
     w_i: Tensor  # (K, D, D)
     w_gate: Tensor  # (D, K), column k gates band k
-    sigma_floor: float = 0.1
+    sigma_floor: float
 
     @property
     def mu(self) -> Tensor:

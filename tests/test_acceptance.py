@@ -320,10 +320,11 @@ def test_branch_ablations_degrade_accuracy(trained):
 
     def accuracy(override):
         hits = 0
-        for lo in range(0, len(by), 64):
-            logits = model_forward(model, bx[lo:lo + 64],
-                                   fusion_override=override)
-            hits += int((logits.data.argmax(axis=-1) == by[lo:lo + 64]).sum())
+        with te.no_grad():  # logits only: no autograd graph is needed
+            for lo in range(0, len(by), 64):
+                logits = model_forward(model, bx[lo:lo + 64],
+                                       fusion_override=override)
+                hits += int((logits.data.argmax(axis=-1) == by[lo:lo + 64]).sum())
         return hits / len(by)
 
     full = accuracy(None)

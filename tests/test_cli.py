@@ -29,7 +29,6 @@ from nakul.model import (
     model_forward,
     save_checkpoint,
 )
-from nakul.config import model_config
 from nakul.rng import stream
 from nakul.tensor import Tensor
 
@@ -86,6 +85,18 @@ def test_config_roundtrip_exact():
     assert parse_config(config_text(rc)) == rc
 
 
+def test_positions_roundtrip_and_build_the_graph():
+    rc = parse_config(SMALL_CFG + "positions = 0,0,0; 0.03,0,0; 0.06,0,0; 0.03,0.03,0\n")
+    assert rc.model.positions == ((0.0, 0.0, 0.0), (0.03, 0.0, 0.0),
+                                  (0.06, 0.0, 0.0), (0.03, 0.03, 0.0))
+    assert parse_config(config_text(rc)) == rc
+    graph = init_model(rc.model, stream(1, "init")).graph
+    np.testing.assert_array_equal(graph.positions, rc.model.positions)
+    # joined within 5 cm: all but electrodes 0 and 2, 6 cm apart
+    np.testing.assert_array_equal(graph.adjacency, [[1, 1, 0, 1], [1, 1, 1, 1],
+                                                    [0, 1, 1, 1], [1, 1, 1, 1]])
+
+
 def test_config_unknown_key():
     with pytest.raises(ConfigError) as err:
         parse_config("no_such_knob = 1\n")
@@ -118,8 +129,10 @@ def with_line(text: str, line: str) -> str:
     ("tone_amp = 0", "tone_amp"),
     ("rate = 12.0", "class_bands"),  # the shared rate moves Nyquist below 6.5 Hz
     ("band_width_hz = 0.05", "band_width_hz"),  # equal to band_floor_hz: no room above it
+    ("band_centers_hz = 3,10", "band_centers_hz"),  # 10 Hz is Nyquist at rate 20: no bin
 ], ids=["heads", "class_bands", "class_channels", "warmup_fraction",
-        "label_smoothing", "empty_channel_group", "tone_amp", "shared_rate", "band_width"])
+        "label_smoothing", "empty_channel_group", "tone_amp", "shared_rate", "band_width",
+        "band_at_nyquist"])
 def test_config_cross_field_checks(line, key):
     with pytest.raises(ConfigError) as err:
         parse_config(with_line(SMALL_CFG, line))
@@ -242,17 +255,15 @@ def test_eval_bad_trial_values_exit_cleanly(workdir, tmp_path, capsys, edit, cod
     assert "trial_00001.txt" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, message", [
-    (None, "No such file"),
-    ("e0 0 0 1\ne1 0 one 0\ne2 1 0 0\ne3 0 0 -1\n", ":2: expected 'name x y z'"),
-    ("e0 0 0 1\ne1 0 nan 0\ne2 1 0 0\ne3 0 0 -1\n", "positions must be finite"),
-], ids=["missing", "malformed_line", "not_finite"])
-def test_bad_positions_file_exits_2(workdir, tmp_path, capsys, text, message):
-    positions = tmp_path / "positions.txt"
-    if text is not None:
-        positions.write_text(text)
+@pytest.mark.parametrize("value, message", [
+    ("0,0,0; 0.03,0,0; 0.06,0,0", "3 electrodes for n_channels=4"),
+    ("0,0,0; 0.03,0; 0.06,0,0; 0.03,0.03,0", "expected x,y,z"),
+    ("0,0,0; 0.03,nan,0; 0.06,0,0; 0.03,0.03,0", "must be finite"),
+    ("montage.txt", "expected float, got 'montage.txt'"),  # a positions file, as configs once named
+], ids=["electrode_count", "pair", "nan", "old_path"])
+def test_bad_positions_exits_2(workdir, tmp_path, capsys, value, message):
     cfg = tmp_path / "with_positions.cfg"
-    cfg.write_text(SMALL_CFG + f"positions = {positions}\n")
+    cfg.write_text(SMALL_CFG + f"positions = {value}\n")
     assert main(["dump-bands", "--ckpt", str(workdir / "run" / "model.nakl"),
                  "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
@@ -322,7 +333,7 @@ def test_epochs_zero_writes_initialization(workdir, tmp_path):
     assert main(["train", "--config", str(cfg), "--data", str(workdir / "data"),
                  "--out", str(out)]) == 0
     saved = load_checkpoint(out)
-    fresh = init_model(model_config(parse_config(SMALL_CFG)), stream(1, "init"))
+    fresh = init_model(parse_config(SMALL_CFG).model, stream(1, "init"))
     for name, tensor in fresh.named().items():
         np.testing.assert_array_equal(
             saved[name], tensor.data.astype(np.float32).astype(np.float64))
@@ -390,7 +401,7 @@ def pre_field_path_checkpoint(model) -> dict:
 
 
 def test_eval_pre_field_path_checkpoint_exits_4(workdir, tmp_path, capsys):
-    model = init_model(model_config(parse_config(SMALL_CFG)), stream(1, "init"))
+    model = init_model(parse_config(SMALL_CFG).model, stream(1, "init"))
     old = pre_field_path_checkpoint(model)
     assert len(old) == 74 and len(model.named()) == 64  # 2 blocks, 2 bands, 2 kernels
     save_checkpoint(tmp_path / "old.nakl", old)
@@ -489,7 +500,7 @@ def _live_tensors() -> int:
 
 
 def test_no_grad_forward_keeps_only_its_logits():
-    model = init_model(model_config(parse_config(SMALL_CFG)), stream(1, "init"))
+    model = init_model(parse_config(SMALL_CFG).model, stream(1, "init"))
     x = np.random.default_rng(2).normal(size=(4, 4, 80))
     before = _live_tensors()
     with te_mod.no_grad():
@@ -629,7 +640,7 @@ def test_load_commands_require_config(workdir, command):
 
 def test_checkpoint_holds_exactly_the_config_parameters(workdir):
     saved = load_checkpoint(workdir / "run" / "model.nakl")
-    model = init_model(model_config(parse_config(SMALL_CFG)), stream(1, "init"))
+    model = init_model(parse_config(SMALL_CFG).model, stream(1, "init"))
     assert set(saved) == set(model.named())
 
 
@@ -733,7 +744,7 @@ def test_dump_bands_averages_every_trial(workdir, tmp_path, capsys):
     rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
     got = np.array([float(r[3]) for r in rows]).reshape(2, 2)  # (block, band)
 
-    model = init_model(model_config(parse_config(SMALL_CFG)), np.random.default_rng(0))
+    model = init_model(parse_config(SMALL_CFG).model, np.random.default_rng(0))
     load_into(model, ckpt)
     sums = np.zeros((2, 2))
     for trial in signals:  # one trial at a time, then the mean by hand

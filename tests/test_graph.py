@@ -13,7 +13,6 @@ from nakul.graph import (
     graph_conv,
     init_spatial_attention,
     masked_softmax_topk,
-    read_positions,
     spatial_biases,
     topk_masked_attention,
 )
@@ -91,18 +90,6 @@ def test_drop_edges_extremes_and_symmetry():
     np.testing.assert_array_equal(some.adjacency, some.adjacency.T)
     np.testing.assert_array_equal(np.diag(some.adjacency), np.ones(22))
     assert np.max(np.abs(np.linalg.eigvalsh(some.norm_adjacency))) <= 1 + 1e-9
-
-
-def test_read_positions(tmp_path):
-    path = tmp_path / "layout.txt"
-    path.write_text("# montage\nCz 0.0 0.0 0.09\nPz 0.01 -0.02 0.08\n\n")
-    names, pos = read_positions(path)
-    assert names == ["Cz", "Pz"]
-    np.testing.assert_allclose(pos, [[0.0, 0.0, 0.09], [0.01, -0.02, 0.08]])
-    bad = tmp_path / "bad.txt"
-    bad.write_text("Cz 0.0 0.0\n")
-    with pytest.raises(ValueError):
-        read_positions(bad)
 
 
 # --- graph convolution and biases ----------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nakul import tensor as te
-from nakul.config import model_config, parse_config
+from nakul.config import parse_config
 from nakul.model import (
     ModelConfig,
     block_forward,
@@ -168,7 +168,7 @@ def test_forward_shape_and_determinism():
 
 def test_no_grad_logits_bitwise_at_default_config():
     rc = parse_config("")
-    model = init_model(model_config(rc), stream(0, "init"))
+    model = init_model(rc.model, stream(0, "init"))
     x = stream(1, "data").normal(size=(4, rc.data.n_channels, rc.data.t_len))
     with te.no_grad():
         quiet = model_forward(model, x)
@@ -182,7 +182,7 @@ def test_batched_matmuls_multiply_only_activations(monkeypatch):
     # every parameter is the right operand of a 2-D GEMM; the only N-D @ N-D
     # products are the adjacency diffusion, the scores and attention @ V
     rc = parse_config("")
-    model = init_model(model_config(rc), stream(0, "init"))
+    model = init_model(rc.model, stream(0, "init"))
     x = stream(1, "data").normal(size=(2, rc.data.n_channels, rc.data.t_len))
     batched = []
     real_matmul = te.matmul
