@@ -69,6 +69,8 @@ from .spectral import (
     CANONICAL_MU_HZ,
     CANONICAL_SIGMA_HZ,
     BandBank,
+    band_mask,
+    band_spans,
     init_band_filters,
     spectral_mix,
 )
@@ -363,8 +365,10 @@ def count_flops(model: NakulModel, input_shape) -> dict:
     """Analytic multiply-add estimate per component for one forward pass.
 
     Mirrors the engine counter's conventions: matmul m*k*n, each FFT
-    1.25*T*log2(T), elementwise one per element. The elementwise bucket
-    is a coarse per-block constant times the trunk size.
+    1.25*T*log2(T), elementwise one per element. Band mixing prices only
+    the bins each block's current masks keep (band_spans), as
+    te.band_mix counts them. The elementwise bucket is a coarse
+    per-block constant times the trunk size.
     """
     b, c, t = input_shape
     cfg = model.cfg
@@ -383,7 +387,10 @@ def count_flops(model: NakulModel, input_shape) -> dict:
     # spectral: forward+inverse transforms per feature column, plus the
     # entropy statistic's own forward transform in the kernel branch
     out["fft"] = int(n_blocks * 3 * b * c * d * fft_one)
-    out["band_mixing"] = n_blocks * 4 * k_bands * b * c * f * d * d
+    with te.no_grad():
+        kept = sum(hi - lo for blk in model.blocks
+                   for lo, hi in band_spans(band_mask(blk.bands, t_p, cfg.patch_rate)))
+    out["band_mixing"] = 4 * kept * b * c * d * d
     out["band_gates"] = n_blocks * k_bands * (3 * b * c * f * d + b * c * d)
     # one convolution with a blended kernel of the longest size per sample
     out["kernel_convs"] = n_blocks * trunk * k_max

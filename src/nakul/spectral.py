@@ -11,9 +11,16 @@ Time is axis -2, as in the trunk, so (..., T, D) maps to a (..., F, 2, D)
 spectrum (real parts at index 0 of axis -2, imaginary at 1) and back
 with no transpose. A BandBank holds each quantity of all K bands as one
 tensor. The forward builds the (F, K) masks once, for gates and mixing,
-scales the bands once into a (..., F, 2, K*D) spectrum S, and sums the
-bands inside two GEMMs over its stacked real and imaginary rows:
-S @ W_r + i (S @ W_i), with W_r and W_i as (K*D, D).
+and weights each (bin, band) pair by alpha_k * M_k(f). te.band_mix then
+mixes band k only over its span: the bins where M_k(f) > TAU. A
+Gaussian is unimodal in f, so those bins form one interval
+[lo_k, hi_k), recomputed from the current masks on every forward since
+mu and sigma train.
+
+TAU = 1e-30 changes the math slightly: a pair whose mask is at or below
+TAU adds nothing to the mix, and mu and sigma get no gradient through
+it. Such a pair's weight alpha_k M_k(f) is at most 1e-30, so the mix
+moves by less than 1e-30 of |W X|. The gates still read every pair.
 
 mu and sigma stay positive through softplus reparameterization; sigma
 additionally sits above a configurable floor so gradient steps cannot
@@ -42,13 +49,16 @@ __all__ = [
     "init_band_filters",
     "band_mask",
     "band_importance",
+    "band_spans",
     "spectral_mix",
+    "TAU",
     "CANONICAL_MU_HZ",
     "CANONICAL_SIGMA_HZ",
 ]
 
 CANONICAL_MU_HZ = (4.0, 10.0, 20.0, 40.0)
 CANONICAL_SIGMA_HZ = 2.0
+TAU = 1e-30  # a mask at or below this leaves its (bin, band) pair out of the mix
 
 
 @dataclass
@@ -122,6 +132,20 @@ def band_importance(bands: BandBank, x_mag: Tensor, masks: Tensor) -> Tensor:
     return te.sigmoid(z.sum(axis=-2))  # (..., K)
 
 
+def band_spans(masks: Tensor) -> list[tuple[int, int]]:
+    """Each band's bins with a mask above TAU, as one [lo, hi) interval per band.
+
+    masks is band_mask's (F, K) result. A Gaussian is unimodal, so the
+    kept bins of a band are contiguous; a band that keeps none gets the
+    empty span (0, 0).
+    """
+    spans = []
+    for keep in (masks.data > TAU).T:
+        bins = np.flatnonzero(keep)
+        spans.append((int(bins[0]), int(bins[-1]) + 1) if bins.size else (0, 0))
+    return spans
+
+
 def spectral_mix(
     bands: BandBank,
     x: Tensor,
@@ -135,12 +159,11 @@ def spectral_mix(
     Passing `alphas` (a plain array) freezes the gates at those values,
     which makes the whole map linear in x.
 
-    The band-scaled spectrum S (..., F, 2, K*D) meets the complex
-    mixing matrix as (W_r + i W_i) S = S @ W_r + i (S @ W_i): two real
-    GEMMs over the stacked real and imaginary rows, and one product
-    with i, which swaps the halves and negates the new real half.
+    Band k mixes only over its span (band_spans): pairs whose mask is
+    at or below TAU add nothing and pass no gradient back to mu and
+    sigma.
     """
-    t, d = x.shape[-2], x.shape[-1]
+    t = x.shape[-2]
     k = bands.raw_mu.shape[0]
     spec = te.fft_real(x)  # (..., F, 2, D)
     masks = band_mask(bands, t, rate)  # (F, K)
@@ -150,15 +173,8 @@ def spectral_mix(
     else:
         gates = Tensor(alphas)
 
-    # alpha_k * M_k(f) scales band k's copy of each bin, real and imaginary alike
-    weight = gates.reshape(gates.shape[:-1] + (1, 1, k, 1)) * masks.reshape((-1, 1, k, 1))
-    scaled = spec.reshape(spec.shape[:-1] + (1, d)) * weight  # (..., F, 2, K, D)
-    s = scaled.reshape(scaled.shape[:-2] + (k * d,))
-    w_r = bands.w_r.reshape((k * d, d))  # band k's rows follow band k-1's
-    w_i = bands.w_i.reshape((k * d, d))
-    s_w_r, s_w_i = te.matmul(s, w_r), te.matmul(s, w_i)
-    mixed = s_w_r + s_w_i[..., ::-1, :] * [[-1.0], [1.0]]  # i (a + ib) = -b + ia
-
+    weight = gates.reshape(gates.shape[:-1] + (1, k)) * masks  # (..., F, K): alpha_k M_k(f)
+    mixed = te.band_mix(spec, weight, bands.w_r, bands.w_i, band_spans(masks))
     out = te.ifft_real(mixed, n=t)
     if not np.all(np.isfinite(out.data)):
         raise FloatingPointError("spectral mixing produced non-finite values")

@@ -16,9 +16,9 @@ Conventions fixed here and relied on throughout the package:
   (..., T//2 + 1, 2, D), and ifft_real carries 1/T and inverts it exactly;
   depthwise_causal_conv takes one kernel per row, (..., taps, D).
 - A one-sided spectrum is one real Tensor (..., F, 2, D): index 0 on
-  axis -2 holds the real parts, index 1 the imaginary parts. Any
-  computation built on it uses the ordinary primitives; multiplying by
-  i is z[..., ::-1, :] * [[-1], [1]].
+  axis -2 holds the real parts, index 1 the imaginary parts. band_mix
+  applies per-band complex mixing matrices to it, each band only on its
+  own span of bins, as one fused primitive with its own backward.
 
 ``backward`` frees as it goes: once an interior node (one with parents)
 has routed its gradient, its ``grad`` and ``_backward`` closure are set
@@ -76,6 +76,7 @@ __all__ = [
     "fft_real",
     "ifft_real",
     "complex_abs",
+    "band_mix",
     "depthwise_causal_conv",
     "inv_softplus",
 ]
@@ -95,7 +96,8 @@ def mac_counter():
     """Count multiply-adds executed by primitives inside the block.
 
     Elementwise primitives count one MAC per output element; matmul
-    counts m*k*n; the FFT pair counts 1.25 * T * log2(T) per transform.
+    counts m*k*n; the FFT pair counts 1.25 * T * log2(T) per transform;
+    band_mix counts its per-band GEMMs.
     Yields a dict whose "total" entry holds the running count.
     """
     _MACS["active"] = True
@@ -662,6 +664,77 @@ def complex_abs(z) -> Tensor:
         z._accum(np.where(live, g[..., None, :] * z.data / safe, 0.0))
 
     return Tensor._result(data, (z,), bw)
+
+
+def band_mix(spec, weight, w_r, w_i, spans) -> Tensor:
+    """Weighted complex band mixing of a (..., F, 2, D) spectrum, each band on its own bins.
+
+    Returns the (..., F, 2, D) spectrum
+    sum_k weight[..., f, k] (W_r,k + i W_i,k) spec[..., f], where band k
+    takes part only at the bins f of its span [lo_k, hi_k) and adds
+    exactly 0 elsewhere. weight is (..., F, K); w_r and w_i are
+    (K, D, D) and multiply from the right, as a weight matrix does;
+    spans holds one (lo, hi) pair per band, and lo == hi leaves the band
+    out. Spans may overlap, and a span covering every bin is the dense
+    sum.
+
+    Each band is one GEMM of its scaled real and imaginary rows against
+    [W_r,k | W_i,k], counted as 4 * rows * (hi_k - lo_k) * D^2 MACs. The
+    backward redoes each band's scaled rows, so nothing of size
+    (..., F, 2, K*D) is built or kept.
+    """
+    spec, weight, w_r, w_i = _wrap(spec), _wrap(weight), _wrap(w_r), _wrap(w_i)
+    d = spec.data.shape[-1]
+    lead = np.broadcast_shapes(spec.data.shape[:-3], weight.data.shape[:-2])
+    live = [(k, lo, hi) for k, (lo, hi) in enumerate(spans) if hi > lo]
+
+    def mixing(k):
+        """[W_r,k | W_i,k], (D, 2D)."""
+        return np.concatenate((w_r.data[k], w_i.data[k]), axis=1)
+
+    def scaled(k, lo, hi):
+        """Band k's rows weight[..., f, k] * spec[..., f] for f in [lo, hi)."""
+        return spec.data[..., lo:hi, :, :] * weight.data[..., lo:hi, k, None, None]
+
+    data = np.zeros(lead + spec.data.shape[-3:])
+    for k, lo, hi in live:
+        s = scaled(k, lo, hi)
+        t = (s.reshape(-1, d) @ mixing(k)).reshape(s.shape[:-1] + (2 * d,))
+        out = data[..., lo:hi, :, :]
+        out[..., 0, :] += t[..., 0, :d] - t[..., 1, d:]  # re: a W_r - b W_i
+        out[..., 1, :] += t[..., 1, :d] + t[..., 0, d:]  # im: b W_r + a W_i
+    rows = int(np.prod(lead, dtype=np.int64))
+    _count(sum(4 * rows * (hi - lo) * d * d for _, lo, hi in live))
+
+    def bw(g):
+        gspec = np.zeros(data.shape) if spec.requires_grad else None
+        gweight = np.zeros(lead + weight.data.shape[-2:]) if weight.requires_grad else None
+        wants_w = w_r.requires_grad or w_i.requires_grad
+        gw = np.zeros(w_r.data.shape[:-1] + (2 * d,)) if wants_w else None  # [gW_r,k | gW_i,k]
+        for k, lo, hi in live:
+            gk = g[..., lo:hi, :, :]
+            # gradient at [a W | b W] (rows a, b): (g_re, g_im) for a, (g_im, -g_re) for b
+            gt = np.empty(gk.shape[:-1] + (2 * d,))
+            gt[..., 0, :d], gt[..., 0, d:] = gk[..., 0, :], gk[..., 1, :]
+            gt[..., 1, :d], gt[..., 1, d:] = gk[..., 1, :], -gk[..., 0, :]
+            gt2 = gt.reshape(-1, 2 * d)
+            if gw is not None:
+                gw[k] = scaled(k, lo, hi).reshape(-1, d).T @ gt2
+            gs = (gt2 @ mixing(k).T).reshape(gk.shape)  # gradient at band k's scaled rows
+            if gspec is not None:
+                gspec[..., lo:hi, :, :] += gs * weight.data[..., lo:hi, k, None, None]
+            if gweight is not None:
+                gweight[..., lo:hi, k] = (gs * spec.data[..., lo:hi, :, :]).sum(axis=(-2, -1))
+        if gspec is not None:
+            spec._accum(_unbroadcast(gspec, spec.data.shape))
+        if gweight is not None:
+            weight._accum(_unbroadcast(gweight, weight.data.shape))
+        if w_r.requires_grad:
+            w_r._accum(np.ascontiguousarray(gw[..., :d]))
+        if w_i.requires_grad:
+            w_i._accum(np.ascontiguousarray(gw[..., d:]))
+
+    return Tensor._result(data, (spec, weight, w_r, w_i), bw)
 
 
 # --- depthwise causal convolution ---------------------------------------------

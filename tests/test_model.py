@@ -21,9 +21,10 @@ from nakul.model import (
     save_checkpoint,
 )
 from nakul.rng import stream
+from nakul.spectral import TAU
 from nakul.tensor import Tensor
 
-from oracles import check_gradients
+from oracles import check_gradients, gaussian_density
 
 
 def tiny_config(**kw):
@@ -291,12 +292,29 @@ def test_flops_patch_doubling():
 
 
 def test_flops_count_the_configured_band_centers():
+    # band mixing prices each configured band's kept bins: sum_k 4 B C n_k D^2
     cfg = ModelConfig(n_channels=2, n_classes=2, d=8, n_blocks=1, heads=2,
                       band_mu_hz=(4.0, 10.0), kernel_sizes=(3, 5))
     model = init_model(cfg, np.random.default_rng(0))
-    assert model.blocks[0].bands.raw_mu.shape == (2,)
-    b, c, f, d = 1, 2, 1000 // 50 // 2 + 1, 8
-    assert count_flops(model, (b, c, 1000))["band_mixing"] == 4 * 2 * b * c * f * d * d
+    bands = model.blocks[0].bands
+    assert bands.raw_mu.shape == (2,)
+    b, c, t_p, d = 1, 2, 1000 // 50, 8
+    freqs = np.arange(t_p // 2 + 1) * cfg.patch_rate / t_p
+    kept = [int((gaussian_density(freqs, mu, s) > TAU).sum())
+            for mu, s in zip(bands.mu.data, bands.sigma.data)]
+    assert 0 < sum(kept) < 2 * len(freqs)  # neither empty nor the dense count
+    assert count_flops(model, (b, c, 1000))["band_mixing"] == sum(4 * b * c * n * d * d for n in kept)
+
+
+def test_flops_match_instrumented_count_at_default_config():
+    cfg = ModelConfig(n_channels=8, n_classes=4)
+    model = init_model(cfg, np.random.default_rng(0))
+    shape = (2, 8, 1000)
+    x = np.random.default_rng(1).normal(size=shape)
+    with te.no_grad(), te.mac_counter() as macs:
+        model_forward(model, x)
+    ratio = count_flops(model, shape)["total"] / macs["total"]
+    assert 0.99 <= ratio <= 1.01, ratio
 
 
 def test_flops_track_instrumented_count():

@@ -228,6 +228,56 @@ def test_mix_matches_complex_fft_oracle(gating):
     assert np.abs(gates.data - want_gates).max() <= 1e-12
 
 
+def test_full_span_band_matches_dense_oracle():
+    # widened until every bin keeps every band: the span path is the dense sum
+    rng = np.random.default_rng(4)
+    d, t, rate = 3, 24, 12.0
+    bands = ((1.0, 40.0), (4.5, 25.0))
+    filters = band_bank(d, bands, w_r=rng.normal(size=(2, d, d)), w_i=rng.normal(size=(2, d, d)),
+                        w_gate=0.1 * rng.normal(size=(d, 2)))
+    assert sp.band_spans(sp.band_mask(filters, t, rate)) == [(0, t // 2 + 1)] * 2
+    x = rng.normal(size=(2, t, d))
+    want, _ = mix_oracle(filters, x, rate)
+    out, _ = sp.spectral_mix(filters, te.Tensor(x), rate)
+    assert np.abs(out.data - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_band_below_tau_everywhere_adds_nothing():
+    # band 1 sits far above Nyquist: its mask underflows on every bin
+    rng = np.random.default_rng(6)
+    d, t, rate = 3, 16, 8.0
+    filters = band_bank(d, ((1.5, 0.8), (40.0, 0.2)), w_r=rng.normal(size=(2, d, d)),
+                        w_i=rng.normal(size=(2, d, d)))
+    masks = sp.band_mask(filters, t, rate)
+    assert (masks.data[:, 1] <= sp.TAU).all()
+    assert sp.band_spans(masks)[1] == (0, 0)
+    x = te.Tensor(rng.normal(size=(2, t, d)))
+    base, _ = sp.spectral_mix(filters, x, rate)
+    filters.w_r.data[1] *= 1e3
+    filters.w_i.data[1] = rng.normal(size=(d, d))
+    out, _ = sp.spectral_mix(filters, x, rate)
+    np.testing.assert_array_equal(out.data, base.data)
+    (out * out).sum().backward()
+    assert not filters.w_r.grad[1].any() and not filters.w_i.grad[1].any()
+    assert filters.w_r.grad[0].any() and filters.w_i.grad[0].any()
+
+
+@pytest.mark.parametrize("bands,t,rate", [
+    (((1.0, 0.15), (2.5, 0.3), (3.9, 0.12)), 16, 8.0),  # narrow: partial spans
+    (((4.0, 2.0), (10.0, 2.0), (20.0, 2.0), (40.0, 2.0)), 250, 250.0),  # canonical, 1 Hz bins
+    (((0.08, 0.04), (0.2, 0.04), (0.4, 0.04), (0.8, 0.04)), 20, 5.0),  # default patch axis
+    (((30.0, 0.11), (1.0, 50.0)), 32, 16.0),  # one band far out, one covering all
+])
+def test_band_spans_keep_exactly_the_bins_above_tau(bands, t, rate):
+    masks = sp.band_mask(band_bank(2, bands, sigma_floor=0.01), t, rate)
+    spans = sp.band_spans(masks)
+    assert len(spans) == len(bands)
+    for k, (lo, hi) in enumerate(spans):
+        inside = np.zeros(t // 2 + 1, dtype=bool)
+        inside[lo:hi] = True
+        np.testing.assert_array_equal(inside, masks.data[:, k] > sp.TAU)
+
+
 def test_mix_graph_size_independent_of_band_count():
     # every band quantity is one tensor, so adding a band adds no node
     d, t = 3, 16
@@ -240,22 +290,37 @@ def test_mix_graph_size_independent_of_band_count():
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
-def test_mix_runs_one_gate_and_two_band_gemms(monkeypatch, k):
-    # the stacked real and imaginary rows meet W_r and W_i once each
-    matmul = te.matmul
-    calls = []
+def test_mix_runs_one_gate_gemm_and_mixes_only_kept_bins(monkeypatch, k):
+    # the gate projection is the only te.matmul, and te.band_mix prices each
+    # band's kept bins exactly: sum_k 4 * rows * n_k * D^2
+    matmul, band_mix = te.matmul, te.band_mix
+    calls, mixing_macs = [], []
 
     def counted(a, b):
         calls.append((a.shape, b.shape))
         return matmul(a, b)
 
+    def metered(*args):
+        before = macs["total"]
+        out = band_mix(*args)
+        mixing_macs.append(macs["total"] - before)
+        return out
+
     monkeypatch.setattr(te, "matmul", counted)
-    d, t = 3, 16
-    filters = default_filters(d=d, mus_hz=tuple(float(m) for m in range(1, k + 1)))
-    sp.spectral_mix(filters, te.Tensor(np.random.default_rng(k).normal(size=(2, t, d))), rate=8.0)
-    assert calls == [((2, t // 2 + 1, d), (d, k)),
-                     ((2, t // 2 + 1, 2, k * d), (k * d, d)),
-                     ((2, t // 2 + 1, 2, k * d), (k * d, d))]
+    monkeypatch.setattr(te, "band_mix", metered)
+    d, t, rate, rows = 3, 16, 8.0, 2
+    mus = tuple(float(m) for m in range(1, k + 1))
+    filters = default_filters(d=d, mus_hz=mus, sigma_hz=0.15)
+    x = te.Tensor(np.random.default_rng(k).normal(size=(rows, t, d)))
+    with te.mac_counter() as macs:
+        sp.spectral_mix(filters, x, rate=rate)
+    f = t // 2 + 1
+    assert calls == [((rows, f, d), (d, k))]
+    freqs = np.arange(f) * rate / t
+    kept = [int((gaussian_density(freqs, mu, s) > sp.TAU).sum())
+            for mu, s in zip(filters.mu.data, filters.sigma.data)]
+    assert max(kept) < f  # every band leaves bins out, so dense pricing would differ
+    assert mixing_macs == [sum(4 * rows * n * d * d for n in kept)]
 
 
 def test_mix_wallclock_subquadratic():

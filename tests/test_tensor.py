@@ -349,6 +349,58 @@ def test_grad_fft_odd_length():
     assert worst_grad_error(build, [x]) < GRAD_TOL
 
 
+BAND_SPANS = [(1, 4), (0, 0), (0, 9), (3, 7)]  # partial, empty, full, overlapping
+
+
+def band_mix_oracle(spec, weight, w_r, w_i, spans):
+    """sum_k [lo_k <= f < hi_k] weight[..., f, k] X[f] (W_r,k + i W_i,k), bin by bin."""
+    x = spec[..., 0, :] + 1j * spec[..., 1, :]  # (..., F, D)
+    y = np.zeros(x.shape, dtype=np.complex128)
+    for k, (lo, hi) in enumerate(spans):
+        for f in range(lo, hi):
+            y[..., f, :] += weight[..., f, k, None] * (x[..., f, :] @ (w_r[k] + 1j * w_i[k]))
+    return np.stack((y.real, y.imag), axis=-2)
+
+
+def band_mix_inputs(rng, lead=(2, 3), f=9, d=4):
+    k = len(BAND_SPANS)
+    return (T.Tensor(rng.normal(size=lead + (f, 2, d)), requires_grad=True),
+            T.Tensor(rng.uniform(0.1, 1.0, size=lead + (f, k)), requires_grad=True),
+            T.Tensor(rng.normal(size=(k, d, d)), requires_grad=True),
+            T.Tensor(rng.normal(size=(k, d, d)), requires_grad=True))
+
+
+def test_band_mix_matches_per_bin_oracle():
+    args = band_mix_inputs(np.random.default_rng(11))
+    want = band_mix_oracle(*(a.data for a in args), BAND_SPANS)
+    out = T.band_mix(*args, BAND_SPANS)
+    assert np.abs(out.data - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_grad_band_mix():
+    spec, weight, w_r, w_i = band_mix_inputs(np.random.default_rng(12))
+
+    def build():
+        y = T.band_mix(spec, weight, w_r, w_i, BAND_SPANS)
+        return (y * y).sum()
+
+    assert worst_grad_error(build, [spec, weight, w_r, w_i], n_samples=12) < GRAD_TOL
+    # the empty band and the bins outside each span pass back exactly 0
+    assert not w_r.grad[1].any() and not w_i.grad[1].any()
+    outside = np.ones(weight.data.shape, dtype=bool)
+    for k, (lo, hi) in enumerate(BAND_SPANS):
+        outside[..., lo:hi, k] = False
+    assert not weight.grad[outside].any() and weight.grad[~outside].all()
+
+
+def test_mac_counter_counts_band_mix():
+    args = band_mix_inputs(np.random.default_rng(13))
+    with T.mac_counter() as macs:
+        T.band_mix(*args, BAND_SPANS)
+    rows, d = 2 * 3, 4
+    assert macs["total"] == sum(4 * rows * (hi - lo) * d * d for lo, hi in BAND_SPANS)
+
+
 def test_grad_depthwise_causal_conv():
     x = randt(2, 10, 3)
     k = randt(2, 4, 3)
