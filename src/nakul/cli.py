@@ -10,18 +10,19 @@ Subcommands
     bench               forward wall-clock and analytic cost versus input length
 
 Exit codes: 0 success, 2 configuration, 3 non-finite values (in
-training, a forward pass or a loaded checkpoint), 4 artifact load or
-shape mismatch, 5 verification failure.
+training, a forward pass, a loaded checkpoint or a dataset's trials), 4
+artifact load or shape mismatch, 5 verification failure.
 
-Trial file format: a header line
-    # channels=<C> samples=<T> rate=<Hz> label=<int>
-followed by C lines of T comma-separated floats; <Hz> is an unsigned
-decimal number. labels.csv maps each trial filename to its integer
-label; manifest.txt is a `# gen-data --seed <n>` line followed by the
-generating config, unchanged. A malformed trial file or labels.csv row
-is an artifact error. A dataset that disagrees with the config (rate,
-channel or class count, trials shorter than one patch) is a
-configuration error naming the key, in every command that reads one.
+Dataset format: a directory of three `np.save` arrays, signals.npy
+(float64, shape (N, C, T)), labels.npy (int64, shape (N,)) and rate.npy
+(a 0-d float64, in Hz), beside manifest.txt, a `# gen-data --seed <n>`
+line followed by the generating config, unchanged. A missing, truncated
+or pickled file, a wrong dtype or ndim, a label count other than the
+trial count, no samples, a negative label or a rate that is not finite
+and positive is an artifact error; NaN or Inf in a trial is a
+non-finite error naming the trial. A dataset that disagrees with the
+config (rate, channel or class count, trials shorter than one patch) is
+a configuration error naming the key, in every command that reads one.
 
 Every command takes `--config`, the only source of run settings; other
 flags name files or seed gen-data's trials or a check's probes. eval
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import statistics
 import sys
 import time
@@ -76,8 +76,6 @@ __all__ = [
     "main",
     "ArtifactError",
     "VerificationError",
-    "write_trial",
-    "read_trial",
     "save_dataset",
     "load_dataset",
 ]
@@ -93,104 +91,56 @@ class VerificationError(Exception):
 
 # --- dataset files -----------------------------------------------------------------
 
-_HEADER = re.compile(
-    r"# channels=([1-9]\d*) samples=(\d+) rate=(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?) label=(\d+)\s*$")
-
-
-def write_trial(path, signal: np.ndarray, rate: float, label: int) -> None:
-    c, t = signal.shape
-    rate_text = repr(float(rate)).removesuffix(".0")  # reads back to the same float
-    lines = [f"# channels={c} samples={t} rate={rate_text} label={int(label)}"]
-    for row in signal:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_trial(path):
-    """(signal (C, T), rate, label); ArtifactError on a bad file, FloatingPointError on NaN/Inf."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ArtifactError(f"cannot read {path}: {exc}") from None
-    lines = text.splitlines()
-    if not lines:
-        raise ArtifactError(f"{path}: empty file")
-    m = _HEADER.match(lines[0])
-    if not m:
-        raise ArtifactError(f"{path}: malformed header {lines[0]!r}")
-    c, t, rate, label = int(m[1]), int(m[2]), float(m[3]), int(m[4])
-    body = [line for line in lines[1:] if line.strip()]
-    if len(body) != c:
-        raise ArtifactError(f"{path}: expected {c} channel rows, found {len(body)}")
-    rows = []
-    for i, line in enumerate(body):
-        try:
-            row = np.fromstring(line, dtype=np.float64, sep=",")
-        except ValueError:
-            raise ArtifactError(f"{path}: row {i} has a field that is not a number") from None
-        if row.size != t:
-            raise ArtifactError(f"{path}: row {i} has {row.size} samples, expected {t}")
-        if not np.isfinite(row).all():
-            raise FloatingPointError(f"{path}: row {i} holds NaN or Inf")
-        rows.append(row)
-    return np.stack(rows), rate, label
+# file stem -> (dtype, ndim) of the array a dataset directory stores under it
+_ARRAYS = {"signals": (np.float64, 3), "labels": (np.int64, 1), "rate": (np.float64, 0)}
 
 
 def save_dataset(out_dir, signals: np.ndarray, labels: np.ndarray, rate: float,
-                 manifest: str) -> list:
+                 manifest: str) -> None:
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ArtifactError(f"cannot create {out_dir}: {exc}") from None
-    names = []
-    for i, (signal, label) in enumerate(zip(signals, labels)):
-        name = f"trial_{i:05d}.txt"
-        write_trial(os.path.join(out_dir, name), signal, rate, int(label))
-        names.append(name)
-    with open(os.path.join(out_dir, "labels.csv"), "w") as fh:
-        fh.write("filename,label\n")
-        for name, label in zip(names, labels):
-            fh.write(f"{name},{int(label)}\n")
+    for stem, value in (("signals", signals), ("labels", labels), ("rate", rate)):
+        np.save(os.path.join(out_dir, stem + ".npy"), np.asarray(value, _ARRAYS[stem][0]))
     with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
         fh.write(manifest)
-    return names
+
+
+def _load_array(data_dir, stem: str):
+    """(array, path); ArtifactError unless the file holds a plain array of the declared kind."""
+    path = os.path.join(data_dir, stem + ".npy")
+    dtype, ndim = _ARRAYS[stem]
+    try:
+        with open(path, "rb") as fh:
+            array = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ArtifactError(f"cannot read {path}: {exc}") from None
+    if not isinstance(array, np.ndarray):  # np.load opens a zip archive as an NpzFile
+        raise ArtifactError(f"{path}: an .npz archive, not a single array")
+    if array.dtype != dtype or array.ndim != ndim:
+        raise ArtifactError(f"{path}: expected a {ndim}-d {np.dtype(dtype)} array, "
+                            f"found {array.ndim}-d {array.dtype}")
+    return array, path
 
 
 def load_dataset(data_dir):
     """Returns (signals (N, C, T), labels (N,), rate) from a gen-data directory."""
-    index = os.path.join(data_dir, "labels.csv")
-    try:
-        with open(index) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ArtifactError(f"cannot read {index}: {exc}") from None
-    if not lines or lines[0] != "filename,label":
-        raise ArtifactError(f"{index}: expected a filename,label header")
-    signals, labels, rates = [], [], set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        name, _, label = line.partition(",")
-        try:
-            listed = int(label)
-        except ValueError:
-            raise ArtifactError(f"{index}: line {lineno}: label {label!r} is not an integer") from None
-        signal, rate, file_label = read_trial(os.path.join(data_dir, name))
-        if listed != file_label:
-            raise ArtifactError(f"{name}: labels.csv says {label}, header says {file_label}")
-        signals.append(signal)
-        labels.append(file_label)
-        rates.add(rate)
-    if not signals:
-        raise ArtifactError(f"{data_dir}: no trials listed")
-    if len(rates) != 1:
-        raise ArtifactError(f"{data_dir}: trials disagree on the sampling rate: {sorted(rates)}")
-    shapes = {s.shape for s in signals}
-    if len(shapes) != 1:
-        raise ArtifactError(f"{data_dir}: trials disagree on shape: {sorted(shapes)}")
-    return np.stack(signals), np.asarray(labels, dtype=np.int64), rates.pop()
+    signals, signals_path = _load_array(data_dir, "signals")
+    labels, labels_path = _load_array(data_dir, "labels")
+    rate, rate_path = _load_array(data_dir, "rate")
+    if len(labels) != len(signals):
+        raise ArtifactError(f"{labels_path}: {len(labels)} labels for {len(signals)} trials")
+    if not signals.size:
+        raise ArtifactError(f"{signals_path}: no samples (shape {signals.shape})")
+    if labels.min() < 0:
+        raise ArtifactError(f"{labels_path}: negative label {labels.min()}")
+    if not (np.isfinite(rate) and rate > 0):
+        raise ArtifactError(f"{rate_path}: rate {rate} is not a finite positive number")
+    bad = ~np.isfinite(signals).all(axis=(1, 2))
+    if bad.any():
+        raise FloatingPointError(f"{signals_path}: trial {np.argmax(bad)} holds NaN or Inf")
+    return signals, labels, float(rate)
 
 
 # --- dataset and checkpoint loading ---------------------------------------------------
@@ -237,8 +187,8 @@ def cmd_gen_data(args) -> int:
     spec = rc.data
     signals, labels = generate_synthetic(spec, seed=args.seed)
     manifest = f"# gen-data --seed {args.seed}\n" + config_text(rc)
-    names = save_dataset(args.out, signals, labels, spec.rate, manifest)
-    print(f"wrote {len(names)} trials ({spec.n_classes} classes, "
+    save_dataset(args.out, signals, labels, spec.rate, manifest)
+    print(f"wrote {len(labels)} trials ({spec.n_classes} classes, "
           f"{spec.n_channels} channels, {spec.t_len} samples at {spec.rate:g} Hz) "
           f"to {args.out}")
     return 0

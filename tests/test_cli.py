@@ -17,9 +17,7 @@ from nakul.cli import (
     _f1_scores,
     load_dataset,
     main,
-    read_trial,
     save_dataset,
-    write_trial,
 )
 from nakul.config import ConfigError, RunConfig, config_text, parse_config
 from nakul.model import (
@@ -171,40 +169,17 @@ def test_default_config_is_valid():
     assert parse_config(config_text(rc)) == rc
 
 
-# --- trial files --------------------------------------------------------------------
-
-
-def test_trial_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(0)
-    signal = rng.normal(size=(3, 17))
-    path = tmp_path / "t.txt"
-    write_trial(path, signal, 128.0, 2)
-    assert " rate=128 " in path.read_text().splitlines()[0]  # integral rates stay short
-    back, rate, label = read_trial(path)
-    np.testing.assert_array_equal(back, signal)  # %.17g is exact for float64
-    assert rate == 128.0
-    assert label == 2
+# --- dataset files ------------------------------------------------------------------
 
 
 def test_gen_data_rate_needing_many_digits_trains(tmp_path):
-    # the header keeps every digit of the rate, so train sees the config's rate
+    # rate.npy keeps every bit of the rate, so train sees the config's rate
     cfg = tmp_path / "rate.cfg"
     cfg.write_text(with_line(SMALL_CFG, "rate = 20.0000001"))
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
-    _, rate, _ = read_trial(tmp_path / "d" / "trial_00000.txt")
-    assert rate == 20.0000001
+    assert np.load(tmp_path / "d" / "rate.npy") == 20.0000001
     assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "d"),
                  "--out", str(tmp_path / "run" / "model.nakl")]) == 0
-
-
-def test_trial_file_validation(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("# channels=2 samples=3 rate=10 label=0\n1,2,3\n")
-    with pytest.raises(ArtifactError):
-        read_trial(path)
-    path.write_text("not a header\n")
-    with pytest.raises(ArtifactError):
-        read_trial(path)
 
 
 def test_dataset_roundtrip(tmp_path):
@@ -212,47 +187,111 @@ def test_dataset_roundtrip(tmp_path):
     signals = rng.normal(size=(5, 2, 12))
     labels = np.array([0, 1, 1, 0, 1])
     save_dataset(tmp_path / "d", signals, labels, 64.0, "manifest\n")
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
+        "labels.npy", "manifest.txt", "rate.npy", "signals.npy"]
     back_x, back_y, rate = load_dataset(tmp_path / "d")
-    np.testing.assert_array_equal(back_x, signals)
+    assert back_x.dtype == np.float64 and back_y.dtype == np.int64
+    np.testing.assert_array_equal(back_x, signals)  # bitwise: np.save stores the float64s
     np.testing.assert_array_equal(back_y, labels)
-    assert rate == 64.0
+    assert rate == 64.0 and type(rate) is float
     assert (tmp_path / "d" / "manifest.txt").read_text() == "manifest\n"
 
 
 def test_dataset_label_mismatch(tmp_path):
-    signals = np.zeros((2, 2, 8))
-    save_dataset(tmp_path / "d", signals, np.array([0, 1]), 10.0, "m")
-    index = tmp_path / "d" / "labels.csv"
-    index.write_text(index.read_text().replace("trial_00001.txt,1",
-                                               "trial_00001.txt,0"))
-    with pytest.raises(ArtifactError):
+    # labels.npy must hold one label per trial of signals.npy
+    save_dataset(tmp_path / "d", np.zeros((2, 2, 8)), np.array([0, 1]), 10.0, "m")
+    np.save(tmp_path / "d" / "labels.npy", np.array([0, 1, 0]))
+    with pytest.raises(ArtifactError, match="labels.npy: 3 labels for 2 trials"):
         load_dataset(tmp_path / "d")
+
+
+def eval_small(workdir, data) -> int:
+    return main(["eval", "--ckpt", str(workdir / "run" / "model.nakl"),
+                 "--data", str(data), "--config", str(workdir / "small.cfg")])
 
 
 def test_eval_non_integer_label_exits_4(workdir, tmp_path, capsys):
     save_dataset(tmp_path / "d", np.zeros((2, 4, 80)), np.array([0, 1]), 20.0, "m")
-    index = tmp_path / "d" / "labels.csv"
-    index.write_text(index.read_text().replace("trial_00001.txt,1", "trial_00001.txt,x"))
-    assert main(["eval", "--ckpt", str(workdir / "run" / "model.nakl"),
-                 "--data", str(tmp_path / "d"), "--config", str(workdir / "small.cfg")]) == 4
+    np.save(tmp_path / "d" / "labels.npy", np.array([0.0, 1.5]))
+    assert eval_small(workdir, tmp_path / "d") == 4
     err = capsys.readouterr().err
-    assert "labels.csv" in err and "line 3" in err and "'x'" in err
+    assert "labels.npy" in err and "float64" in err
 
 
-@pytest.mark.parametrize("edit, code", [
-    (lambda text: text.replace("\n0,", "\nabc,", 1), 4),  # a field that is not a number
-    (lambda text: text.replace("\n0,0,", "\n0,,", 1), 4),  # an empty field
-    (lambda text: text.replace("\n0,", "\nnan,", 1), 3),
-    (lambda text: text.replace("\n0,", "\n1e999,", 1), 3),  # overflows to Inf
-    (lambda text: "# channels=0 samples=80 rate=20 label=1\n", 4),
-], ids=["non_numeric", "empty_field", "nan", "inf", "no_channels"])
-def test_eval_bad_trial_values_exit_cleanly(workdir, tmp_path, capsys, edit, code):
+def with_trial_value(value):
+    def edit(signals):
+        signals[1, 2, 3] = value
+        return signals
+    return edit
+
+
+@pytest.mark.parametrize("edit, code, message", [
+    (with_trial_value(np.nan), 3, "trial 1 holds NaN or Inf"),
+    (with_trial_value(np.inf), 3, "trial 1 holds NaN or Inf"),
+    (lambda signals: signals.astype(str), 4, "found 3-d <U"),  # fields that are not numbers
+    (lambda signals: signals[:, :0], 4, "no samples"),
+], ids=["nan", "inf", "non_numeric", "no_channels"])
+def test_eval_bad_trial_values_exit_cleanly(workdir, tmp_path, capsys, edit, code, message):
     save_dataset(tmp_path / "d", np.zeros((2, 4, 80)), np.array([0, 1]), 20.0, "m")
-    trial = tmp_path / "d" / "trial_00001.txt"
-    trial.write_text(edit(trial.read_text()))
-    assert main(["eval", "--ckpt", str(workdir / "run" / "model.nakl"),
-                 "--data", str(tmp_path / "d"), "--config", str(workdir / "small.cfg")]) == code
-    assert "trial_00001.txt" in capsys.readouterr().err
+    np.save(tmp_path / "d" / "signals.npy", edit(np.zeros((2, 4, 80))))
+    assert eval_small(workdir, tmp_path / "d") == code
+    err = capsys.readouterr().err
+    assert "signals.npy" in err and message in err
+
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:-3])
+
+
+def write_npz(directory):
+    with open(directory / "signals.npy", "wb") as fh:  # a file name keeps np.savez from adding .npz
+        np.savez(fh, signals=np.zeros((2, 4, 80)))
+
+
+def write_text_format(directory):
+    # the per-trial text layout datasets once had: no signals.npy at all
+    for name in ("signals.npy", "labels.npy", "rate.npy"):
+        (directory / name).unlink()
+    (directory / "labels.csv").write_text("filename,label\ntrial_00000.txt,0\n")
+    (directory / "trial_00000.txt").write_text(
+        "# channels=4 samples=80 rate=20 label=0\n" + "\n".join(["0" + ",0" * 79] * 4) + "\n")
+
+
+@pytest.mark.parametrize("edit, name, message", [
+    (lambda d: np.save(d / "signals.npy", np.zeros((2, 4, 80), np.float32)), "signals.npy",
+     "expected a 3-d float64 array, found 3-d float32"),
+    (lambda d: np.save(d / "signals.npy", np.zeros((2, 320))), "signals.npy",
+     "expected a 3-d float64 array, found 2-d float64"),
+    (lambda d: np.save(d / "labels.npy", np.array([[0, 1]])), "labels.npy",
+     "expected a 1-d int64 array, found 2-d int64"),
+    (lambda d: np.save(d / "rate.npy", np.array([20.0])), "rate.npy",
+     "expected a 0-d float64 array, found 1-d float64"),
+    (lambda d: np.save(d / "labels.npy", np.array([0])), "labels.npy", "1 labels for 2 trials"),
+    (lambda d: np.save(d / "labels.npy", np.array([0, -1])), "labels.npy", "negative label -1"),
+    (lambda d: save_dataset(d, np.zeros((0, 4, 80)), np.zeros(0), 20.0, "m"), "signals.npy",
+     "no samples"),
+    (lambda d: np.save(d / "rate.npy", np.float64(np.inf)), "rate.npy", "not a finite positive"),
+    (lambda d: np.save(d / "rate.npy", np.float64(0.0)), "rate.npy", "not a finite positive"),
+    (lambda d: np.save(d / "signals.npy", np.array([None, 1.0], dtype=object)), "signals.npy",
+     "Object arrays cannot be loaded"),
+    (lambda d: truncate(d / "signals.npy"), "signals.npy", "not fully written"),
+    (write_npz, "signals.npy", "not a single array"),
+    (lambda d: (d / "labels.npy").unlink(), "labels.npy", "No such file"),
+    (write_text_format, "signals.npy", "No such file"),
+], ids=["signals_dtype", "signals_ndim", "labels_ndim", "rate_ndim", "label_count",
+        "negative_label", "no_trials", "rate_inf", "rate_zero", "object_array",
+        "truncated", "npz_archive", "missing_labels", "text_format"])
+def test_bad_dataset_arrays_exit_4(workdir, tmp_path, capsys, edit, name, message):
+    data = tmp_path / "d"
+    save_dataset(data, np.zeros((2, 4, 80)), np.array([0, 1]), 20.0, "m")
+    edit(data)
+    out = tmp_path / "never.nakl"
+    for target in (["eval", "--ckpt", str(workdir / "run" / "model.nakl")],
+                   ["train", "--out", str(out)]):
+        assert main([*target, "--data", str(data), "--config", str(workdir / "small.cfg")]) == 4
+        err = capsys.readouterr().err
+        assert str(data / name) in err and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value, message", [
@@ -270,18 +309,6 @@ def test_bad_positions_exits_2(workdir, tmp_path, capsys, value, message):
     assert "positions:" in err and message in err
 
 
-def test_train_non_numeric_header_rate_exits_4(workdir, tmp_path, capsys):
-    save_dataset(tmp_path / "d", np.zeros((2, 4, 80)), np.array([0, 1]), 20.0, "m")
-    trial = tmp_path / "d" / "trial_00000.txt"
-    trial.write_text(trial.read_text().replace("rate=20 ", "rate=2e ", 1))
-    out = tmp_path / "never.nakl"
-    assert main(["train", "--config", str(workdir / "small.cfg"), "--data", str(tmp_path / "d"),
-                 "--out", str(out)]) == 4
-    err = capsys.readouterr().err
-    assert "trial_00000.txt" in err and "rate=2e" in err
-    assert not out.exists()
-
-
 # --- gen-data -----------------------------------------------------------------------
 
 
@@ -289,9 +316,10 @@ def test_gen_data_deterministic_and_manifest(workdir, tmp_path):
     cfg = workdir / "small.cfg"
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "again"),
                  "--seed", "3"]) == 0
-    a = (workdir / "data" / "trial_00003.txt").read_bytes()
-    b = (tmp_path / "again" / "trial_00003.txt").read_bytes()
-    assert a == b
+    names = sorted(p.name for p in (workdir / "data").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "again").iterdir())
+    for name in names:
+        assert (workdir / "data" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
     # the manifest records the data seed in a comment and the config as given
     manifest = (workdir / "data" / "manifest.txt").read_text()
     assert manifest.splitlines()[0] == "# gen-data --seed 3"
@@ -302,8 +330,8 @@ def test_gen_data_seed_changes_content(workdir, tmp_path):
     cfg = workdir / "small.cfg"
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "other"),
                  "--seed", "4"]) == 0
-    a = (workdir / "data" / "trial_00000.txt").read_bytes()
-    b = (tmp_path / "other" / "trial_00000.txt").read_bytes()
+    a = (workdir / "data" / "signals.npy").read_bytes()
+    b = (tmp_path / "other" / "signals.npy").read_bytes()
     assert a != b
 
 
@@ -376,7 +404,7 @@ def test_dataset_label_beyond_classes_exits_2(workdir, tmp_path, capsys, command
 
 
 def test_eval_bad_checkpoint_exits_4(workdir):
-    assert main(["eval", "--ckpt", str(workdir / "data" / "labels.csv"),
+    assert main(["eval", "--ckpt", str(workdir / "data" / "manifest.txt"),
                  "--data", str(workdir / "data"), "--config", str(workdir / "small.cfg")]) == 4
 
 
