@@ -227,8 +227,10 @@ def cmd_train(args) -> int:
         rows = []
         print("0 epochs requested: writing the initial parameters")
 
-    save_checkpoint(args.out, model.named())
+    # metrics first, so a new checkpoint never sits beside an older run's metrics; a stop
+    # between the two renames leaves the new metrics beside the previous checkpoint
     write_metrics(os.path.join(parent, "metrics.csv"), rows)
+    save_checkpoint(args.out, model.named())
     print(f"checkpoint {args.out}")
     return 0
 
@@ -307,12 +309,19 @@ def _check_tensor(rng):
     w = Tensor(rng.normal(size=(10, 8)) / np.sqrt(10), requires_grad=True)
     gain = Tensor(rng.normal(size=(8,)) * 0.1 + 1.0, requires_grad=True)
     bias = Tensor(rng.normal(size=(8,)) * 0.1, requires_grad=True)
+    # an FFN with a fixed dropout mask: the model probes run without an rng, so no mask
+    w1 = Tensor(rng.normal(size=(8, 12)) / np.sqrt(8), requires_grad=True)
+    b1 = Tensor(rng.normal(size=(12,)) * 0.1, requires_grad=True)
+    w2 = Tensor(rng.normal(size=(12, 5)) / np.sqrt(12), requires_grad=True)
+    b2 = Tensor(rng.normal(size=(5,)) * 0.1, requires_grad=True)
+    mask = rng.random((6, 12)) >= 0.1
 
     def build():
         h = te.layer_norm(te.gelu(te.matmul(x, w)), gain, bias)
-        return _sumsq(te.softmax(h)) + te.sigmoid(h[:, :4]).mean()
+        return (_sumsq(te.softmax(h)) + te.sigmoid(h[:, :4]).mean()
+                + _sumsq(te.ffn(h, w1, b1, w2, b2, mask, rate=0.1)))
 
-    return build, [x, w, gain, bias]
+    return build, [x, w, gain, bias, w1, b1, w2, b2]
 
 
 def _check_ssm(rng):

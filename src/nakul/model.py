@@ -8,6 +8,10 @@ independently (channel axis). A softmax over three logits fuses the
 branches, a scaled layer-normed projection re-enters the residual
 stream, and a position-wise FFN finishes the block.
 
+The block's FFN after its layer_norm, and the classifier head after
+pooling, are one `te.ffn` node each. Their dropout masks are drawn here,
+in model code, from the rng the caller passes.
+
 Zeroing every mixing and FFN parameter reduces each block to the exact
 identity map: layer_norm maps an all-zero vector to its (zero) shift,
 so both residual updates vanish bitwise. Tests pin that.
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -86,6 +91,7 @@ __all__ = [
     "block_forward",
     "model_forward",
     "count_flops",
+    "atomic_open",
     "save_checkpoint",
     "load_checkpoint",
     "load_into",
@@ -263,11 +269,12 @@ def embed(model: NakulModel, x: Tensor) -> Tensor:
     return te.matmul(tokens, model.w_embed) + model.b_embed
 
 
-def _dropout(x: Tensor, rate: float, rng) -> Tensor:
-    if rng is None or rate <= 0.0:
-        return x
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * keep
+def _ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float, rng) -> Tensor:
+    """te.ffn, with its dropout mask drawn from rng when rng is given and rate > 0."""
+    mask = None
+    if rng is not None and rate > 0.0:
+        mask = rng.random(x.shape[:-1] + w1.shape[1:]) >= rate
+    return te.ffn(x, w1, b1, w2, b2, mask, rate)
 
 
 def _drop_path(update: Tensor, rate: float, rng) -> Tensor:
@@ -315,9 +322,9 @@ def block_forward(
     update = te.layer_norm(te.matmul(fused, blk.w_proj), blk.lnf_gain, blk.lnf_bias)
     z = x + _drop_path(update * FUSED_SCALE, stoch_rate, rng)
 
-    hidden = te.gelu(te.matmul(te.layer_norm(z, blk.ln2_gain, blk.ln2_bias), blk.ffn_w1) + blk.ffn_b1)
-    hidden = _dropout(hidden, cfg.dropout, rng)
-    out = z + _drop_path(te.matmul(hidden, blk.ffn_w2) + blk.ffn_b2, stoch_rate, rng)
+    z_norm = te.layer_norm(z, blk.ln2_gain, blk.ln2_bias)
+    ffn = _ffn(z_norm, blk.ffn_w1, blk.ffn_b1, blk.ffn_w2, blk.ffn_b2, cfg.dropout, rng)
+    out = z + _drop_path(ffn, stoch_rate, rng)
 
     diag = {
         "fusion": fusion,
@@ -353,9 +360,8 @@ def model_forward(
         if diags is not None:
             diags.append(diag)
     pooled = h.mean(axis=(1, 2))  # (B, D)
-    hidden = te.gelu(te.matmul(pooled, model.head_w1) + model.head_b1)
-    hidden = _dropout(hidden, cfg.dropout, rng)
-    return te.matmul(hidden, model.head_w2) + model.head_b2
+    return _ffn(pooled, model.head_w1, model.head_b1, model.head_w2, model.head_b2,
+                cfg.dropout, rng)
 
 
 # --- cost model ----------------------------------------------------------------
@@ -417,27 +423,19 @@ def count_flops(model: NakulModel, input_shape) -> dict:
 # --- checkpoint io -------------------------------------------------------------
 
 
-def save_checkpoint(path, named: dict) -> None:
-    """Write name -> Tensor/array pairs in the flat binary format.
+@contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Open a temporary file beside `path` for the block to write.
 
-    The bytes go to a temporary file beside `path`, which then replaces
-    `path` in one rename: a failed write leaves any previous checkpoint
-    as it was and removes the temporary file.
+    When the block finishes, the file is flushed, fsynced and renamed
+    over `path` in one step. When it raises, any previous `path` stays
+    as it was and the temporary file is removed. Extra keyword
+    arguments go to `open`.
     """
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(named)))
-            for name in sorted(named):
-                arr = named[name]
-                arr = np.asarray(arr.data if isinstance(arr, Tensor) else arr)
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<B", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.astype("<f4").tobytes(order="C"))
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -445,6 +443,22 @@ def save_checkpoint(path, named: dict) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_checkpoint(path, named: dict) -> None:
+    """Write name -> Tensor/array pairs in the flat binary format, through `atomic_open`."""
+    with atomic_open(path) as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(named)))
+        for name in sorted(named):
+            arr = named[name]
+            arr = np.asarray(arr.data if isinstance(arr, Tensor) else arr)
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<B", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.astype("<f4").tobytes(order="C"))
 
 
 def load_checkpoint(path) -> dict:

@@ -16,9 +16,16 @@ Conventions fixed here and relied on throughout the package:
   (..., T//2 + 1, 2, D), and ifft_real carries 1/T and inverts it exactly;
   depthwise_causal_conv takes one kernel per row, (..., taps, D).
 - A one-sided spectrum is one real Tensor (..., F, 2, D): index 0 on
-  axis -2 holds the real parts, index 1 the imaginary parts. band_mix
-  applies per-band complex mixing matrices to it, each band only on its
-  own span of bins, as one fused primitive with its own backward.
+  axis -2 holds the real parts, index 1 the imaginary parts.
+
+Two primitives are fused: one node each, with their own backward and
+MAC count. band_mix applies per-band complex mixing matrices to a
+spectrum, each band only on its own span of bins. ffn is the
+position-wise feed-forward (gelu(x @ w1 + b1) * keep) @ w2 + b2 with an
+optional boolean dropout mask; it keeps only the pre-activation, its
+GELU CDF and the mask, and its values, gradients and MAC count are
+bitwise those of the six-node chain it replaces. gelu and ffn share one
+implementation of the GELU and of its derivative.
 
 ``backward`` frees as it goes: once an interior node (one with parents)
 has routed its gradient, its ``grad`` and ``_backward`` closure are set
@@ -71,6 +78,7 @@ __all__ = [
     "sigmoid",
     "softplus",
     "gelu",
+    "ffn",
     "softmax",
     "layer_norm",
     "fft_real",
@@ -97,7 +105,8 @@ def mac_counter():
 
     Elementwise primitives count one MAC per output element; matmul
     counts m*k*n; the FFT pair counts 1.25 * T * log2(T) per transform;
-    band_mix counts its per-band GEMMs.
+    band_mix counts its per-band GEMMs; ffn counts what its six-node
+    chain would.
     Yields a dict whose "total" entry holds the running count.
     """
     _MACS["active"] = True
@@ -534,17 +543,107 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), the gate of the exact GELU x * Phi(x).
+
+    One new array; erf, the shift and the halving run in place on it.
+    """
+    cdf = np.asarray(x * _INV_SQRT2)  # asarray: a 0-d x gives a scalar, which out= refuses
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d(x * Phi(x))/dx = Phi(x) + x * phi(x), from x and its _gelu_cdf, as one new array."""
+    slope = np.asarray(-0.5 * x)
+    slope *= x
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT2PI
+    slope *= x
+    slope += cdf
+    return slope
+
+
 def gelu(x) -> Tensor:
     x = _wrap(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = _gelu_cdf(x.data)
     data = x.data * cdf
     _count(2 * data.size)
 
     def bw(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        x._accum(g * (cdf + x.data * pdf))
+        x._accum(g * _gelu_slope(x.data, cdf))
 
     return Tensor._result(data, (x,), bw)
+
+
+def _drop(a: np.ndarray, mask: np.ndarray, rate: float) -> None:
+    """a *= mask / (1 - rate) in place, without building that float array."""
+    np.multiply(a, mask, out=a)
+    a *= 1.0 / (1.0 - rate)
+
+
+def ffn(x, w1, b1, w2, b2, mask: np.ndarray | None = None, rate: float = 0.0) -> Tensor:
+    """(gelu(x @ w1 + b1) * keep) @ w2 + b2 as one node, keep = mask / (1 - rate).
+
+    x is (..., D), w1 (D, H) and w2 (H, D_out); mask, boolean of shape
+    (..., H), is inverted dropout on the hidden layer, and None (rate
+    unused) applies none. The node keeps the pre-activation x @ w1 + b1,
+    its GELU CDF and the mask; the backward rebuilds the hidden layer
+    and the GELU derivative from them with the operations, in the
+    order, of the matmul, add, gelu, mul, matmul, add chain it
+    replaces, so every value and gradient is bitwise that chain's, and
+    so is the MAC count. A result that records no graph (no_grad, or no
+    input requiring grad) keeps nothing: the hidden layer overwrites the
+    pre-activation, so at most two (..., H) arrays are alive at once.
+    """
+    x, w1, b1, w2, b2 = _wrap(x), _wrap(w1), _wrap(b1), _wrap(w2), _wrap(b2)
+    lead, k = x.data.shape[:-1], x.data.shape[-1]
+    h, n = w2.data.shape
+    rows = int(np.prod(lead, dtype=np.int64))
+    parents = (x, w1, b1, w2, b2)
+    records = _GRAD["enabled"] and any(p.requires_grad for p in parents)
+
+    pre = (x.data.reshape(-1, k) @ w1.data).reshape(lead + (h,))
+    pre += b1.data
+    if records:
+        cdf = _gelu_cdf(pre)
+        hidden = pre * cdf
+    else:  # nothing reads the pre-activation again: the hidden layer overwrites it
+        hidden = pre
+        hidden *= _gelu_cdf(pre)
+    if mask is not None:
+        _drop(hidden, mask, rate)
+    data = (hidden.reshape(-1, h) @ w2.data).reshape(lead + (n,))
+    data += b2.data
+    _count(rows * (k * h + (4 if mask is not None else 3) * h + h * n + n))
+
+    def bw(g):
+        g2 = g.reshape(-1, n)
+        if b2.requires_grad:
+            b2._accum(_unbroadcast(g, b2.data.shape))
+        if w2.requires_grad:
+            hid = pre * cdf
+            if mask is not None:
+                _drop(hid, mask, rate)
+            w2._accum(hid.reshape(-1, h).T @ g2)
+            del hid
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return
+        gpre = (g2 @ w2.data.T).reshape(pre.shape)
+        if mask is not None:
+            _drop(gpre, mask, rate)
+        gpre *= _gelu_slope(pre, cdf)
+        if b1.requires_grad:
+            b1._accum(_unbroadcast(gpre, b1.data.shape))
+        gpre2 = gpre.reshape(-1, h)
+        if w1.requires_grad:
+            w1._accum(x.data.reshape(-1, k).T @ gpre2)
+        if x.requires_grad:
+            x._accum((gpre2 @ w1.data.T).reshape(x.data.shape))
+
+    return Tensor._result(data, parents, bw)
 
 
 def softmax(x, keep: np.ndarray | None = None) -> Tensor:

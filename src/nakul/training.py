@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as te
-from .model import NakulModel, model_forward
+from .model import NakulModel, atomic_open, model_forward
 from .rng import stream
 from .tensor import Tensor
 
@@ -350,7 +350,8 @@ def train(model: NakulModel, signals, labels, cfg: TrainConfig, log=None):
 
 
 def write_metrics(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    """One CSV row per epoch, written through `model.atomic_open`: a failed write keeps the old file."""
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "val_loss", "val_acc", "lr"])
         for epoch, train_loss, val_loss, val_acc, lr in rows:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from nakul import tensor as te
+
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
     """One-sided DFT by direct O(T^2) summation, unnormalized."""
@@ -124,6 +126,14 @@ def graph_nodes(*roots) -> list:
             out.append(node)
             stack.extend(node._prev)
     return out
+
+
+def composed_ffn(x, w1, b1, w2, b2, mask=None, rate=0.0):
+    """The node chain te.ffn fuses: matmul, add, gelu, dropout mul, matmul, add."""
+    hidden = te.gelu(te.matmul(x, w1) + b1)
+    if mask is not None:
+        hidden = hidden * (mask / (1.0 - rate))
+    return te.matmul(hidden, w2) + b2
 
 
 def graph_size(*roots) -> int:

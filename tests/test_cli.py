@@ -737,6 +737,20 @@ def test_grad_check_catches_corrupted_backward(workdir, capsys, monkeypatch):
     assert "worst module" in err
 
 
+def test_grad_check_tensor_probe_covers_ffn(workdir, capsys, monkeypatch):
+    orig = te_mod.ffn
+
+    def broken(*args, **kwargs):
+        y = orig(*args, **kwargs)
+        return Tensor._result(y.data.copy(), (y,), lambda g: y._accum(1.5 * g))
+
+    monkeypatch.setattr(te_mod, "ffn", broken)
+    assert main(["grad-check", "--config", str(workdir / "small.cfg"),
+                 "--samples", "10"]) == 5
+    rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:])
+    assert rows["tensor"].endswith("FAIL")
+
+
 # --- dumps ---------------------------------------------------------------------------
 
 

@@ -1,11 +1,14 @@
 """Tensor engine: values against direct oracles, gradients against finite differences."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from nakul import tensor as T
-from oracles import check_gradients, graph_nodes, naive_dft, naive_idft
+from oracles import check_gradients, composed_ffn, graph_nodes, naive_dft, naive_idft
 
 RNG = np.random.default_rng(1234)
 
@@ -399,6 +402,65 @@ def test_mac_counter_counts_band_mix():
         T.band_mix(*args, BAND_SPANS)
     rows, d = 2 * 3, 4
     assert macs["total"] == sum(4 * rows * (hi - lo) * d * d for lo, hi in BAND_SPANS)
+
+
+def ffn_arrays(rng, lead, d, h, n):
+    return [rng.normal(size=lead + (d,)), rng.normal(size=(d, h)) / np.sqrt(d),
+            rng.normal(size=(h,)) * 0.1, rng.normal(size=(h, n)) / np.sqrt(h),
+            rng.normal(size=(n,)) * 0.1]
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "mask"])
+@pytest.mark.parametrize("lead", [(6,), (2, 3, 4)], ids=["2d", "4d"])
+def test_ffn_is_bitwise_the_composed_chain(lead, masked):
+    rng = np.random.default_rng(21)
+    arrays = ffn_arrays(rng, lead, d=5, h=12, n=4)
+    mask = rng.random(lead + (12,)) >= 0.3 if masked else None
+    upstream = rng.normal(size=lead + (4,))
+    runs = []
+    for fn in (T.ffn, composed_ffn):
+        tensors = [T.Tensor(a, requires_grad=True) for a in arrays]
+        with T.mac_counter() as macs:
+            out = fn(*tensors, mask, 0.3)
+        count = macs["total"]
+        (out * upstream).sum().backward()
+        runs.append((out.data, count, [t.grad for t in tensors]))
+    (got, got_macs, got_grads), (want, want_macs, want_grads) = runs
+    np.testing.assert_array_equal(got, want)
+    assert got_macs == want_macs
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_array_equal(g, w)
+    with T.no_grad():  # the path that overwrites the pre-activation in place
+        fast = T.ffn(*[T.Tensor(a, requires_grad=True) for a in arrays], mask, 0.3)
+    np.testing.assert_array_equal(fast.data, got)
+
+
+def test_ffn_memory_at_default_shape():
+    """A recorded node keeps two (rows, hidden) float arrays and the mask; no_grad peaks at two."""
+    rows, d, h = 1280, 128, 512
+    hidden_bytes = rows * h * 8
+    slack = 1 << 16  # Tensor, closure and cell objects
+    rng = np.random.default_rng(22)
+    x, w1, b1, w2, b2 = [T.Tensor(a, requires_grad=True) for a in ffn_arrays(rng, (rows,), d, h, d)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mask = rng.random((rows, h)) >= 0.1
+        out = T.ffn(x, w1, b1, w2, b2, mask, 0.1)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        del out, mask
+        gc.collect()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        with T.no_grad():
+            T.ffn(x, w1, b1, w2, b2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 * hidden_bytes + rows * h + slack  # rows * h: the bool mask
+    assert peak <= 2 * hidden_bytes + slack
 
 
 def test_grad_depthwise_causal_conv():

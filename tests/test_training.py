@@ -348,6 +348,16 @@ def test_metrics_row_per_epoch_and_csv(tmp_path):
     assert len(lines) == 4
 
 
+def test_metrics_write_that_fails_keeps_previous_file(tmp_path):
+    path = tmp_path / "metrics.csv"
+    write_metrics(path, [(0, 1.0, 0.9, 0.5, 1e-3)])
+    before = path.read_bytes()
+    with pytest.raises(ValueError):  # the second row fails to format, after the first is written
+        write_metrics(path, [(0, 1.0, 0.9, 0.5, 1e-3), (1, "not a loss", 0.8, 0.6, 1e-3)])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+
+
 def test_training_is_deterministic():
     model_a, rows_a, _ = run_tiny_training(seed=3)
     model_b, rows_b, _ = run_tiny_training(seed=3)
