@@ -7,7 +7,7 @@ Subcommands
     grad-check          compare every module's backward pass to finite differences
     dump-bands          learned band centers/widths and mean gate per band
     dump-kernel-weights per-sample kernel mixture weights and input statistics
-    bench               forward wall-clock and analytic cost versus input length
+    bench               forward wall-clock and counted MACs versus input length
 
 Exit codes: 0 success, 2 configuration, 3 non-finite values (in
 training, a forward pass, a loaded checkpoint or a dataset's trials), 4
@@ -41,6 +41,7 @@ a fresh initialization.
 from __future__ import annotations
 
 import argparse
+import glob
 import os
 import statistics
 import sys
@@ -53,7 +54,6 @@ from .config import ConfigError, RunConfig, config_text, load_config
 from .dynamic import dynamic_mix, init_kernel_bank, init_meta_network
 from .graph import build_graph, circle_layout, init_spatial_attention, topk_masked_attention
 from .model import (
-    count_flops,
     init_model,
     load_into,
     model_forward,
@@ -213,6 +213,11 @@ def cmd_train(args) -> int:
     if os.path.isdir(args.out) or not os.path.basename(args.out):
         raise ArtifactError(f"--out {args.out} names a directory; name the checkpoint file")
     parent = os.path.dirname(os.path.abspath(args.out))
+    others = sorted(set(glob.glob(os.path.join(glob.escape(parent), "*.nakl")))
+                    - {os.path.abspath(args.out)})
+    if others:  # one run per directory: metrics.csv beside the checkpoint has a fixed name
+        raise ArtifactError(f"{parent} already holds checkpoint {others[0]}; "
+                            "give each run its own directory")
     try:
         os.makedirs(parent, exist_ok=True)
     except OSError as exc:
@@ -500,19 +505,20 @@ def cmd_bench(args) -> int:
         raise ConfigError("lengths", f"each length must cover one patch of {mc.patch}")
     model = init_model(mc, stream(rc.train.seed, "init"))
     data_rng = stream(args.seed, "data")
-    print("length,median_seconds,flop_estimate")
+    print("length,median_seconds,macs")
     for n in lengths:
         x = data_rng.normal(size=(1, mc.n_channels, n))
         with te.no_grad():
-            for _ in range(5):  # warm-ups excluded from the median
+            with te.mac_counter() as macs:
+                model_forward(model, x)
+            for _ in range(4):  # warm-ups, with the counted forward, excluded from the median
                 model_forward(model, x)
             times = []
             for _ in range(20):
                 t0 = time.perf_counter()
                 model_forward(model, x)
                 times.append(time.perf_counter() - t0)
-        flops = count_flops(model, (1, mc.n_channels, n))["total"]
-        print(f"{n},{statistics.median(times):.6g},{flops}")
+        print(f"{n},{statistics.median(times):.6g},{macs['total']}")
     return 0
 
 
@@ -577,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="forward time and analytic cost per length (BLAS threads are set at "
+        help="forward time and counted MACs per length (BLAS threads are set at "
         "launch, e.g. OPENBLAS_NUM_THREADS=1)",
     )
     p.add_argument("--config", required=True)

@@ -52,6 +52,7 @@ __all__ = [
 
 DEFAULT_KERNEL_SIZES = (3, 5, 7, 11)
 META_HIDDEN = 16  # meta-network hidden width
+INIT_NOISE = 0.01  # half-width of the uniform draw added to each initial kernel tap
 
 
 @dataclass
@@ -74,7 +75,6 @@ def init_kernel_bank(
     d: int,
     rng: np.random.Generator,
     sizes=DEFAULT_KERNEL_SIZES,
-    noise: float = 0.01,
 ) -> KernelBank:
     """Kernels start at the impulse response of a stable linear system.
 
@@ -88,7 +88,7 @@ def init_kernel_bank(
     kernels = []
     for size in sizes:
         taps = np.cumprod(np.r_[1.0, np.full(size - 1, 0.7)])
-        k = np.tile(taps[:, None], (1, d)) + noise * rng.uniform(-1, 1, size=(size, d))[::-1]
+        k = np.tile(taps[:, None], (1, d)) + INIT_NOISE * rng.uniform(-1, 1, size=(size, d))[::-1]
         kernels.append(Tensor(k, requires_grad=True))
     bound = 1.0 / np.sqrt(d)
     w_gate = Tensor(rng.uniform(-bound, bound, size=(d, d)), requires_grad=True)

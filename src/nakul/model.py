@@ -26,15 +26,17 @@ spaced on a circle. `init_model` builds the fixed electrode graph from
 it, so the `ModelConfig` alone fixes the model's structure, graph
 included.
 
-Checkpoints are a flat binary: magic `NAKL`, u32 version (2), u32
-tensor count, then per tensor a u16 name length, UTF-8 name, u8 rank,
-u32 dims, and float32 values, all little-endian. A checkpoint holds
-exactly the parameters `init_model` creates from the run's
-`ModelConfig`, and loading one needs that config: sizes are never read
-from the shapes. Each tensor is stored in the layout its forward reads.
-Version 2 stores the kernel bank in lag order; version 1 files held the
-same names and shapes with every kernel's taps reversed, so they are
-refused rather than loaded reversed.
+A checkpoint is a stored (uncompressed) zip with one `<name>.npy`
+member of float32 values per tensor, in sorted name order, so
+`np.load(path, allow_pickle=False)` reads it. It holds exactly the
+parameters `init_model` creates from the run's `ModelConfig`, and
+loading one needs that config: sizes are never read from the shapes.
+Each tensor is stored in the layout its forward reads (the kernel bank
+in lag order). The file ends with the zip's end record, and its member
+count must match the distinct members found: `zipfile` itself accepts
+trailing bytes and trusts its own walk of the central directory. Every
+member's CRC-32 is checked on load; the flat `NAKL` files of earlier
+builds are refused.
 
 Each tensor is named by its dotted field path (`w_embed`,
 `blocks.0.bands.w_r` holding all K bands, `blocks.0.bank.kernels.2`);
@@ -44,8 +46,10 @@ not load.
 
 from __future__ import annotations
 
+import io
 import os
-import struct
+import zipfile
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 
@@ -97,8 +101,6 @@ __all__ = [
     "load_into",
 ]
 
-CHECKPOINT_MAGIC = b"NAKL"
-CHECKPOINT_VERSION = 2
 FUSED_SCALE = 0.5  # fixed damping on each block's fused update
 
 
@@ -446,57 +448,35 @@ def atomic_open(path, mode: str = "wb", **kwargs):
 
 
 def save_checkpoint(path, named: dict) -> None:
-    """Write name -> Tensor/array pairs in the flat binary format, through `atomic_open`."""
-    with atomic_open(path) as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(named)))
-        for name in sorted(named):
-            arr = named[name]
-            arr = np.asarray(arr.data if isinstance(arr, Tensor) else arr)
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f4").tobytes(order="C"))
+    """Write name -> Tensor/array pairs as float32 `.npy` zip members, through `atomic_open`."""
+    with atomic_open(path) as fh, zipfile.ZipFile(fh, "w") as zf:
+        for name, arr in sorted(named.items()):  # ZipInfo dates every member 1980-01-01
+            arr = np.asarray(arr.data if isinstance(arr, Tensor) else arr, "<f4", order="C")
+            with zf.open(zipfile.ZipInfo(name + ".npy"), "w") as member:
+                np.lib.format.write_array(member, arr, allow_pickle=False)
 
 
 def load_checkpoint(path) -> dict:
-    """Read the flat binary format back into {name: float64 array}.
-
-    A file cut short anywhere raises ValueError ("truncated checkpoint").
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError("not a model checkpoint (bad magic)")
-    offset = 4
-
-    def take(n: int) -> bytes:
-        nonlocal offset
-        if offset + n > len(blob):
-            raise ValueError(
-                f"truncated checkpoint: {len(blob)} bytes, the next field ends at byte "
-                f"{offset + n}")
-        offset += n
-        return blob[offset - n : offset]
-
-    version, count = struct.unpack("<II", take(8))
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"checkpoint version {version} is not supported: this build reads "
-            f"version {CHECKPOINT_VERSION} (kernel banks in lag order)")
+    """Read a checkpoint back into {name: float64 array}; ValueError on any damage."""
     out = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
-        (rank,) = struct.unpack("<B", take(1))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        values = np.frombuffer(take(4 * size), dtype="<f4")
-        out[name] = values.astype(np.float64).reshape(dims)
-    if offset != len(blob):
-        raise ValueError("trailing bytes after last tensor")
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(4) == b"NAKL":
+                raise ValueError("a flat NAKL checkpoint from an earlier build; retrain")
+            zf = zipfile.ZipFile(fh)
+            fh.seek(-22, os.SEEK_END)  # zipfile skips trailing bytes and miscounted members
+            end, found = fh.read(22), len(set(zf.namelist()))
+            if end[:4] != b"PK\x05\x06" or int.from_bytes(end[10:12], "little") != found:
+                raise ValueError("bytes after the zip's end record, or members missing or repeated")
+            for info in zf.infolist():
+                buf = io.BytesIO(zf.read(info))  # BadZipFile on a CRC mismatch
+                arr = np.lib.format.read_array(buf, allow_pickle=False)
+                if arr.dtype != "<f4" or buf.read(1):
+                    raise ValueError(f"member {info.filename} is not a plain float32 array")
+                out[info.filename.removesuffix(".npy")] = arr.astype(np.float64)
+    except (zipfile.BadZipFile, zlib.error, OSError, EOFError, NotImplementedError,
+            RuntimeError) as exc:  # RuntimeError: a flipped flag bit marks a member encrypted
+        raise ValueError(f"not a checkpoint zip: {exc}") from None
     return out
 
 

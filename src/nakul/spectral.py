@@ -59,6 +59,7 @@ __all__ = [
 CANONICAL_MU_HZ = (4.0, 10.0, 20.0, 40.0)
 CANONICAL_SIGMA_HZ = 2.0
 TAU = 1e-30  # a mask at or below this leaves its (bin, band) pair out of the mix
+INIT_NOISE = 0.01  # half-width of the uniform draw added to each initial mixing matrix
 
 
 @dataclass
@@ -85,7 +86,6 @@ def init_band_filters(
     mus_hz=CANONICAL_MU_HZ,
     sigma_hz: float = CANONICAL_SIGMA_HZ,
     sigma_floor: float = 0.1,
-    noise: float = 0.01,
 ) -> BandBank:
     """Bands at the given centers, mixing near the identity passthrough.
 
@@ -96,8 +96,8 @@ def init_band_filters(
         raise ValueError("sigma init must sit above the floor")
     bound = 1.0 / np.sqrt(d)
     w_r, w_i, w_gate = zip(*[  # band by band: W_r, W_i, then its gate column
-        (0.5 * np.eye(d) + noise * rng.uniform(-1.0, 1.0, size=(d, d)),
-         noise * rng.uniform(-1.0, 1.0, size=(d, d)),
+        (0.5 * np.eye(d) + INIT_NOISE * rng.uniform(-1.0, 1.0, size=(d, d)),
+         INIT_NOISE * rng.uniform(-1.0, 1.0, size=(d, d)),
          rng.uniform(-bound, bound, size=d))
         for _ in mus_hz
     ])

@@ -667,13 +667,13 @@ def softmax(x, keep: np.ndarray | None = None) -> Tensor:
     return Tensor._result(data, (x,), bw)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance; affine after."""
+def layer_norm(x, gain, bias) -> Tensor:
+    """Normalize the last axis to zero mean, unit variance (eps 1e-5); affine after."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     data = xhat * gain.data + bias.data
     _count(5 * data.size)

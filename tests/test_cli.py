@@ -1,12 +1,17 @@
 """Config parsing, dataset files, and every subcommand end to end."""
 
+import contextlib
 import gc
+import io
 import os
 import re
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nakul.cli as cli
 import nakul.tensor as te_mod
@@ -442,29 +447,117 @@ def test_eval_pre_field_path_checkpoint_exits_4(workdir, tmp_path, capsys):
     assert any(name in err for name in old)
 
 
+def flat_checkpoint(named: dict, version: int) -> bytes:
+    """`named` in the flat layout of earlier builds: magic `NAKL`, u32 version, u32
+    count, then per tensor a u16 name length, the name, u8 rank, u32 dims and float32
+    values, all little-endian."""
+    out = [b"NAKL", version.to_bytes(4, "little"), len(named).to_bytes(4, "little")]
+    for name in sorted(named):
+        arr = np.asarray(named[name], "<f4")
+        out += [len(name).to_bytes(2, "little"), name.encode(), arr.ndim.to_bytes(1, "little")]
+        out += [n.to_bytes(4, "little") for n in arr.shape] + [arr.tobytes()]
+    return b"".join(out)
+
+
 def test_eval_version_1_checkpoint_exits_4(workdir, tmp_path, capsys):
-    # version 1 held the same names and shapes with every kernel's taps in
-    # the opposite order: it must be refused, never loaded reversed
-    blob = bytearray((workdir / "run" / "model.nakl").read_bytes())
-    assert blob[4:8] == (2).to_bytes(4, "little")
-    blob[4:8] = (1).to_bytes(4, "little")
-    (tmp_path / "v1.nakl").write_bytes(bytes(blob))
-    assert main(["eval", "--ckpt", str(tmp_path / "v1.nakl"),
-                 "--data", str(workdir / "data"), "--config", str(workdir / "small.cfg")]) == 4
-    assert "version 1" in capsys.readouterr().err
+    # flat files of both earlier versions are refused by name; version 1 held every
+    # kernel's taps reversed, so it must never load
+    saved = load_checkpoint(workdir / "run" / "model.nakl")
+    for version in (1, 2):
+        (tmp_path / "flat.nakl").write_bytes(flat_checkpoint(saved, version))
+        assert main(["eval", "--ckpt", str(tmp_path / "flat.nakl"), "--data",
+                     str(workdir / "data"), "--config", str(workdir / "small.cfg")]) == 4
+        assert "flat NAKL checkpoint" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cut", [
-    6,  # inside the version and count header
-    17,  # inside the first tensor's name
-    -2,  # inside the last tensor's values
-], ids=["header", "name", "values"])
+def truncation_points(blob: bytes) -> dict:
+    with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+        second = zf.infolist()[1].header_offset
+        return {"header": 10,  # inside the first member's local header
+                "name": 32,  # inside the first member's name
+                "values": second - 2,  # inside the first member's last values
+                "central_directory": zf.start_dir + 20}
+
+
+@pytest.mark.parametrize("cut", ["header", "name", "values", "central_directory"])
 def test_truncated_checkpoint_exits_4(workdir, tmp_path, capsys, cut):
     blob = (workdir / "run" / "model.nakl").read_bytes()
-    (tmp_path / "cut.nakl").write_bytes(blob[:cut])
+    (tmp_path / "cut.nakl").write_bytes(blob[: truncation_points(blob)[cut]])
     assert main(["dump-bands", "--ckpt", str(tmp_path / "cut.nakl"),
                  "--config", str(workdir / "small.cfg")]) == 4
-    assert "truncated checkpoint" in capsys.readouterr().err
+    assert "not a checkpoint zip" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def eval_reference(workdir):
+    """The trained checkpoint's bytes, eval's stdout on it, the bit positions of its
+    zip structure (local headers, central directory, end record) and the second-highest
+    exponent bit of each stored float32 value."""
+    ckpt = workdir / "run" / "model.nakl"
+    blob, sizes = ckpt.read_bytes(), {k: v.size for k, v in load_checkpoint(ckpt).items()}
+    code, out, _ = run_main(eval_args(workdir, ckpt))
+    assert code == 0
+    with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+        infos, start_dir = zf.infolist(), zf.start_dir
+    spans = [(i.header_offset, i.header_offset + 30 + len(i.filename)) for i in infos]
+    structure = [8 * at + bit for lo, hi in spans + [(start_dir, len(blob))]
+                 for at in range(lo, hi) for bit in range(8)]
+    exponent = [8 * (hi + i.file_size - 4 * j) - 2  # bit 6 of each value's last byte
+                for i, (_, hi) in zip(infos, spans) for j in range(sizes[i.filename[:-4]])]
+    return blob, out, structure, exponent
+
+
+def eval_args(workdir, ckpt) -> list:
+    return ["eval", "--ckpt", str(ckpt), "--data", str(workdir / "data"),
+            "--config", str(workdir / "small.cfg")]
+
+
+def run_main(argv) -> tuple:
+    """(exit code, stdout, stderr) of `main(argv)`; exceptions propagate."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_damaged_checkpoint_exits_4_or_evaluates_unchanged(workdir, eval_reference):
+    # Failures are collected, not raised inside @given: on a failure the hypothesis
+    # plugin imports libcst, whose DeprecationWarning the suite's filterwarnings turns
+    # into a pytest internal error that hides the report and stops the session.
+    blob, want, structure, exponent = eval_reference
+    saved = load_checkpoint(workdir / "run" / "model.nakl")
+    path = workdir / "damaged.nakl"
+    failures = []
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(damage=st.data())
+    def damage_once(damage):
+        kind = damage.draw(st.sampled_from(
+            ["flip_structure", "flip_exponent", "flip_any", "truncate", "flat"]))
+        if kind == "truncate":
+            at = damage.draw(st.integers(0, len(blob) - 1))
+            bad = blob[:at]
+        elif kind == "flat":
+            at = damage.draw(st.sampled_from([1, 2]))
+            bad = flat_checkpoint(saved, at)
+        else:
+            bits = {"flip_structure": st.sampled_from(structure),
+                    "flip_exponent": st.sampled_from(exponent),
+                    "flip_any": st.integers(0, 8 * len(blob) - 1)}[kind]
+            at = damage.draw(bits)
+            bad = bytearray(blob)
+            bad[at // 8] ^= 1 << (at % 8)
+        path.write_bytes(bytes(bad))
+        try:
+            code, out, err = run_main(eval_args(workdir, path))
+        except Exception as exc:  # noqa: BLE001 - an escaping exception is the failure
+            failures.append((kind, at, repr(exc)))
+            return
+        if code != 4 and (kind in ("truncate", "flat") or code != 0 or out != want):
+            failures.append((kind, at, code, err))
+
+    damage_once()
+    assert failures == []
 
 
 @pytest.mark.parametrize("command,code", [
@@ -648,6 +741,31 @@ def test_train_out_directory_exits_4(workdir, tmp_path, capsys, monkeypatch, exi
     assert [p.name for p in tmp_path.rglob("*")] == (["runs"] if existing else [])
 
 
+def test_second_checkpoint_in_one_directory_exits_4(workdir, tmp_path, capsys, monkeypatch):
+    # metrics.csv has a fixed name beside the checkpoint, so one directory holds one run
+    run = ["train", "--config", str(workdir / "small.cfg"), "--data", str(workdir / "data")]
+    shared = tmp_path / "shared"
+    assert main(run + ["--out", str(shared / "a.nakl")]) == 0
+    metrics = (shared / "metrics.csv").read_bytes()
+    trained, real_train = [], cli.train
+
+    def train(*args, **kwargs):
+        trained.append(1)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", train)
+    capsys.readouterr()
+    assert main(run + ["--out", str(shared / "b.nakl")]) == 4
+    assert "a.nakl" in capsys.readouterr().err
+    assert trained == []
+    assert (shared / "metrics.csv").read_bytes() == metrics
+    assert sorted(p.name for p in shared.iterdir()) == ["a.nakl", "metrics.csv"]
+    # training again onto the same --out is one run, written over
+    assert main(run + ["--out", str(shared / "a.nakl")]) == 0
+    assert trained == [1]
+    assert (shared / "metrics.csv").read_bytes() == metrics
+
+
 def test_resume_flag_absent(workdir):
     with pytest.raises(SystemExit) as err:
         main(["train", "--config", str(workdir / "small.cfg"),
@@ -822,11 +940,15 @@ def test_bench_reports_lengths_and_monotone_flops(workdir, capsys):
     assert main(["bench", "--config", str(workdir / "small.cfg"),
                  "--lengths", "40,80,160"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "length,median_seconds,flop_estimate"
+    assert lines[0] == "length,median_seconds,macs"
     rows = [line.split(",") for line in lines[1:]]
     assert [int(r[0]) for r in rows] == [40, 80, 160]
-    flops = [int(r[2]) for r in rows]
-    assert flops == sorted(flops) and flops[0] < flops[-1]
+    macs = [int(r[2]) for r in rows]
+    assert macs == sorted(macs) and macs[0] < macs[-1]
+    model = init_model(parse_config(SMALL_CFG).model, stream(1, "init"))
+    with te_mod.no_grad(), te_mod.mac_counter() as counted:
+        model_forward(model, np.zeros((1, 4, 40)))
+    assert macs[0] == counted["total"]
     assert all(float(r[1]) > 0 for r in rows)
 
 

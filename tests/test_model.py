@@ -2,7 +2,10 @@
 
 import gc
 import inspect
+import io
 import tracemalloc
+import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -343,20 +346,68 @@ def test_named_leaves_no_reference_cycle():
 
 
 def test_checkpoint_bytes_frozen(tmp_path):
-    path = tmp_path / "one.nakl"
-    save_checkpoint(path, {"w": np.array([[1.5, -2.0]])})
-    want = (
-        b"NAKL"
-        + (2).to_bytes(4, "little")  # version
-        + (1).to_bytes(4, "little")
-        + (1).to_bytes(2, "little")
-        + b"w"
-        + (2).to_bytes(1, "little")
-        + (1).to_bytes(4, "little")
-        + (2).to_bytes(4, "little")
-        + np.array([1.5, -2.0], dtype="<f4").tobytes()
-    )
-    assert path.read_bytes() == want
+    # equal parameters give equal bytes, and numpy reads the file as an .npz
+    named = {"w": np.array([[1.5, -2.0]]), "b": np.float64(0.25),
+             "t": np.arange(6.0).reshape(3, 2).T}  # Fortran-ordered in memory
+    save_checkpoint(tmp_path / "one.nakl", named)
+    save_checkpoint(tmp_path / "two.nakl", named)
+    assert (tmp_path / "one.nakl").read_bytes() == (tmp_path / "two.nakl").read_bytes()
+    with zipfile.ZipFile(tmp_path / "one.nakl") as zf:
+        infos = zf.infolist()
+    assert [i.filename for i in infos] == ["b.npy", "t.npy", "w.npy"]
+    assert {(i.compress_type, i.date_time) for i in infos} == {
+        (zipfile.ZIP_STORED, (1980, 1, 1, 0, 0, 0))}
+    with np.load(tmp_path / "one.nakl", allow_pickle=False) as npz:
+        assert sorted(npz.files) == sorted(named)
+        for name, value in named.items():
+            got = npz[name]
+            assert got.dtype == np.dtype("<f4") and got.shape == np.shape(value)
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got, np.asarray(value, np.float32))
+
+
+def npy_bytes(arr, allow_pickle=False) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def zip_bytes(members) -> bytes:
+    """A zip of (name, data) members, written as given, duplicates included."""
+    buf = io.BytesIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # zipfile warns on a duplicate name
+        with zipfile.ZipFile(buf, "w") as zf:
+            for name, data in members:
+                zf.writestr(zipfile.ZipInfo(name), data)
+    return buf.getvalue()
+
+
+def flipped(blob: bytes, at: int) -> bytes:
+    out = bytearray(blob)
+    out[at] ^= 0x10
+    return bytes(out)
+
+
+GOOD = npy_bytes(np.ones((2, 3), "<f4"))
+
+
+@pytest.mark.parametrize("blob,message", [
+    (b"NAKL" + (2).to_bytes(4, "little") + bytes(4), "flat NAKL checkpoint"),
+    (zip_bytes([("w.npy", GOOD)]) + b"\0", "bytes after the zip's end record"),
+    (flipped(zip_bytes([("w.npy", GOOD)]), 30 + 5 + 130), "CRC"),
+    (zip_bytes([("w.npy", GOOD), ("w.npy", GOOD)]), "missing or repeated"),
+    (zip_bytes([("w.npy", npy_bytes(np.ones((2, 3))))]), "plain float32 array"),
+    (zip_bytes([("w.npy", GOOD + b"\0")]), "plain float32 array"),
+    (zip_bytes([("w.npy", npy_bytes(np.array([None]), allow_pickle=True))]), "pickle"),
+    (zip_bytes([("w.npy", b"not an array")]), "magic"),
+], ids=["flat", "trailing", "crc", "duplicate", "float64", "member_tail",
+        "pickled", "not_npy"])
+def test_load_checkpoint_refuses(tmp_path, blob, message):
+    path = tmp_path / "bad.nakl"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)
 
 
 def test_checkpoint_write_failure_keeps_previous_file(tmp_path):
