@@ -1,8 +1,8 @@
 """Command line surface: data generation, training, evaluation, checks.
 
 Subcommands
-    gen-data            write a synthetic dataset to a directory
-    train               fit a model on a dataset directory
+    gen-data            write a synthetic dataset file
+    train               fit a model on a dataset file
     eval                accuracy, F1, and confusion matrix for a checkpoint
     grad-check          compare every module's backward pass to finite differences
     dump-bands          learned band centers/widths and mean gate per band
@@ -13,21 +13,21 @@ Exit codes: 0 success, 2 configuration, 3 non-finite values (in
 training, a forward pass, a loaded checkpoint or a dataset's trials), 4
 artifact load or shape mismatch, 5 verification failure.
 
-Dataset format: a directory of three `np.save` arrays, signals.npy
-(float64, shape (N, C, T)), labels.npy (int64, shape (N,)) and rate.npy
-(a 0-d float64, in Hz), beside manifest.txt, a `# gen-data --seed <n>`
-line followed by the generating config, unchanged. A missing, truncated
-or pickled file, a wrong dtype or ndim, a label count other than the
-trial count, no samples, a negative label or a rate that is not finite
-and positive is an artifact error; NaN or Inf in a trial is a
-non-finite error naming the trial. A dataset that disagrees with the
-config (rate, channel or class count, trials shorter than one patch) is
-a configuration error naming the key, in every command that reads one.
+Dataset format: one `.npz` file in the checkpoint's container
+(`model.save_npz`), as `np.savez(path, signals=x, labels=y, rate=hz)`
+writes: signals (float64, (N, C, T)), labels (int64, (N,)), rate (0-d
+float64, Hz) and an optional manifest (0-d str: `# gen-data --seed <n>`,
+then the generating config). A dataset that fails `load_dataset`'s
+checks is an artifact error, NaN or Inf in a trial a non-finite error
+naming the trial, and one that disagrees with the config (rate, channel
+or class count, trials shorter than one patch) a configuration error
+naming the key, in every command that reads one.
 
 Every command takes `--config`, the only source of run settings; other
-flags name files or seed gen-data's trials or a check's probes. eval
-and the dump commands build the model from it and then load the
-checkpoint, which must hold exactly the parameters that config creates.
+flags name files or seed gen-data's trials or a check's probes. Every
+command parses the config before it reads any other file. eval and the
+dump commands build the model from it and then load the checkpoint,
+which must hold exactly the parameters that config creates.
 
 eval, the dump commands and validation inside train all run
 `training.forward_batches`, one `te.no_grad()` forward per batch of
@@ -56,9 +56,11 @@ from .graph import build_graph, circle_layout, init_spatial_attention, topk_mask
 from .model import (
     init_model,
     load_into,
+    load_npz,
     model_forward,
     named_tensors,
     save_checkpoint,
+    save_npz,
 )
 from .rng import stream
 from .spectral import init_band_filters, spectral_mix
@@ -89,65 +91,56 @@ class VerificationError(Exception):
     """A check command found a violation."""
 
 
-# --- dataset files -----------------------------------------------------------------
+# --- datasets and checkpoints -------------------------------------------------------
 
-# file stem -> (dtype, ndim) of the array a dataset directory stores under it
-_ARRAYS = {"signals": (np.float64, 3), "labels": (np.int64, 1), "rate": (np.float64, 0)}
+# member -> (dtype, ndim) of the array a dataset file stores under it
+_ARRAYS = {"signals": (np.float64, 3), "labels": (np.int64, 1), "rate": (np.float64, 0),
+           "manifest": (np.str_, 0)}
 
 
-def save_dataset(out_dir, signals: np.ndarray, labels: np.ndarray, rate: float,
-                 manifest: str) -> None:
+def save_dataset(path, signals: np.ndarray, labels: np.ndarray, rate: float, manifest: str) -> None:
+    values = dict(zip(_ARRAYS, (signals, labels, rate, manifest)))
     try:
-        os.makedirs(out_dir, exist_ok=True)
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        save_npz(path, {name: np.asarray(v, _ARRAYS[name][0]) for name, v in values.items()})
     except OSError as exc:
-        raise ArtifactError(f"cannot create {out_dir}: {exc}") from None
-    for stem, value in (("signals", signals), ("labels", labels), ("rate", rate)):
-        np.save(os.path.join(out_dir, stem + ".npy"), np.asarray(value, _ARRAYS[stem][0]))
-    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
-        fh.write(manifest)
+        raise ArtifactError(f"cannot write {path}: {exc}") from None
 
 
-def _load_array(data_dir, stem: str):
-    """(array, path); ArtifactError unless the file holds a plain array of the declared kind."""
-    path = os.path.join(data_dir, stem + ".npy")
-    dtype, ndim = _ARRAYS[stem]
+def load_dataset(path):
+    """Returns (signals (N, C, T), labels (N,), rate) from a gen-data `.npz` file."""
+    if os.path.isdir(path):
+        raise ArtifactError(f"{path} is a directory; a dataset is one .npz file, not the "
+                            "signals.npy, labels.npy and rate.npy of earlier builds")
     try:
-        with open(path, "rb") as fh:
-            array = np.load(fh, allow_pickle=False)
-    except (OSError, ValueError, EOFError) as exc:
+        arrays = load_npz(path)
+    except (OSError, ValueError) as exc:
         raise ArtifactError(f"cannot read {path}: {exc}") from None
-    if not isinstance(array, np.ndarray):  # np.load opens a zip archive as an NpzFile
-        raise ArtifactError(f"{path}: an .npz archive, not a single array")
-    if array.dtype != dtype or array.ndim != ndim:
-        raise ArtifactError(f"{path}: expected a {ndim}-d {np.dtype(dtype)} array, "
-                            f"found {array.ndim}-d {array.dtype}")
-    return array, path
-
-
-def load_dataset(data_dir):
-    """Returns (signals (N, C, T), labels (N,), rate) from a gen-data directory."""
-    signals, signals_path = _load_array(data_dir, "signals")
-    labels, labels_path = _load_array(data_dir, "labels")
-    rate, rate_path = _load_array(data_dir, "rate")
+    arrays.setdefault("manifest", np.asarray(""))  # the one optional member
+    if arrays.keys() != _ARRAYS.keys():
+        raise ArtifactError(f"{path}: members {sorted(arrays)}, not {list(_ARRAYS)}")
+    for name, (dtype, ndim) in _ARRAYS.items():
+        if not np.issubdtype(arrays[name].dtype, dtype) or arrays[name].ndim != ndim:
+            raise ArtifactError(f"{path}: {name}.npy: expected a {ndim}-d {np.dtype(dtype).name} "
+                                f"array, found {arrays[name].ndim}-d {arrays[name].dtype}")
+    signals, labels, rate = arrays["signals"], arrays["labels"], arrays["rate"]
     if len(labels) != len(signals):
-        raise ArtifactError(f"{labels_path}: {len(labels)} labels for {len(signals)} trials")
+        raise ArtifactError(f"{path}: {len(labels)} labels for {len(signals)} trials")
     if not signals.size:
-        raise ArtifactError(f"{signals_path}: no samples (shape {signals.shape})")
+        raise ArtifactError(f"{path}: no samples (signals shape {signals.shape})")
     if labels.min() < 0:
-        raise ArtifactError(f"{labels_path}: negative label {labels.min()}")
+        raise ArtifactError(f"{path}: negative label {labels.min()}")
     if not (np.isfinite(rate) and rate > 0):
-        raise ArtifactError(f"{rate_path}: rate {rate} is not a finite positive number")
+        raise ArtifactError(f"{path}: rate {rate} is not a finite positive number")
     bad = ~np.isfinite(signals).all(axis=(1, 2))
     if bad.any():
-        raise FloatingPointError(f"{signals_path}: trial {np.argmax(bad)} holds NaN or Inf")
+        raise FloatingPointError(f"{path}: trial {np.argmax(bad)} holds NaN or Inf")
     return signals, labels, float(rate)
 
 
-# --- dataset and checkpoint loading ---------------------------------------------------
-
-
-def _check_dataset(mc, signals: np.ndarray, labels: np.ndarray, rate: float) -> None:
-    """ConfigError naming the key of model config `mc` that the dataset disagrees with."""
+def _checked_dataset(mc, path):
+    """load_dataset(path), or ConfigError naming the key of model config `mc` it disagrees with."""
+    signals, labels, rate = load_dataset(path)
     if abs(rate - mc.sample_rate) > 1e-9:
         raise ConfigError("rate", f"config says {mc.sample_rate}, dataset says {rate}")
     if signals.shape[1] != mc.n_channels:
@@ -159,18 +152,13 @@ def _check_dataset(mc, signals: np.ndarray, labels: np.ndarray, rate: float) -> 
     if signals.shape[2] < mc.patch:
         raise ConfigError(
             "patch", f"config says {mc.patch}, dataset trials have {signals.shape[2]} samples")
+    return signals, labels, rate
 
 
 def _load_model(args):
-    """(model, dataset or None) for eval and the dumps.
-
-    The model is built from `--config`, checked against the `--data`
-    dataset when one is given, and then loaded from `--ckpt`.
-    """
-    dataset = load_dataset(args.data) if args.data else None
+    """(model, dataset or None) for eval and the dumps: `--config`, then `--data`, then `--ckpt`."""
     mc = load_config(args.config).model
-    if dataset is not None:
-        _check_dataset(mc, *dataset)
+    dataset = _checked_dataset(mc, args.data) if args.data else None
     model = init_model(mc, np.random.default_rng(0))
     try:
         load_into(model, args.ckpt)
@@ -184,6 +172,8 @@ def _load_model(args):
 
 def cmd_gen_data(args) -> int:
     rc = load_config(args.config)
+    if os.path.isdir(args.out) or not os.path.basename(args.out):
+        raise ArtifactError(f"--out {args.out} names a directory; name the dataset file")
     spec = rc.data
     signals, labels = generate_synthetic(spec, seed=args.seed)
     manifest = f"# gen-data --seed {args.seed}\n" + config_text(rc)
@@ -202,9 +192,8 @@ def _log_row(row) -> None:
 
 def cmd_train(args) -> int:
     rc = load_config(args.config)
-    signals, labels, rate = load_dataset(args.data)
     mc = rc.model
-    _check_dataset(mc, signals, labels, rate)
+    signals, labels, _ = _checked_dataset(mc, args.data)
     train_idx, _ = stratified_split(labels, rc.train.val_fraction, stream(rc.train.seed, "split"))
     if not len(train_idx):
         raise ConfigError(
@@ -385,7 +374,7 @@ def _probe_model(rc: RunConfig, rng):
     labels = rng.integers(0, mc.n_classes, size=2)
 
     def build():
-        return smoothed_cross_entropy(model_forward(model, x), labels, eps=0.1)
+        return smoothed_cross_entropy(model_forward(model, x), labels)
 
     return model, build
 
@@ -409,7 +398,7 @@ def _check_training(rng):
     labels = rng.integers(0, 7, size=10)
 
     def build():
-        return smoothed_cross_entropy(logits, labels, eps=0.1)
+        return smoothed_cross_entropy(logits, labels)
 
     return build, [logits]
 
@@ -550,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_count(0), default=0)
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train on a dataset directory")
+    p = sub.add_parser("train", help="train on a dataset file")
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)

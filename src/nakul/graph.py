@@ -201,7 +201,7 @@ def init_spatial_attention(
     heads: int,
     c: int,
     rng: np.random.Generator,
-    k_top: int = 16,
+    k_top: int,
 ) -> SpatialAttention:
     if d % heads:
         raise ValueError("head count must divide the feature width")

@@ -26,28 +26,17 @@ spaced on a circle. `init_model` builds the fixed electrode graph from
 it, so the `ModelConfig` alone fixes the model's structure, graph
 included.
 
-A checkpoint is a stored (uncompressed) zip with one `<name>.npy`
-member of float32 values per tensor, in sorted name order, so
-`np.load(path, allow_pickle=False)` reads it. It holds exactly the
-parameters `init_model` creates from the run's `ModelConfig`, and
-loading one needs that config: sizes are never read from the shapes.
-Each tensor is stored in the layout its forward reads (the kernel bank
-in lag order). The file ends with the zip's end record, and its member
-count must match the distinct members found: `zipfile` itself accepts
-trailing bytes and trusts its own walk of the central directory. Every
-member's CRC-32 is checked on load; the flat `NAKL` files of earlier
-builds are refused.
-
-Each tensor is named by its dotted field path (`w_embed`,
-`blocks.0.bands.w_r` holding all K bands, `blocks.0.bank.kernels.2`);
-checkpoints with the earlier per-band names (`block0.band0.raw_mu`) do
-not load.
+A checkpoint is an `.npz` file (`save_npz`) of float32 members named by
+dotted field path (`w_embed`, `blocks.0.bands.w_r` holding all K bands,
+`blocks.0.bank.kernels.2`), each in the layout its forward reads (the
+kernel bank in lag order). It holds exactly the parameters `init_model`
+creates from the run's `ModelConfig`: sizes are never read from shapes.
 """
 
 from __future__ import annotations
 
-import io
 import os
+import tokenize
 import zipfile
 import zlib
 from contextlib import contextmanager
@@ -96,6 +85,8 @@ __all__ = [
     "model_forward",
     "count_flops",
     "atomic_open",
+    "save_npz",
+    "load_npz",
     "save_checkpoint",
     "load_checkpoint",
     "load_into",
@@ -447,37 +438,55 @@ def atomic_open(path, mode: str = "wb", **kwargs):
         raise
 
 
-def save_checkpoint(path, named: dict) -> None:
-    """Write name -> Tensor/array pairs as float32 `.npy` zip members, through `atomic_open`."""
+def save_npz(path, arrays: dict) -> None:
+    """Write name -> array pairs as `.npy` members of a stored zip (numpy's `.npz`) through
+    `atomic_open`, sorted and dated 1980-01-01 by `ZipInfo`: equal arrays give equal bytes."""
     with atomic_open(path) as fh, zipfile.ZipFile(fh, "w") as zf:
-        for name, arr in sorted(named.items()):  # ZipInfo dates every member 1980-01-01
-            arr = np.asarray(arr.data if isinstance(arr, Tensor) else arr, "<f4", order="C")
+        for name, arr in sorted(arrays.items()):
             with zf.open(zipfile.ZipInfo(name + ".npy"), "w") as member:
-                np.lib.format.write_array(member, arr, allow_pickle=False)
+                np.lib.format.write_array(member, np.asarray(arr, order="C"), allow_pickle=False)
 
 
-def load_checkpoint(path) -> dict:
-    """Read a checkpoint back into {name: float64 array}; ValueError on any damage."""
+def load_npz(path) -> dict:
+    """{name: array} from an `.npz` file of plain `.npy` members; ValueError on any damage.
+    Members are streamed: `zipfile` checks each one's CRC-32 when a read reaches its end."""
     out = {}
     try:
-        with open(path, "rb") as fh:
-            if fh.read(4) == b"NAKL":
-                raise ValueError("a flat NAKL checkpoint from an earlier build; retrain")
-            zf = zipfile.ZipFile(fh)
+        with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:
             fh.seek(-22, os.SEEK_END)  # zipfile skips trailing bytes and miscounted members
             end, found = fh.read(22), len(set(zf.namelist()))
             if end[:4] != b"PK\x05\x06" or int.from_bytes(end[10:12], "little") != found:
                 raise ValueError("bytes after the zip's end record, or members missing or repeated")
             for info in zf.infolist():
-                buf = io.BytesIO(zf.read(info))  # BadZipFile on a CRC mismatch
-                arr = np.lib.format.read_array(buf, allow_pickle=False)
-                if arr.dtype != "<f4" or buf.read(1):
-                    raise ValueError(f"member {info.filename} is not a plain float32 array")
-                out[info.filename.removesuffix(".npy")] = arr.astype(np.float64)
+                with zf.open(info) as member:
+                    arr = np.lib.format.read_array(member, allow_pickle=False)
+                    if member.read(1):
+                        raise ValueError(f"{info.filename} is more than a plain {arr.dtype} array")
+                out[info.filename.removesuffix(".npy")] = arr
     except (zipfile.BadZipFile, zlib.error, OSError, EOFError, NotImplementedError,
-            RuntimeError) as exc:  # RuntimeError: a flipped flag bit marks a member encrypted
-        raise ValueError(f"not a checkpoint zip: {exc}") from None
+            RuntimeError, SyntaxError, tokenize.TokenError) as exc:
+        # RuntimeError: a flipped flag bit marks a member encrypted; SyntaxError and
+        # TokenError: numpy parses a damaged .npy header before the CRC-32 is checked
+        raise ValueError(f"not a zip of .npy arrays: {exc}") from None
     return out
+
+
+def save_checkpoint(path, named: dict) -> None:
+    """Write name -> Tensor/array pairs as float32 members of an `.npz` file (`save_npz`)."""
+    save_npz(path, {name: np.asarray(arr.data if isinstance(arr, Tensor) else arr, "<f4")
+                    for name, arr in named.items()})
+
+
+def load_checkpoint(path) -> dict:
+    """Read a checkpoint back into {name: float64 array}; ValueError on any damage."""
+    with open(path, "rb") as fh:
+        if fh.read(4) == b"NAKL":
+            raise ValueError("a flat NAKL checkpoint from an earlier build; retrain")
+    arrays = load_npz(path)
+    wrong = [name for name, arr in arrays.items() if arr.dtype != "<f4"]
+    if wrong:
+        raise ValueError(f"member {wrong[0]}.npy is not a plain float32 array")
+    return {name: arr.astype(np.float64, order="C") for name, arr in arrays.items()}
 
 
 def load_into(model: NakulModel, path) -> None:
@@ -501,5 +510,4 @@ def load_into(model: NakulModel, path) -> None:
         if not np.all(np.isfinite(arr)):
             raise FloatingPointError(f"checkpoint tensor {name} holds NaN or Inf")
     for name, arr in saved.items():
-        # ascontiguousarray would silently promote 0-d scalars to (1,)
-        named[name].data = np.ascontiguousarray(arr) if arr.ndim else np.asarray(arr)
+        named[name].data = arr

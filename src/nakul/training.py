@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 ADAM_EPS = 1e-8
+LABEL_SMOOTHING = 0.1  # the default of TrainConfig.label_smoothing and of every loss
 INFERENCE_BATCH = 32  # trials per no-grad forward: validation, eval and the dumps
 
 
@@ -52,7 +53,7 @@ class TrainConfig:
     batch_size: int = 16
     warmup_fraction: float = 0.3
     final_lr: float = 1e-6
-    label_smoothing: float = 0.1
+    label_smoothing: float = LABEL_SMOOTHING
     patience: int = 25
     seed: int = 0
     grad_clip: float = 1.0
@@ -163,7 +164,7 @@ def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
     return cfg.final_lr + (cfg.lr - cfg.final_lr) * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
-def smoothed_cross_entropy(logits: Tensor, labels, eps: float = 0.1) -> Tensor:
+def smoothed_cross_entropy(logits: Tensor, labels, eps: float = LABEL_SMOOTHING) -> Tensor:
     """Mean smoothed cross entropy; targets (1-eps)*onehot + eps/n."""
     labels = np.asarray(labels, dtype=np.int64)
     n = logits.shape[-1]
@@ -230,7 +231,7 @@ def forward_batches(model: NakulModel, signals, batch_size: int = INFERENCE_BATC
         yield lo, hi, logits, block_diags
 
 
-def evaluate(model: NakulModel, signals, labels, eps: float = 0.1,
+def evaluate(model: NakulModel, signals, labels, eps: float = LABEL_SMOOTHING,
              batch_size: int = INFERENCE_BATCH):
     """Deterministic loss and accuracy over a dataset, with no autograd graph."""
     losses, hits = [], 0

@@ -169,6 +169,20 @@ def test_config_non_finite_values_exit_2(tmp_path, capsys, line, key):
     assert f"{key}: must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    "gen-data", "train", "eval", "dump-bands", "dump-kernel-weights"])
+def test_config_is_read_before_any_artifact(tmp_path, capsys, command):
+    # with a bad config and missing (or, for gen-data, unwritable) files, the config wins
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SMALL_CFG + "no_such_knob = 1\n")
+    missing = str(tmp_path / "missing")
+    rest = {"gen-data": ["--out", str(tmp_path)],
+            "train": ["--data", missing, "--out", str(tmp_path / "run" / "model.nakl")],
+            }.get(command, ["--ckpt", missing, "--data", missing])
+    assert main([command, *rest, "--config", str(cfg)]) == 2
+    assert "no_such_knob: unknown key" in capsys.readouterr().err
+
+
 def test_default_config_is_valid():
     rc = RunConfig()
     assert parse_config(config_text(rc)) == rc
@@ -178,12 +192,12 @@ def test_default_config_is_valid():
 
 
 def test_gen_data_rate_needing_many_digits_trains(tmp_path):
-    # rate.npy keeps every bit of the rate, so train sees the config's rate
+    # the rate member keeps every bit of the rate, so train sees the config's rate
     cfg = tmp_path / "rate.cfg"
     cfg.write_text(with_line(SMALL_CFG, "rate = 20.0000001"))
-    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
-    assert np.load(tmp_path / "d" / "rate.npy") == 20.0000001
-    assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "d"),
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d.npz")]) == 0
+    assert np.load(tmp_path / "d.npz")["rate"] == 20.0000001
+    assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "d.npz"),
                  "--out", str(tmp_path / "run" / "model.nakl")]) == 0
 
 
@@ -191,23 +205,43 @@ def test_dataset_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     signals = rng.normal(size=(5, 2, 12))
     labels = np.array([0, 1, 1, 0, 1])
-    save_dataset(tmp_path / "d", signals, labels, 64.0, "manifest\n")
-    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
-        "labels.npy", "manifest.txt", "rate.npy", "signals.npy"]
-    back_x, back_y, rate = load_dataset(tmp_path / "d")
+    path = tmp_path / "d.npz"
+    save_dataset(path, signals, labels, 64.0, "manifest\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["d.npz"]
+    with zipfile.ZipFile(path) as zf:
+        assert zf.namelist() == ["labels.npy", "manifest.npy", "rate.npy", "signals.npy"]
+    back_x, back_y, rate = load_dataset(path)
     assert back_x.dtype == np.float64 and back_y.dtype == np.int64
-    np.testing.assert_array_equal(back_x, signals)  # bitwise: np.save stores the float64s
+    np.testing.assert_array_equal(back_x, signals)  # bitwise: the float64s are stored
     np.testing.assert_array_equal(back_y, labels)
     assert rate == 64.0 and type(rate) is float
-    assert (tmp_path / "d" / "manifest.txt").read_text() == "manifest\n"
+    assert np.load(path)["manifest"][()] == "manifest\n"
+
+
+def test_dataset_written_by_np_savez_loads(tmp_path):
+    # bring your own data: np.savez writes the same container, and the manifest is optional
+    signals = np.random.default_rng(2).normal(size=(4, 3, 20))
+    np.savez(tmp_path / "own.npz", signals=signals, labels=np.array([0, 1, 2, 0]),
+             rate=np.float64(128.0))
+    back_x, back_y, rate = load_dataset(tmp_path / "own.npz")
+    np.testing.assert_array_equal(back_x, signals)
+    np.testing.assert_array_equal(back_y, [0, 1, 2, 0])
+    assert rate == 128.0
+
+
+def dataset_members(**changes) -> dict:
+    """A valid two-trial dataset for SMALL_CFG as np.savez keywords, with `changes`;
+    a change to None drops that member."""
+    members = {"signals": np.zeros((2, 4, 80)), "labels": np.array([0, 1]),
+               "rate": np.float64(20.0), **changes}
+    return {name: value for name, value in members.items() if value is not None}
 
 
 def test_dataset_label_mismatch(tmp_path):
-    # labels.npy must hold one label per trial of signals.npy
-    save_dataset(tmp_path / "d", np.zeros((2, 2, 8)), np.array([0, 1]), 10.0, "m")
-    np.save(tmp_path / "d" / "labels.npy", np.array([0, 1, 0]))
-    with pytest.raises(ArtifactError, match="labels.npy: 3 labels for 2 trials"):
-        load_dataset(tmp_path / "d")
+    # the labels member must hold one label per trial of the signals member
+    np.savez(tmp_path / "d.npz", **dataset_members(labels=np.array([0, 1, 0])))
+    with pytest.raises(ArtifactError, match="d.npz: 3 labels for 2 trials"):
+        load_dataset(tmp_path / "d.npz")
 
 
 def eval_small(workdir, data) -> int:
@@ -216,9 +250,8 @@ def eval_small(workdir, data) -> int:
 
 
 def test_eval_non_integer_label_exits_4(workdir, tmp_path, capsys):
-    save_dataset(tmp_path / "d", np.zeros((2, 4, 80)), np.array([0, 1]), 20.0, "m")
-    np.save(tmp_path / "d" / "labels.npy", np.array([0.0, 1.5]))
-    assert eval_small(workdir, tmp_path / "d") == 4
+    np.savez(tmp_path / "d.npz", **dataset_members(labels=np.array([0.0, 1.5])))
+    assert eval_small(workdir, tmp_path / "d.npz") == 4
     err = capsys.readouterr().err
     assert "labels.npy" in err and "float64" in err
 
@@ -237,65 +270,85 @@ def with_trial_value(value):
     (lambda signals: signals[:, :0], 4, "no samples"),
 ], ids=["nan", "inf", "non_numeric", "no_channels"])
 def test_eval_bad_trial_values_exit_cleanly(workdir, tmp_path, capsys, edit, code, message):
-    save_dataset(tmp_path / "d", np.zeros((2, 4, 80)), np.array([0, 1]), 20.0, "m")
-    np.save(tmp_path / "d" / "signals.npy", edit(np.zeros((2, 4, 80))))
-    assert eval_small(workdir, tmp_path / "d") == code
+    np.savez(tmp_path / "d.npz", **dataset_members(signals=edit(np.zeros((2, 4, 80)))))
+    assert eval_small(workdir, tmp_path / "d.npz") == code
     err = capsys.readouterr().err
-    assert "signals.npy" in err and message in err
+    assert str(tmp_path / "d.npz") in err and message in err
 
 
 def truncate(path):
     path.write_bytes(path.read_bytes()[:-3])
 
 
-def write_npz(directory):
-    with open(directory / "signals.npy", "wb") as fh:  # a file name keeps np.savez from adding .npz
-        np.savez(fh, signals=np.zeros((2, 4, 80)))
+def npz_in_signals(path):
+    # an .npz archive where the signals array belongs
+    nested = io.BytesIO()
+    np.savez(nested, signals=np.zeros((2, 4, 80)))
+    with zipfile.ZipFile(path, "a") as zf:
+        zf.writestr("signals.npy", nested.getvalue())
 
 
-def write_text_format(directory):
-    # the per-trial text layout datasets once had: no signals.npy at all
-    for name in ("signals.npy", "labels.npy", "rate.npy"):
-        (directory / name).unlink()
-    (directory / "labels.csv").write_text("filename,label\ntrial_00000.txt,0\n")
-    (directory / "trial_00000.txt").write_text(
+def npy_directory(path):
+    # the layout datasets once had: a directory of one .npy file per array
+    path.mkdir()
+    for name, value in dataset_members().items():
+        np.save(path / f"{name}.npy", value)
+
+
+def text_directory(path):
+    # the per-trial text layout datasets once had
+    path.mkdir()
+    (path / "labels.csv").write_text("filename,label\ntrial_00000.txt,0\n")
+    (path / "trial_00000.txt").write_text(
         "# channels=4 samples=80 rate=20 label=0\n" + "\n".join(["0" + ",0" * 79] * 4) + "\n")
 
 
-@pytest.mark.parametrize("edit, name, message", [
-    (lambda d: np.save(d / "signals.npy", np.zeros((2, 4, 80), np.float32)), "signals.npy",
-     "expected a 3-d float64 array, found 3-d float32"),
-    (lambda d: np.save(d / "signals.npy", np.zeros((2, 320))), "signals.npy",
-     "expected a 3-d float64 array, found 2-d float64"),
-    (lambda d: np.save(d / "labels.npy", np.array([[0, 1]])), "labels.npy",
-     "expected a 1-d int64 array, found 2-d int64"),
-    (lambda d: np.save(d / "rate.npy", np.array([20.0])), "rate.npy",
-     "expected a 0-d float64 array, found 1-d float64"),
-    (lambda d: np.save(d / "labels.npy", np.array([0])), "labels.npy", "1 labels for 2 trials"),
-    (lambda d: np.save(d / "labels.npy", np.array([0, -1])), "labels.npy", "negative label -1"),
-    (lambda d: save_dataset(d, np.zeros((0, 4, 80)), np.zeros(0), 20.0, "m"), "signals.npy",
-     "no samples"),
-    (lambda d: np.save(d / "rate.npy", np.float64(np.inf)), "rate.npy", "not a finite positive"),
-    (lambda d: np.save(d / "rate.npy", np.float64(0.0)), "rate.npy", "not a finite positive"),
-    (lambda d: np.save(d / "signals.npy", np.array([None, 1.0], dtype=object)), "signals.npy",
-     "Object arrays cannot be loaded"),
-    (lambda d: truncate(d / "signals.npy"), "signals.npy", "not fully written"),
-    (write_npz, "signals.npy", "not a single array"),
-    (lambda d: (d / "labels.npy").unlink(), "labels.npy", "No such file"),
-    (write_text_format, "signals.npy", "No such file"),
+def npy_bytes(arr) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
+def savez(**changes):
+    return lambda path: np.savez(path, **dataset_members(**changes))
+
+
+OLD_LAYOUT = "is a directory; a dataset is one .npz file, not the signals.npy"
+
+
+@pytest.mark.parametrize("write, message", [
+    (savez(signals=np.zeros((2, 4, 80), np.float32)),
+     "signals.npy: expected a 3-d float64 array, found 3-d float32"),
+    (savez(signals=np.zeros((2, 320))), "signals.npy: expected a 3-d float64 array, found 2-d"),
+    (savez(labels=np.array([[0, 1]])), "labels.npy: expected a 1-d int64 array, found 2-d int64"),
+    (savez(rate=np.array([20.0])), "rate.npy: expected a 0-d float64 array, found 1-d float64"),
+    (savez(labels=np.array([0])), "1 labels for 2 trials"),
+    (savez(labels=np.array([0, -1])), "negative label -1"),
+    (savez(signals=np.zeros((0, 4, 80)), labels=np.zeros(0, np.int64)), "no samples"),
+    (savez(rate=np.float64(np.inf)), "not a finite positive"),
+    (savez(rate=np.float64(0.0)), "not a finite positive"),
+    (savez(signals=np.array([None, 1.0], dtype=object)), "Object arrays cannot be loaded"),
+    (lambda path: (savez()(path), truncate(path)), "not a zip of .npy arrays"),
+    (lambda path: (savez(signals=None)(path), npz_in_signals(path)), "magic string"),
+    (savez(labels=None), "members ['manifest', 'rate', 'signals'], not ['signals', 'labels'"),
+    (text_directory, OLD_LAYOUT),
+    (npy_directory, OLD_LAYOUT),
+    (savez(extra=np.zeros(2)), "members ['extra', 'labels', 'manifest', 'rate', 'signals'], not"),
+    (lambda path: path.write_bytes(npy_bytes(np.zeros((2, 4, 80)))), "not a zip of .npy arrays"),
+    (savez(manifest=np.float64(1.0)), "manifest.npy: expected a 0-d str array"),
 ], ids=["signals_dtype", "signals_ndim", "labels_ndim", "rate_ndim", "label_count",
         "negative_label", "no_trials", "rate_inf", "rate_zero", "object_array",
-        "truncated", "npz_archive", "missing_labels", "text_format"])
-def test_bad_dataset_arrays_exit_4(workdir, tmp_path, capsys, edit, name, message):
-    data = tmp_path / "d"
-    save_dataset(data, np.zeros((2, 4, 80)), np.array([0, 1]), 20.0, "m")
-    edit(data)
+        "truncated", "npz_archive", "missing_labels", "text_format", "npy_directory",
+        "unknown_member", "bare_npy", "manifest_dtype"])
+def test_bad_dataset_arrays_exit_4(workdir, tmp_path, capsys, write, message):
+    data = tmp_path / "d.npz"
+    write(data)
     out = tmp_path / "never.nakl"
     for target in (["eval", "--ckpt", str(workdir / "run" / "model.nakl")],
                    ["train", "--out", str(out)]):
         assert main([*target, "--data", str(data), "--config", str(workdir / "small.cfg")]) == 4
         err = capsys.readouterr().err
-        assert str(data / name) in err and message in err
+        assert str(data) in err and message in err
     assert not out.exists()
 
 
@@ -321,12 +374,9 @@ def test_gen_data_deterministic_and_manifest(workdir, tmp_path):
     cfg = workdir / "small.cfg"
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "again"),
                  "--seed", "3"]) == 0
-    names = sorted(p.name for p in (workdir / "data").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "again").iterdir())
-    for name in names:
-        assert (workdir / "data" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
+    assert (workdir / "data").read_bytes() == (tmp_path / "again").read_bytes()
     # the manifest records the data seed in a comment and the config as given
-    manifest = (workdir / "data" / "manifest.txt").read_text()
+    manifest = np.load(workdir / "data")["manifest"][()]
     assert manifest.splitlines()[0] == "# gen-data --seed 3"
     assert parse_config(manifest) == parse_config(SMALL_CFG)
 
@@ -335,9 +385,43 @@ def test_gen_data_seed_changes_content(workdir, tmp_path):
     cfg = workdir / "small.cfg"
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "other"),
                  "--seed", "4"]) == 0
-    a = (workdir / "data" / "signals.npy").read_bytes()
-    b = (tmp_path / "other" / "signals.npy").read_bytes()
-    assert a != b
+    a = np.load(workdir / "data")["signals"]
+    b = np.load(tmp_path / "other")["signals"]
+    assert a.shape == b.shape and (a != b).any()
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "trailing_slash"])
+def test_gen_data_out_directory_exits_4(workdir, tmp_path, capsys, monkeypatch, existing):
+    generated = []
+    monkeypatch.setattr(cli, "generate_synthetic", lambda *a, **k: generated.append(1))
+    out = str(tmp_path / "data") + os.sep
+    if existing:
+        os.mkdir(out)
+        out = out.rstrip(os.sep)
+    assert main(["gen-data", "--config", str(workdir / "small.cfg"), "--out", out]) == 4
+    assert f"--out {out} names a directory; name the dataset file" in capsys.readouterr().err
+    assert generated == []
+    assert [p.name for p in tmp_path.rglob("*")] == (["data"] if existing else [])
+
+
+def test_interrupted_gen_data_keeps_previous_dataset(workdir, tmp_path, monkeypatch):
+    path = tmp_path / "data.npz"
+    gen = ["gen-data", "--config", str(workdir / "small.cfg"), "--out", str(path)]
+    assert main(gen) == 0
+    before = path.read_bytes()
+    written, real_write = [], np.lib.format.write_array
+
+    def write_array(*args, **kwargs):  # the disk fills after the first member
+        if written:
+            raise OSError(28, "No space left on device")
+        written.append(1)
+        return real_write(*args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", write_array)
+    assert main([*gen, "--seed", "4"]) == 4
+    assert written == [1]
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["data.npz"]
 
 
 def test_gen_data_rejects_band_above_nyquist(workdir, tmp_path, capsys):
@@ -409,7 +493,8 @@ def test_dataset_label_beyond_classes_exits_2(workdir, tmp_path, capsys, command
 
 
 def test_eval_bad_checkpoint_exits_4(workdir):
-    assert main(["eval", "--ckpt", str(workdir / "data" / "manifest.txt"),
+    # a dataset is the checkpoint's container, but its members are not float32
+    assert main(["eval", "--ckpt", str(workdir / "data"),
                  "--data", str(workdir / "data"), "--config", str(workdir / "small.cfg")]) == 4
 
 
@@ -485,31 +570,41 @@ def test_truncated_checkpoint_exits_4(workdir, tmp_path, capsys, cut):
     (tmp_path / "cut.nakl").write_bytes(blob[: truncation_points(blob)[cut]])
     assert main(["dump-bands", "--ckpt", str(tmp_path / "cut.nakl"),
                  "--config", str(workdir / "small.cfg")]) == 4
-    assert "not a checkpoint zip" in capsys.readouterr().err
+    assert "not a zip of .npy arrays" in capsys.readouterr().err
+
+
+def zip_bits(path) -> tuple:
+    """The bytes of the `.npz` file at `path`, the bit positions of its structure (zip
+    local headers, `.npy` headers, central directory, end record) and bit 6 of the last
+    byte of each stored value: the second-highest exponent bit of a float."""
+    blob = path.read_bytes()
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+        infos, start_dir = zf.infolist(), zf.start_dir
+    spans = [(i.header_offset, i.header_offset + 30 + len(i.filename)) for i in infos]
+    npy_headers = [(hi, hi + i.file_size - arrays[i.filename[:-4]].nbytes)
+                   for i, (_, hi) in zip(infos, spans)]
+    structure = [8 * at + bit for lo, hi in spans + npy_headers + [(start_dir, len(blob))]
+                 for at in range(lo, hi) for bit in range(8)]
+    exponent = [8 * (hi + i.file_size - arr.itemsize * j) - 2
+                for i, (_, hi) in zip(infos, spans)
+                for arr in [arrays[i.filename[:-4]]] for j in range(1, arr.size + 1)]
+    return blob, structure, exponent
 
 
 @pytest.fixture(scope="module")
 def eval_reference(workdir):
-    """The trained checkpoint's bytes, eval's stdout on it, the bit positions of its
-    zip structure (local headers, central directory, end record) and the second-highest
-    exponent bit of each stored float32 value."""
-    ckpt = workdir / "run" / "model.nakl"
-    blob, sizes = ckpt.read_bytes(), {k: v.size for k, v in load_checkpoint(ckpt).items()}
-    code, out, _ = run_main(eval_args(workdir, ckpt))
+    """eval's stdout on the trained checkpoint and the dataset, and `zip_bits` of each."""
+    code, out, _ = run_main(eval_args(workdir))
     assert code == 0
-    with zipfile.ZipFile(io.BytesIO(blob)) as zf:
-        infos, start_dir = zf.infolist(), zf.start_dir
-    spans = [(i.header_offset, i.header_offset + 30 + len(i.filename)) for i in infos]
-    structure = [8 * at + bit for lo, hi in spans + [(start_dir, len(blob))]
-                 for at in range(lo, hi) for bit in range(8)]
-    exponent = [8 * (hi + i.file_size - 4 * j) - 2  # bit 6 of each value's last byte
-                for i, (_, hi) in zip(infos, spans) for j in range(sizes[i.filename[:-4]])]
-    return blob, out, structure, exponent
+    return out, {"ckpt": zip_bits(workdir / "run" / "model.nakl"),
+                 "data": zip_bits(workdir / "data")}
 
 
-def eval_args(workdir, ckpt) -> list:
-    return ["eval", "--ckpt", str(ckpt), "--data", str(workdir / "data"),
-            "--config", str(workdir / "small.cfg")]
+def eval_args(workdir, ckpt=None, data=None) -> list:
+    return ["eval", "--ckpt", str(ckpt or workdir / "run" / "model.nakl"),
+            "--data", str(data or workdir / "data"), "--config", str(workdir / "small.cfg")]
 
 
 def run_main(argv) -> tuple:
@@ -521,25 +616,22 @@ def run_main(argv) -> tuple:
 
 
 def test_damaged_checkpoint_exits_4_or_evaluates_unchanged(workdir, eval_reference):
-    # Failures are collected, not raised inside @given: on a failure the hypothesis
-    # plugin imports libcst, whose DeprecationWarning the suite's filterwarnings turns
-    # into a pytest internal error that hides the report and stops the session.
-    blob, want, structure, exponent = eval_reference
+    # the checkpoint or the dataset, damaged: eval refuses it or prints what it printed
+    want, files = eval_reference
     saved = load_checkpoint(workdir / "run" / "model.nakl")
-    path = workdir / "damaged.nakl"
-    failures = []
+    path = workdir / "damaged.npz"
 
-    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(damage=st.data())
     def damage_once(damage):
-        kind = damage.draw(st.sampled_from(
-            ["flip_structure", "flip_exponent", "flip_any", "truncate", "flat"]))
+        target = damage.draw(st.sampled_from(["ckpt", "data"]))
+        blob, structure, exponent = files[target]
+        kinds = ["flip_structure", "flip_exponent", "flip_any", "truncate"]
+        kind = damage.draw(st.sampled_from(kinds + ["flat"] if target == "ckpt" else kinds))
         if kind == "truncate":
-            at = damage.draw(st.integers(0, len(blob) - 1))
-            bad = blob[:at]
+            bad = blob[: damage.draw(st.integers(0, len(blob) - 1))]
         elif kind == "flat":
-            at = damage.draw(st.sampled_from([1, 2]))
-            bad = flat_checkpoint(saved, at)
+            bad = flat_checkpoint(saved, damage.draw(st.sampled_from([1, 2])))
         else:
             bits = {"flip_structure": st.sampled_from(structure),
                     "flip_exponent": st.sampled_from(exponent),
@@ -548,16 +640,13 @@ def test_damaged_checkpoint_exits_4_or_evaluates_unchanged(workdir, eval_referen
             bad = bytearray(blob)
             bad[at // 8] ^= 1 << (at % 8)
         path.write_bytes(bytes(bad))
-        try:
-            code, out, err = run_main(eval_args(workdir, path))
-        except Exception as exc:  # noqa: BLE001 - an escaping exception is the failure
-            failures.append((kind, at, repr(exc)))
-            return
-        if code != 4 and (kind in ("truncate", "flat") or code != 0 or out != want):
-            failures.append((kind, at, code, err))
+        code, out, err = run_main(eval_args(workdir, **{target: path}))
+        if kind in ("truncate", "flat"):
+            assert code == 4, err
+        else:
+            assert code == 4 or (code == 0 and out == want), err
 
     damage_once()
-    assert failures == []
 
 
 @pytest.mark.parametrize("command,code", [

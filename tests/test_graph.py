@@ -322,7 +322,7 @@ def test_attention_cost_independent_of_k():
     rng = np.random.default_rng(15)
     c, d = 32, 16
     g = build_graph(rng.uniform(-0.1, 0.1, size=(c, 3)))
-    sa = init_spatial_attention(d, heads=4, c=c, rng=rng)
+    sa = init_spatial_attention(d, heads=4, c=c, rng=rng, k_top=16)
     x = Tensor(rng.normal(size=(4, c, d)))
 
     def macs_for(k):
@@ -353,4 +353,4 @@ def test_gradients_through_attention():
 def test_head_mismatch_rejected():
     rng = np.random.default_rng(17)
     with pytest.raises(ValueError):
-        init_spatial_attention(6, heads=4, c=4, rng=rng)
+        init_spatial_attention(6, heads=4, c=4, rng=rng, k_top=16)

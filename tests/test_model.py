@@ -401,8 +401,11 @@ GOOD = npy_bytes(np.ones((2, 3), "<f4"))
     (zip_bytes([("w.npy", GOOD + b"\0")]), "plain float32 array"),
     (zip_bytes([("w.npy", npy_bytes(np.array([None]), allow_pickle=True))]), "pickle"),
     (zip_bytes([("w.npy", b"not an array")]), "magic"),
+    # one flipped bit in the .npy header: numpy's parser fails before the CRC-32 is read
+    (zip_bytes([("w.npy", GOOD.replace(b"(", b"8"))]), "EOF in multi-line statement"),
+    (zip_bytes([("w.npy", GOOD.replace(b"'<f4'", b"',f4'"))]), "invalid syntax"),
 ], ids=["flat", "trailing", "crc", "duplicate", "float64", "member_tail",
-        "pickled", "not_npy"])
+        "pickled", "not_npy", "npy_header_brackets", "npy_header_descr"])
 def test_load_checkpoint_refuses(tmp_path, blob, message):
     path = tmp_path / "bad.nakl"
     path.write_bytes(blob)
@@ -410,17 +413,22 @@ def test_load_checkpoint_refuses(tmp_path, blob, message):
         load_checkpoint(path)
 
 
-def test_checkpoint_write_failure_keeps_previous_file(tmp_path):
+def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "model.nakl"
     save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3)})
     before = path.read_bytes()
+    written, real_write = [], np.lib.format.write_array
 
-    class Unreadable:  # fails when the writer reaches it, after "a" is written
-        def __array__(self, dtype=None, copy=None):
+    def write_array(*args, **kwargs):  # fails after "a" is written
+        if written:
             raise RuntimeError("disk went away")
+        written.append(1)
+        return real_write(*args, **kwargs)
 
+    monkeypatch.setattr(np.lib.format, "write_array", write_array)
     with pytest.raises(RuntimeError):
-        save_checkpoint(path, {"a": np.ones(4), "b": Unreadable()})
+        save_checkpoint(path, {"a": np.ones(4), "b": np.ones(2)})
+    assert written == [1]
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.nakl"]
 
