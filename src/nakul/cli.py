@@ -170,10 +170,17 @@ def _load_model(args):
 # --- commands --------------------------------------------------------------------
 
 
+def _check_out(path, what: str, suffix: str = "") -> None:
+    """Refuse an --out that names a directory or does not end in `suffix`."""
+    if os.path.isdir(path) or not os.path.basename(path):
+        raise ArtifactError(f"--out {path} names a directory; name the {what} file")
+    if not path.endswith(suffix):
+        raise ArtifactError(f"--out {path}: a {what} file name ends in {suffix}")
+
+
 def cmd_gen_data(args) -> int:
     rc = load_config(args.config)
-    if os.path.isdir(args.out) or not os.path.basename(args.out):
-        raise ArtifactError(f"--out {args.out} names a directory; name the dataset file")
+    _check_out(args.out, "dataset")
     spec = rc.data
     signals, labels = generate_synthetic(spec, seed=args.seed)
     manifest = f"# gen-data --seed {args.seed}\n" + config_text(rc)
@@ -199,12 +206,13 @@ def cmd_train(args) -> int:
         raise ConfigError(
             "val_fraction", f"{rc.train.val_fraction} holds out all {len(labels)} trials "
             "(at least one per class), leaving none to train on")
-    if os.path.isdir(args.out) or not os.path.basename(args.out):
-        raise ArtifactError(f"--out {args.out} names a directory; name the checkpoint file")
+    # one run per directory, since metrics.csv beside the checkpoint has a fixed name; the
+    # suffix is what lets the glob below see every other run's checkpoint
+    _check_out(args.out, "checkpoint", ".nakl")
     parent = os.path.dirname(os.path.abspath(args.out))
     others = sorted(set(glob.glob(os.path.join(glob.escape(parent), "*.nakl")))
                     - {os.path.abspath(args.out)})
-    if others:  # one run per directory: metrics.csv beside the checkpoint has a fixed name
+    if others:
         raise ArtifactError(f"{parent} already holds checkpoint {others[0]}; "
                             "give each run its own directory")
     try:
@@ -348,7 +356,7 @@ def _check_dynamic(rng):
     x = Tensor(rng.normal(size=(2, 12, 4)), requires_grad=True)
 
     def build():
-        out, gates = dynamic_mix(bank, meta, x)
+        out, gates, _, _ = dynamic_mix(bank, meta, x)
         return _sumsq(out) + _sumsq(gates)
 
     return build, [x, *named_tensors([bank, meta]).values()]

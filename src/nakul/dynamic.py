@@ -147,31 +147,18 @@ def predict_weights(meta: MetaNetwork, variance: Tensor, entropy: Tensor) -> Ten
     return alphas.reshape(variance.shape + (alphas.shape[-1],))
 
 
-def dynamic_mix(
-    bank: KernelBank,
-    meta: MetaNetwork,
-    x: Tensor,
-    alphas: np.ndarray | None = None,
-    stats_out: dict | None = None,
-):
+def dynamic_mix(bank: KernelBank, meta: MetaNetwork, x: Tensor):
     """Statistics-weighted causal filtering with sigmoid output gating.
 
-    x is (..., T, D). Returns (output, alphas) with output shaped like
-    x and alphas (..., M), one row per leading index of x. Passing
-    `alphas` overrides the meta-network (one-hot rows isolate a single
-    kernel). A dict passed as stats_out receives the raw variance and
-    the normalized entropy.
+    x is (..., T, D). Returns (output, alphas, variance, entropy): output
+    shaped like x, the meta-network's mixture alphas (..., M), and the
+    raw variance and normalized entropy (...,) it read, one per leading
+    index of x.
     """
     nbins = x.shape[-2] // 2 + 1
-    if alphas is None:
-        var = temporal_variance(x)
-        ent = spectral_entropy(x) / float(np.log(max(nbins, 2)))
-        gates = predict_weights(meta, var, ent)
-        if stats_out is not None:
-            stats_out["variance"] = var
-            stats_out["entropy"] = ent
-    else:
-        gates = Tensor(alphas)
+    var = temporal_variance(x)
+    ent = spectral_entropy(x) / float(np.log(max(nbins, 2)))
+    gates = predict_weights(meta, var, ent)
 
     # one blended kernel per sample: (R, M) @ (M, K_max*D)
     kernel = te.matmul(gates.reshape((-1, len(bank.kernels))), _lag_bank(bank))
@@ -179,7 +166,7 @@ def dynamic_mix(
     y = te.depthwise_causal_conv(x, kernel.reshape(gates.shape[:-1] + (k_max, d)))
 
     gate = te.sigmoid(te.matmul(x, bank.w_gate))
-    return y * gate, gates
+    return y * gate, gates, var, ent
 
 
 def _lag_bank(bank: KernelBank) -> Tensor:

@@ -284,32 +284,27 @@ def block_forward(
     model: NakulModel,
     rng=None,
     stoch_rate: float = 0.0,
-    fusion_override: np.ndarray | None = None,
 ):
     """One mixing block of `model` over (B, C, T_p, D); rng enables train-time noise.
 
     The graph, patch rate, dropout and drop-edge rate come from `model`;
     stoch_rate is this block's own. Returns (output, diagnostics) where
-    diagnostics carries the fusion weights, band gates, and kernel
-    weights for dumps and tests.
+    diagnostics carries the fusion weights, band gates, kernel weights
+    and the kernel branch's variance and entropy for dumps and tests.
     """
     cfg = model.cfg
     b, c, t_p, d = x.shape
     x_norm = te.layer_norm(x, blk.ln1_gain, blk.ln1_bias)
 
     y_spec, band_gates = spectral_mix(blk.bands, x_norm, cfg.patch_rate)
-    stats = {}
-    y_dyn, kernel_weights = dynamic_mix(blk.bank, blk.meta, x_norm, stats_out=stats)
+    y_dyn, kernel_weights, variance, entropy = dynamic_mix(blk.bank, blk.meta, x_norm)
 
     g_used = drop_edges(model.graph, cfg.drop_edge, rng) if rng is not None else model.graph
     tokens = te.transpose(x_norm, (0, 2, 1, 3)).reshape((b * t_p, c, d))
     y_graph, attention, _ = topk_masked_attention(blk.attn, g_used, tokens)
     y_graph = te.transpose(y_graph.reshape((b, t_p, c, d)), (0, 2, 1, 3))
 
-    if fusion_override is None:
-        fusion = te.softmax(blk.fusion_logits)
-    else:
-        fusion = Tensor(fusion_override)
+    fusion = te.softmax(blk.fusion_logits)
     fused = fusion[0] * y_spec + fusion[1] * y_dyn + fusion[2] * y_graph
 
     update = te.layer_norm(te.matmul(fused, blk.w_proj), blk.lnf_gain, blk.lnf_bias)
@@ -323,19 +318,14 @@ def block_forward(
         "fusion": fusion,
         "band_gates": band_gates,
         "kernel_weights": kernel_weights,
+        "variance": variance,
+        "entropy": entropy,
         "attention": attention,
     }
-    diag.update(stats)
     return out, diag
 
 
-def model_forward(
-    model: NakulModel,
-    x,
-    rng=None,
-    fusion_override: np.ndarray | None = None,
-    diags: list | None = None,
-):
+def model_forward(model: NakulModel, x, rng=None, diags: list | None = None):
     """Logits for a (B, C, T) batch; pass rng to enable training noise.
 
     A list passed as diags receives one diagnostics dict per block.
@@ -349,7 +339,7 @@ def model_forward(
     n = len(model.blocks)
     for i, blk in enumerate(model.blocks):
         p_l = cfg.stoch_depth * i / max(n - 1, 1)
-        h, diag = block_forward(blk, h, model, rng, p_l, fusion_override)
+        h, diag = block_forward(blk, h, model, rng, p_l)
         if diags is not None:
             diags.append(diag)
     pooled = h.mean(axis=(1, 2))  # (B, D)
@@ -458,6 +448,8 @@ def load_npz(path) -> dict:
             if end[:4] != b"PK\x05\x06" or int.from_bytes(end[10:12], "little") != found:
                 raise ValueError("bytes after the zip's end record, or members missing or repeated")
             for info in zf.infolist():
+                if not info.filename.endswith(".npy"):  # else `x` and `x.npy` both load as x
+                    raise ValueError(f"member {info.filename} is not a .npy array")
                 with zf.open(info) as member:
                     arr = np.lib.format.read_array(member, allow_pickle=False)
                     if member.read(1):

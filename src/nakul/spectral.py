@@ -146,18 +146,11 @@ def band_spans(masks: Tensor) -> list[tuple[int, int]]:
     return spans
 
 
-def spectral_mix(
-    bands: BandBank,
-    x: Tensor,
-    rate: float,
-    alphas: np.ndarray | None = None,
-):
+def spectral_mix(bands: BandBank, x: Tensor, rate: float):
     """Gated complex band mixing along the second-to-last axis of x.
 
     x has shape (..., T, D). Returns (output, gates) where output has
     the shape of x and gates is the (..., K) Tensor of band gates used.
-    Passing `alphas` (a plain array) freezes the gates at those values,
-    which makes the whole map linear in x.
 
     Band k mixes only over its span (band_spans): pairs whose mask is
     at or below TAU add nothing and pass no gradient back to mu and
@@ -167,11 +160,7 @@ def spectral_mix(
     k = bands.raw_mu.shape[0]
     spec = te.fft_real(x)  # (..., F, 2, D)
     masks = band_mask(bands, t, rate)  # (F, K)
-
-    if alphas is None:
-        gates = band_importance(bands, te.complex_abs(spec), masks)
-    else:
-        gates = Tensor(alphas)
+    gates = band_importance(bands, te.complex_abs(spec), masks)
 
     weight = gates.reshape(gates.shape[:-1] + (1, k)) * masks  # (..., F, K): alpha_k M_k(f)
     mixed = te.band_mix(spec, weight, bands.w_r, bands.w_i, band_spans(masks))

@@ -303,6 +303,13 @@ def text_directory(path):
         "# channels=4 samples=80 rate=20 label=0\n" + "\n".join(["0" + ",0" * 79] * 4) + "\n")
 
 
+def suffixless_member(path):
+    # a bare `labels` member beside labels.npy: both would load under the name labels
+    savez()(path)
+    with zipfile.ZipFile(path, "a") as zf:
+        zf.writestr("labels", npy_bytes(np.array([1, 0])))
+
+
 def npy_bytes(arr) -> bytes:
     buf = io.BytesIO()
     np.save(buf, arr)
@@ -336,10 +343,11 @@ OLD_LAYOUT = "is a directory; a dataset is one .npz file, not the signals.npy"
     (savez(extra=np.zeros(2)), "members ['extra', 'labels', 'manifest', 'rate', 'signals'], not"),
     (lambda path: path.write_bytes(npy_bytes(np.zeros((2, 4, 80)))), "not a zip of .npy arrays"),
     (savez(manifest=np.float64(1.0)), "manifest.npy: expected a 0-d str array"),
+    (suffixless_member, "member labels is not a .npy array"),
 ], ids=["signals_dtype", "signals_ndim", "labels_ndim", "rate_ndim", "label_count",
         "negative_label", "no_trials", "rate_inf", "rate_zero", "object_array",
         "truncated", "npz_archive", "missing_labels", "text_format", "npy_directory",
-        "unknown_member", "bare_npy", "manifest_dtype"])
+        "unknown_member", "bare_npy", "manifest_dtype", "suffixless_member"])
 def test_bad_dataset_arrays_exit_4(workdir, tmp_path, capsys, write, message):
     data = tmp_path / "d.npz"
     write(data)
@@ -828,6 +836,23 @@ def test_train_out_directory_exits_4(workdir, tmp_path, capsys, monkeypatch, exi
     assert trained == []
     # no checkpoint, no metrics.csv, nothing created
     assert [p.name for p in tmp_path.rglob("*")] == (["runs"] if existing else [])
+
+
+def test_train_out_without_nakl_suffix_exits_4(workdir, tmp_path, capsys, monkeypatch):
+    # the one-run-per-directory check finds other runs by their .nakl checkpoints
+    built, real_init = [], cli.init_model
+
+    def init_model(*args):
+        built.append(1)
+        return real_init(*args)
+
+    monkeypatch.setattr(cli, "init_model", init_model)
+    out = tmp_path / "runs" / "a.ckpt"
+    assert main(["train", "--config", str(workdir / "small.cfg"),
+                 "--data", str(workdir / "data"), "--out", str(out)]) == 4
+    assert f"--out {out}: a checkpoint file name ends in .nakl" in capsys.readouterr().err
+    assert built == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_second_checkpoint_in_one_directory_exits_4(workdir, tmp_path, capsys, monkeypatch):

@@ -137,8 +137,8 @@ def test_reversal_preserves_alphas():
     meta = init_meta_network(rng)
     bank = make_bank(4, rng=rng)
     x = rng.normal(size=(3, 24, 4))
-    _, a_fwd = dynamic_mix(bank, meta, Tensor(x))
-    _, a_rev = dynamic_mix(bank, meta, Tensor(x[:, ::-1, :].copy()))
+    _, a_fwd, _, _ = dynamic_mix(bank, meta, Tensor(x))
+    _, a_rev, _, _ = dynamic_mix(bank, meta, Tensor(x[:, ::-1, :].copy()))
     np.testing.assert_allclose(a_fwd.data, a_rev.data, atol=1e-9)
 
 
@@ -167,7 +167,7 @@ def test_identity_kernels_saturated_gate():
     bank = KernelBank(kernels=kernels, w_gate=Tensor(1000.0 * np.eye(d)))
     meta = init_meta_network(rng)
     x = rng.uniform(0.5, 1.5, size=(2, 20, d))  # positive, so the gate saturates
-    out, _ = dynamic_mix(bank, meta, Tensor(x))
+    out, _, _, _ = dynamic_mix(bank, meta, Tensor(x))
     np.testing.assert_allclose(out.data, x, atol=1e-3)
 
 
@@ -175,20 +175,20 @@ def test_zero_input_zero_output():
     rng = np.random.default_rng(8)
     bank = make_bank(3, rng=rng)
     meta = init_meta_network(rng)
-    out, _ = dynamic_mix(bank, meta, Tensor(np.zeros((2, 16, 3))))
+    out, _, _, _ = dynamic_mix(bank, meta, Tensor(np.zeros((2, 16, 3))))
     np.testing.assert_allclose(out.data, 0.0, atol=1e-15)
 
 
 def test_one_hot_isolates_branch():
+    # a one-kernel bank's softmax is exactly 1.0: the kernel filters alone
     rng = np.random.default_rng(9)
     d = 4
     bank = make_bank(d, rng=rng)
-    meta = init_meta_network(rng)
     x = rng.normal(size=(2, 18, d))
     for m in range(4):
-        onehot = np.zeros((2, 4))
-        onehot[:, m] = 1.0
-        got, _ = dynamic_mix(bank, meta, Tensor(x), alphas=onehot)
+        solo = KernelBank(kernels=[bank.kernels[m]], w_gate=bank.w_gate)
+        got, gates, _, _ = dynamic_mix(solo, init_meta_network(rng, m=1), Tensor(x))
+        np.testing.assert_array_equal(gates.data, 1.0)
         per_row = np.broadcast_to(bank.kernels[m].data, (2,) + bank.kernels[m].shape)
         y_m = te.depthwise_causal_conv(Tensor(x), Tensor(per_row))
         gate = te.sigmoid(te.matmul(Tensor(x), bank.w_gate))
@@ -209,11 +209,12 @@ def test_random_mixture_matches_weighted_branch_sum():
     rng = np.random.default_rng(14)
     d = 4
     bank = make_bank(d, rng=rng)
-    meta = init_meta_network(rng)
     x = rng.normal(size=(2, 3, 18, d))
     gate = 1.0 / (1.0 + np.exp(-(x @ bank.w_gate.data)))
-    for alphas in (rng.dirichlet(np.ones(4), size=(2, 3)), None):
-        got, used = dynamic_mix(bank, meta, Tensor(x), alphas=alphas)
+    skewed = init_meta_network(rng)  # large logits: far from uniform, different per row
+    skewed.w2.data = 5.0 * rng.normal(size=skewed.w2.shape)
+    for meta in (skewed, init_meta_network(rng)):
+        got, used, _, _ = dynamic_mix(bank, meta, Tensor(x))
         a = used.data
         want = sum(
             a[..., m, None, None] * causal_filter_oracle(k.data, x)
@@ -225,15 +226,15 @@ def test_random_mixture_matches_weighted_branch_sum():
 def test_branches_causal():
     rng = np.random.default_rng(10)
     d, t = 3, 30
-    bank = make_bank(d, rng=rng)
-    meta = init_meta_network(rng)
+    # one kernel of 11 taps: its weight is exactly 1.0, so the whole-sequence
+    # statistics, which do see the future, cannot move the output
+    bank = make_bank(d, sizes=(11,), rng=rng)
+    meta = init_meta_network(rng, m=1)
     x = rng.normal(size=(1, t, d))
     bumped = x.copy()
     bumped[0, 20, :] += 5.0
-    onehot = np.zeros((1, 4))
-    onehot[0, 3] = 1.0  # longest kernel; frozen mixture isolates the filters
-    a, _ = dynamic_mix(bank, meta, Tensor(x), alphas=onehot)
-    b, _ = dynamic_mix(bank, meta, Tensor(bumped), alphas=onehot)
+    a, _, _, _ = dynamic_mix(bank, meta, Tensor(x))
+    b, _, _, _ = dynamic_mix(bank, meta, Tensor(bumped))
     np.testing.assert_array_equal(a.data[0, :20], b.data[0, :20])
     assert np.any(a.data[0, 20:] != b.data[0, 20:])
 
@@ -249,8 +250,8 @@ def test_feature_permutation_equivariance():
         kernels=[Tensor(k.data[:, perm]) for k in bank.kernels],
         w_gate=Tensor(bank.w_gate.data[np.ix_(perm, perm)]),
     )
-    base, a0 = dynamic_mix(bank, meta, Tensor(x))
-    moved, a1 = dynamic_mix(bank_p, meta, Tensor(x[:, :, perm].copy()))
+    base, a0, _, _ = dynamic_mix(bank, meta, Tensor(x))
+    moved, a1, _, _ = dynamic_mix(bank_p, meta, Tensor(x[:, :, perm].copy()))
     np.testing.assert_allclose(moved.data, base.data[:, :, perm], atol=1e-10)
     np.testing.assert_allclose(a0.data, a1.data, atol=1e-12)
 
@@ -261,9 +262,11 @@ def test_mix_normalizes_stats_as_documented():
     bank = make_bank(d, rng=rng)
     meta = init_meta_network(rng)
     x = rng.normal(size=(2, 20, d))
-    _, alphas = dynamic_mix(bank, meta, Tensor(x))
+    _, alphas, got_var, got_ent = dynamic_mix(bank, meta, Tensor(x))
     var = temporal_variance(Tensor(x))
     ent = spectral_entropy(Tensor(x)) / np.log(20 // 2 + 1)
+    np.testing.assert_array_equal(got_var.data, var.data)
+    np.testing.assert_allclose(got_ent.data, ent.data, rtol=1e-15)
     np.testing.assert_allclose(
         alphas.data, predict_weights(meta, var, ent).data, rtol=1e-12)
 
@@ -279,7 +282,7 @@ def test_gradients_match_finite_differences():
     params = [x, bank.kernels[0], bank.kernels[1], bank.w_gate, meta.w1, meta.w2]
 
     def build():
-        out, _ = dynamic_mix(bank, meta, x)
+        out, _, _, _ = dynamic_mix(bank, meta, x)
         return (out * weights).sum()
 
     worst = check_gradients(build, params, rng)

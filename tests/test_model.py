@@ -12,6 +12,7 @@ import pytest
 
 from nakul import tensor as te
 from nakul.config import parse_config
+from nakul.dynamic import dynamic_mix
 from nakul.model import (
     ModelConfig,
     block_forward,
@@ -21,10 +22,11 @@ from nakul.model import (
     load_checkpoint,
     load_into,
     model_forward,
+    named_tensors,
     save_checkpoint,
 )
 from nakul.rng import stream
-from nakul.spectral import TAU
+from nakul.spectral import TAU, spectral_mix
 from nakul.tensor import Tensor
 
 from oracles import check_gradients, gaussian_density
@@ -108,14 +110,33 @@ def test_zeroed_block_is_identity():
     np.testing.assert_allclose(diag["fusion"].data.sum(), 1.0, atol=1e-12)
 
 
-def test_saturated_fusion_matches_override():
+def keep_branch(blk, i):
+    """Fusion logits whose softmax is exactly one-hot on branch i: exp(-1000) is 0."""
+    blk.fusion_logits.data[:] = -1000.0
+    blk.fusion_logits.data[i] = 0.0
+
+
+BRANCH_FIELDS = (("bands",), ("bank", "meta"), ("attn",))  # spectral, dynamic, graph
+
+
+def test_saturated_fusion_is_exact_one_hot():
     model = tiny_model(seed=3)
     blk = model.blocks[0]
     x = Tensor(np.random.default_rng(3).normal(size=(2, 3, 5, 8)))
-    blk.fusion_logits.data[:] = [50.0, -50.0, -50.0]
-    a, _ = block_forward(blk, x, model)
-    b, _ = block_forward(blk, x, model, fusion_override=np.array([1.0, 0.0, 0.0]))
-    np.testing.assert_allclose(a.data, b.data, atol=1e-6)
+    for i, kept in enumerate(BRANCH_FIELDS):
+        keep_branch(blk, i)
+        a, diag = block_forward(blk, x, model)
+        np.testing.assert_array_equal(diag["fusion"].data, np.eye(3)[i])
+        # the other branches' parameters no longer reach the output, bit for bit
+        others = [t for fields in BRANCH_FIELDS if fields != kept for f in fields
+                  for t in named_tensors(getattr(blk, f)).values()]
+        saved = [t.data.copy() for t in others]
+        for t in others:
+            t.data = t.data * 1.5 + 0.25
+        b, _ = block_forward(blk, x, model)
+        for t, v in zip(others, saved):
+            t.data = v
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_block_preserves_shape():
@@ -129,6 +150,10 @@ def test_block_preserves_shape():
 def test_block_forward_reads_its_settings_from_the_model():
     params = inspect.signature(block_forward).parameters
     assert not {"g", "rate", "dropout", "drop_edge"} & set(params)
+    # no argument bypasses the model's own weights or collects side results
+    for fn in (block_forward, model_forward, spectral_mix, dynamic_mix):
+        assert not {"fusion_override", "alphas", "stats_out"} & set(
+            inspect.signature(fn).parameters), fn.__name__
     x = Tensor(np.random.default_rng(5).normal(size=(2, 3, 5, 8)))
     quiet = tiny_model(seed=5, dropout=0.0, drop_edge=0.0)
     a, _ = block_forward(quiet.blocks[0], x, quiet)
@@ -146,13 +171,14 @@ def test_axis_separation():
     x = rng.normal(size=(1, 3, 5, 8))
     bumped = x.copy()
     bumped[0, 2] += rng.normal(size=(5, 8))
-    for override, expect_local in [
-        (np.array([1.0, 0.0, 0.0]), True),  # band filtering: per channel
-        (np.array([0.0, 1.0, 0.0]), True),  # kernel mixing: per channel
-        (np.array([0.0, 0.0, 1.0]), False),  # attention couples channels
+    for branch, expect_local in [
+        (0, True),  # band filtering: per channel
+        (1, True),  # kernel mixing: per channel
+        (2, False),  # attention couples channels
     ]:
-        a, _ = block_forward(blk, Tensor(x), model, fusion_override=override)
-        b, _ = block_forward(blk, Tensor(bumped), model, fusion_override=override)
+        keep_branch(blk, branch)
+        a, _ = block_forward(blk, Tensor(x), model)
+        b, _ = block_forward(blk, Tensor(bumped), model)
         same = np.array_equal(a.data[0, :2], b.data[0, :2])
         assert same == expect_local
         assert not np.array_equal(a.data[0, 2], b.data[0, 2])
@@ -404,8 +430,9 @@ GOOD = npy_bytes(np.ones((2, 3), "<f4"))
     # one flipped bit in the .npy header: numpy's parser fails before the CRC-32 is read
     (zip_bytes([("w.npy", GOOD.replace(b"(", b"8"))]), "EOF in multi-line statement"),
     (zip_bytes([("w.npy", GOOD.replace(b"'<f4'", b"',f4'"))]), "invalid syntax"),
+    (zip_bytes([("w.npy", GOOD), ("w", GOOD)]), "member w is not a .npy array"),
 ], ids=["flat", "trailing", "crc", "duplicate", "float64", "member_tail",
-        "pickled", "not_npy", "npy_header_brackets", "npy_header_descr"])
+        "pickled", "not_npy", "npy_header_brackets", "npy_header_descr", "suffixless"])
 def test_load_checkpoint_refuses(tmp_path, blob, message):
     path = tmp_path / "bad.nakl"
     path.write_bytes(blob)

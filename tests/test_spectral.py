@@ -134,13 +134,14 @@ def test_gates_are_per_sample():
 
 def test_passthrough_with_identity_mixing_and_flat_mask():
     # sigma so large the Gaussian is flat across the band: M ~ c everywhere
+    # zero gate weights give every band the gate sigmoid(0) = 0.5 exactly
     d, t = 3, 32
-    f = single_filter(d, mu=1.0, sigma=1e6)  # W_r = I, W_i = 0
+    f = band_bank(d, [(1.0, 1e6)], w_gate=np.zeros((d, 1)))  # W_r = I, W_i = 0
     c = 1.0 / (f.sigma.data[0] * np.sqrt(2 * np.pi))
     x = te.Tensor(RNG.normal(size=(2, t, d)))
-    a = 0.7
-    out, _ = sp.spectral_mix(f, x, rate=16.0, alphas=np.full((2, 1), a))
-    want = a * c * x.data
+    out, gates = sp.spectral_mix(f, x, rate=16.0)
+    np.testing.assert_array_equal(gates.data, 0.5)
+    want = 0.5 * c * x.data
     assert np.abs(out.data - want).max() < 1e-6 * np.abs(want).max()
 
 
@@ -155,13 +156,15 @@ def test_far_tone_is_suppressed():
 
 
 def test_frozen_gate_linearity():
+    # zero gate weights freeze every gate at 0.5, whatever the input
     d, t = 3, 24
     filters = default_filters(d=d)
+    filters.w_gate.data[:] = 0.0
     x = RNG.normal(size=(2, t, d))
-    _, gates = sp.spectral_mix(filters, te.Tensor(x), rate=12.0)
-    frozen = gates.data.copy()
-    y1, _ = sp.spectral_mix(filters, te.Tensor(x), rate=12.0, alphas=frozen)
-    y3, _ = sp.spectral_mix(filters, te.Tensor(3.0 * x), rate=12.0, alphas=frozen)
+    y1, g1 = sp.spectral_mix(filters, te.Tensor(x), rate=12.0)
+    y3, g3 = sp.spectral_mix(filters, te.Tensor(3.0 * x), rate=12.0)
+    np.testing.assert_array_equal(g1.data, 0.5)
+    np.testing.assert_array_equal(g3.data, 0.5)
     assert np.abs(y3.data - 3.0 * y1.data).max() < 1e-9 * max(np.abs(y1.data).max(), 1.0)
 
 
@@ -185,7 +188,7 @@ def test_global_receptive_field():
     assert np.abs(moved.data[0, -1] - base.data[0, -1]).max() > 1e-12
 
 
-def mix_oracle(bands, x, rate, alphas=None):
+def mix_oracle(bands, x, rate):
     """Numpy complex-FFT reference: sum_k alpha_k M_k(f) (W_r^k + i W_i^k) X[f].
 
     x is (..., T, D); bands, gates and mixing are evaluated one band at a time.
@@ -202,7 +205,7 @@ def mix_oracle(bands, x, rate, alphas=None):
         z = (np.abs(spec) * mask).sum(axis=-2)  # (..., D)
         gates.append(1.0 / (1.0 + np.exp(-(z @ bands.w_gate.data[:, k]))))
         masks.append(mask)
-    alphas = np.stack(gates, axis=-1) if alphas is None else alphas
+    alphas = np.stack(gates, axis=-1)
     mixed = 0.0
     for k in range(k_bands):
         w = bands.w_r.data[k] + 1j * bands.w_i.data[k]
@@ -218,12 +221,13 @@ def test_mix_matches_complex_fft_oracle(gating):
     draws = [(rng.normal(size=(d, d)), rng.normal(size=(d, d)), 0.1 * rng.normal(size=(d, 1)))
              for _ in bands]  # band by band: W_r, W_i, gate column
     w_r, w_i, w_gate = zip(*draws)
-    filters = band_bank(d, bands, w_r=np.stack(w_r), w_i=np.stack(w_i),
-                        w_gate=np.concatenate(w_gate, axis=1))
+    w_gate = np.concatenate(w_gate, axis=1)
+    if gating == "frozen":  # every gate exactly sigmoid(0) = 0.5
+        w_gate = np.zeros_like(w_gate)
+    filters = band_bank(d, bands, w_r=np.stack(w_r), w_i=np.stack(w_i), w_gate=w_gate)
     x = rng.normal(size=(2, 3, t, d))
-    alphas = rng.uniform(0.1, 0.9, size=(2, 3, len(bands))) if gating == "frozen" else None
-    want, want_gates = mix_oracle(filters, x, rate, alphas)
-    out, gates = sp.spectral_mix(filters, te.Tensor(x), rate, alphas=alphas)
+    want, want_gates = mix_oracle(filters, x, rate)
+    out, gates = sp.spectral_mix(filters, te.Tensor(x), rate)
     assert np.abs(out.data - want).max() <= 1e-12 * np.abs(want).max()
     assert np.abs(gates.data - want_gates).max() <= 1e-12
 
