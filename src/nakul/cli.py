@@ -23,11 +23,12 @@ naming the trial, and one that disagrees with the config (rate, channel
 or class count, trials shorter than one patch) a configuration error
 naming the key, in every command that reads one.
 
-Every command takes `--config`, the only source of run settings; other
-flags name files or seed gen-data's trials or a check's probes. Every
-command parses the config before it reads any other file. eval and the
-dump commands build the model from it and then load the checkpoint,
-which must hold exactly the parameters that config creates.
+gen-data, train, grad-check and bench take `--config`, the only source
+of run settings, and parse it before they read any other file; other
+flags name files or seed gen-data's trials or a check's probes. train
+stores the config text in the checkpoint. eval and the dump commands
+take no `--config`: they read the checkpoint once and build the model
+from its config, which must be there and parse (else exit 4).
 
 eval, the dump commands and validation inside train all run
 `training.forward_batches`, one `te.no_grad()` forward per batch of
@@ -50,15 +51,16 @@ import time
 import numpy as np
 
 from . import tensor as te
-from .config import ConfigError, RunConfig, config_text, load_config
+from .config import ConfigError, RunConfig, config_text, load_config, parse_config
 from .dynamic import dynamic_mix, init_kernel_bank, init_meta_network
 from .graph import build_graph, circle_layout, init_spatial_attention, topk_masked_attention
 from .model import (
     init_model,
-    load_into,
+    load_checkpoint,
     load_npz,
     model_forward,
     named_tensors,
+    restore,
     save_checkpoint,
     save_npz,
 )
@@ -156,14 +158,18 @@ def _checked_dataset(mc, path):
 
 
 def _load_model(args):
-    """(model, dataset or None) for eval and the dumps: `--config`, then `--data`, then `--ckpt`."""
-    mc = load_config(args.config).model
-    dataset = _checked_dataset(mc, args.data) if args.data else None
-    model = init_model(mc, np.random.default_rng(0))
+    """(model, dataset or None) for eval and the dumps: the model is built from the
+    config text `--ckpt` holds and filled with its parameters, then `--data` is checked
+    against that config."""
     try:
-        load_into(model, args.ckpt)
-    except (OSError, ValueError) as exc:
+        text, saved = load_checkpoint(args.ckpt)
+        if not text:
+            raise ValueError("empty config member: written without its run's config")
+        model = init_model(parse_config(text).model, np.random.default_rng(0))
+        restore(model, saved)
+    except (OSError, ValueError) as exc:  # ConfigError too: the text came from the file
         raise ArtifactError(f"{args.ckpt}: {exc}") from None
+    dataset = _checked_dataset(model.cfg, args.data) if args.data else None
     return model, dataset
 
 
@@ -231,8 +237,13 @@ def cmd_train(args) -> int:
 
     # metrics first, so a new checkpoint never sits beside an older run's metrics; a stop
     # between the two renames leaves the new metrics beside the previous checkpoint
-    write_metrics(os.path.join(parent, "metrics.csv"), rows)
-    save_checkpoint(args.out, model.named())
+    path = os.path.join(parent, "metrics.csv")
+    try:
+        write_metrics(path, rows)
+        path = args.out
+        save_checkpoint(path, model.named(), config_text(rc))
+    except OSError as exc:
+        raise ArtifactError(f"cannot write {path}: {exc}") from None
     print(f"checkpoint {args.out}")
     return 0
 
@@ -556,7 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="metrics for a checkpoint on a dataset")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grad-check", help="backward pass versus finite differences")
@@ -567,15 +577,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-bands", help="band centers, widths, mean gates as CSV")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", default=None, help="probe dataset; omitted, a seeded white-noise probe at the config's rate is used")
-    p.add_argument("--config", required=True)
+    p.add_argument("--data", default=None, help="probe dataset; omitted, a seeded white-noise probe at the checkpoint config's rate is used")
     p.add_argument("--seed", type=_count(0), default=0)
     p.set_defaults(func=cmd_dump_bands)
 
     p = sub.add_parser("dump-kernel-weights", help="per-sample kernel mixtures as CSV")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_dump_kernel_weights)
 
     p = sub.add_parser(

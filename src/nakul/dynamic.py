@@ -15,13 +15,15 @@ Kernels are stored in lag order, the order the convolution reads: row
 j multiplies x[t - j], so [1, 0, ..., 0] is the identity filter. Output
 at time t never sees input beyond t.
 
-The mixture is linear in the kernels, so sum_m a_m (k_m * x) equals
-(sum_m a_m k_m) * x once every kernel is zero-padded to the longest
-size K_max. Each forward appends zero rows (the oldest lags) to every
-kernel, views the bank as (M, K_max*D), blends one kernel per sample
-with one (..., M) @ (M, K_max*D) matmul and runs a single convolution
-with it. The padding is rebuilt on every forward; padded taps are
-constants and carry no parameters.
+The bank is one (M, K_max, D) tensor: kernel m holds its sizes[m] taps
+in rows 0..sizes[m]-1 and zeros in the rows past them (the oldest
+lags). The mixture is linear in the kernels, so sum_m a_m (k_m * x)
+equals (sum_m a_m k_m) * x once every kernel is zero-padded to K_max.
+Each forward multiplies the bank by a constant lag mask, which holds
+the rows past each kernel's size at exactly 0 and passes them no
+gradient, views it as (M, K_max*D), blends one kernel per sample with
+one (..., M) @ (M, K_max*D) matmul and runs a single convolution with
+it.
 
 The meta-network's weights are stored as the right operands of its two
 products, s @ W1 with W1 (2, META_HIDDEN) and h @ W2 with W2
@@ -57,12 +59,9 @@ INIT_NOISE = 0.01  # half-width of the uniform draw added to each initial kernel
 
 @dataclass
 class KernelBank:
-    kernels: list[Tensor]  # each (K_m, D), lag order (row j multiplies x[t - j])
+    kernels: Tensor  # (M, K_max, D), lag order (row j multiplies x[t - j])
     w_gate: Tensor  # (D, D)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(k.shape[0] for k in self.kernels)
+    sizes: tuple[int, ...]  # taps of each kernel; rows past sizes[m] are masked to 0
 
 
 @dataclass
@@ -71,11 +70,7 @@ class MetaNetwork:
     w2: Tensor  # (META_HIDDEN, M)
 
 
-def init_kernel_bank(
-    d: int,
-    rng: np.random.Generator,
-    sizes=DEFAULT_KERNEL_SIZES,
-) -> KernelBank:
+def init_kernel_bank(d: int, rng: np.random.Generator, sizes) -> KernelBank:
     """Kernels start at the impulse response of a stable linear system.
 
     The one-state system (transition 0.7, unit input and output maps)
@@ -85,17 +80,16 @@ def init_kernel_bank(
     noise draw is a (size, D) block read bottom-up, so lag j takes its
     row size-1-j.
     """
-    kernels = []
-    for size in sizes:
+    kernels = np.zeros((len(sizes), max(sizes), d))
+    for k, size in zip(kernels, sizes):
         taps = np.cumprod(np.r_[1.0, np.full(size - 1, 0.7)])
-        k = np.tile(taps[:, None], (1, d)) + INIT_NOISE * rng.uniform(-1, 1, size=(size, d))[::-1]
-        kernels.append(Tensor(k, requires_grad=True))
+        k[:size] = taps[:, None] + INIT_NOISE * rng.uniform(-1, 1, size=(size, d))[::-1]
     bound = 1.0 / np.sqrt(d)
     w_gate = Tensor(rng.uniform(-bound, bound, size=(d, d)), requires_grad=True)
-    return KernelBank(kernels=kernels, w_gate=w_gate)
+    return KernelBank(kernels=Tensor(kernels, requires_grad=True), w_gate=w_gate, sizes=sizes)
 
 
-def init_meta_network(rng: np.random.Generator, m: int = 4) -> MetaNetwork:
+def init_meta_network(rng: np.random.Generator, m: int) -> MetaNetwork:
     """Uniform weights; each is drawn as its (out, in) transpose."""
     w1 = rng.uniform(-1, 1, size=(META_HIDDEN, 2)).T / np.sqrt(2.0)
     w2 = rng.uniform(-1, 1, size=(m, META_HIDDEN)).T / np.sqrt(META_HIDDEN)
@@ -161,18 +155,11 @@ def dynamic_mix(bank: KernelBank, meta: MetaNetwork, x: Tensor):
     gates = predict_weights(meta, var, ent)
 
     # one blended kernel per sample: (R, M) @ (M, K_max*D)
-    kernel = te.matmul(gates.reshape((-1, len(bank.kernels))), _lag_bank(bank))
-    k_max, d = max(bank.sizes), x.shape[-1]
+    m, k_max, d = bank.kernels.shape
+    lag_mask = np.arange(k_max)[:, None] < np.asarray(bank.sizes)[:, None, None]  # (M, K_max, 1)
+    masked = (bank.kernels * lag_mask).reshape((m, k_max * d))
+    kernel = te.matmul(gates.reshape((-1, m)), masked)
     y = te.depthwise_causal_conv(x, kernel.reshape(gates.shape[:-1] + (k_max, d)))
 
     gate = te.sigmoid(te.matmul(x, bank.w_gate))
     return y * gate, gates, var, ent
-
-
-def _lag_bank(bank: KernelBank) -> Tensor:
-    """The bank as (M, K_max*D), each kernel zero-padded to K_max taps."""
-    k_max, d = max(bank.sizes), bank.kernels[0].shape[1]
-    parts = []
-    for k in bank.kernels:  # the padding holds the oldest lags
-        parts += [k, Tensor(np.zeros((k_max - k.shape[0], d)))]
-    return te.concat(parts, axis=0).reshape((len(bank.kernels), k_max * d))

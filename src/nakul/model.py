@@ -27,10 +27,10 @@ it, so the `ModelConfig` alone fixes the model's structure, graph
 included.
 
 A checkpoint is an `.npz` file (`save_npz`) of float32 members named by
-dotted field path (`w_embed`, `blocks.0.bands.w_r` holding all K bands,
-`blocks.0.bank.kernels.2`), each in the layout its forward reads (the
-kernel bank in lag order). It holds exactly the parameters `init_model`
-creates from the run's `ModelConfig`: sizes are never read from shapes.
+dotted field path (`w_embed`, `blocks.0.bands.w`, `blocks.0.bank.kernels`),
+each in the layout its forward reads, and a 0-d str member `config`, the
+run's config text. It holds exactly the parameters `init_model` creates
+from that config's `ModelConfig`: sizes are never read from shapes.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import os
 import tokenize
 import zipfile
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -89,6 +89,7 @@ __all__ = [
     "load_npz",
     "save_checkpoint",
     "load_checkpoint",
+    "restore",
     "load_into",
 ]
 
@@ -154,7 +155,7 @@ class NakulModel:
     head_b2: Tensor
 
     def named(self) -> dict:
-        """Every parameter, by dotted field path: `blocks.0.bands.w_r`."""
+        """Every parameter, by dotted field path: `blocks.0.bands.w`."""
         return named_tensors(self)
 
     def parameters(self) -> list:
@@ -423,7 +424,7 @@ def atomic_open(path, mode: str = "wb", **kwargs):
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        with suppress(OSError):  # tmp may be missing, or a directory: keep the first error
             os.unlink(tmp)
         raise
 
@@ -463,32 +464,43 @@ def load_npz(path) -> dict:
     return out
 
 
-def save_checkpoint(path, named: dict) -> None:
-    """Write name -> Tensor/array pairs as float32 members of an `.npz` file (`save_npz`)."""
-    save_npz(path, {name: np.asarray(arr.data if isinstance(arr, Tensor) else arr, "<f4")
-                    for name, arr in named.items()})
+def save_checkpoint(path, named: dict, config: str = "") -> None:
+    """Write name -> Tensor/array pairs as float32 members of an `.npz` file (`save_npz`),
+    with the run's config text as the 0-d str member `config`."""
+    arrays = {name: np.asarray(arr.data if isinstance(arr, Tensor) else arr, "<f4")
+              for name, arr in named.items()}
+    save_npz(path, {**arrays, "config": np.asarray(config, np.str_)})
 
 
-def load_checkpoint(path) -> dict:
-    """Read a checkpoint back into {name: float64 array}; ValueError on any damage."""
+def load_checkpoint(path) -> tuple[str, dict]:
+    """(config text, {name: float64 array}) from a checkpoint; ValueError on any damage."""
     with open(path, "rb") as fh:
         if fh.read(4) == b"NAKL":
             raise ValueError("a flat NAKL checkpoint from an earlier build; retrain")
     arrays = load_npz(path)
+    config = arrays.pop("config", None)
     wrong = [name for name, arr in arrays.items() if arr.dtype != "<f4"]
     if wrong:
         raise ValueError(f"member {wrong[0]}.npy is not a plain float32 array")
-    return {name: arr.astype(np.float64, order="C") for name, arr in arrays.items()}
+    if config is None or config.ndim or config.dtype.kind != "U":
+        raise ValueError("no 0-d str config member: a checkpoint from before checkpoints "
+                         "carried their run config; retrain")
+    return str(config), {name: arr.astype(np.float64, order="C") for name, arr in arrays.items()}
 
 
 def load_into(model: NakulModel, path) -> None:
-    """Restore saved values into a model built from the run's config.
+    """Restore a checkpoint's values into a model built from the run's config (`restore`).
+    The checkpoint's config member must be there but is not used: the model already exists."""
+    restore(model, load_checkpoint(path)[1])
+
+
+def restore(model: NakulModel, saved: dict) -> None:
+    """Set every parameter of `model` to the {name: array} of `load_checkpoint`.
 
     Every name, shape and value is checked before anything changes, so a
     mismatch (ValueError) or a NaN/Inf value (FloatingPointError naming
     the tensor) leaves the model exactly as it was.
     """
-    saved = load_checkpoint(path)
     named = model.named()
     if set(saved) != set(named):
         missing = sorted(set(named) - set(saved))

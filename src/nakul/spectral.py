@@ -2,6 +2,8 @@
 
 Each band k carries a center mu_k and width sigma_k (Hz), a complex
 mixing matrix W_r + i W_i shared across bins, and a gate projection.
+The bank stores band k's matrix as one (D, 2D) slice w[k] = [W_r,k | W_i,k],
+the right operand te.band_mix multiplies each band's rows by.
 The input is transformed along time with the one-sided real FFT, each
 band contributes alpha_k * M_k(f) * (W_r + i W_i) X[f], and the sum
 returns to the time domain. Phase information survives because the
@@ -66,8 +68,7 @@ INIT_NOISE = 0.01  # half-width of the uniform draw added to each initial mixing
 class BandBank:
     raw_mu: Tensor  # (K,), softplus gives mu > 0
     raw_sigma: Tensor  # (K,), sigma_floor + softplus gives sigma
-    w_r: Tensor  # (K, D, D)
-    w_i: Tensor  # (K, D, D)
+    w: Tensor  # (K, D, 2D), w[k] = [W_r,k | W_i,k]
     w_gate: Tensor  # (D, K), column k gates band k
     sigma_floor: float
 
@@ -81,11 +82,7 @@ class BandBank:
 
 
 def init_band_filters(
-    d: int,
-    rng: np.random.Generator,
-    mus_hz=CANONICAL_MU_HZ,
-    sigma_hz: float = CANONICAL_SIGMA_HZ,
-    sigma_floor: float = 0.1,
+    d: int, rng: np.random.Generator, mus_hz, sigma_hz: float, sigma_floor: float
 ) -> BandBank:
     """Bands at the given centers, mixing near the identity passthrough.
 
@@ -95,9 +92,9 @@ def init_band_filters(
     if sigma_hz <= sigma_floor:
         raise ValueError("sigma init must sit above the floor")
     bound = 1.0 / np.sqrt(d)
-    w_r, w_i, w_gate = zip(*[  # band by band: W_r, W_i, then its gate column
-        (0.5 * np.eye(d) + INIT_NOISE * rng.uniform(-1.0, 1.0, size=(d, d)),
-         INIT_NOISE * rng.uniform(-1.0, 1.0, size=(d, d)),
+    w, w_gate = zip(*[  # band by band: W_r, W_i, then its gate column
+        (np.concatenate((0.5 * np.eye(d) + INIT_NOISE * rng.uniform(-1.0, 1.0, size=(d, d)),
+                         INIT_NOISE * rng.uniform(-1.0, 1.0, size=(d, d))), axis=1),
          rng.uniform(-bound, bound, size=d))
         for _ in mus_hz
     ])
@@ -105,8 +102,7 @@ def init_band_filters(
         raw_mu=Tensor(te.inv_softplus(np.asarray(mus_hz, dtype=np.float64)), requires_grad=True),
         raw_sigma=Tensor(
             te.inv_softplus(np.full(len(mus_hz), sigma_hz - sigma_floor)), requires_grad=True),
-        w_r=Tensor(np.stack(w_r), requires_grad=True),
-        w_i=Tensor(np.stack(w_i), requires_grad=True),
+        w=Tensor(np.stack(w), requires_grad=True),
         w_gate=Tensor(np.stack(w_gate, axis=1), requires_grad=True),
         sigma_floor=sigma_floor,
     )
@@ -163,7 +159,7 @@ def spectral_mix(bands: BandBank, x: Tensor, rate: float):
     gates = band_importance(bands, te.complex_abs(spec), masks)
 
     weight = gates.reshape(gates.shape[:-1] + (1, k)) * masks  # (..., F, K): alpha_k M_k(f)
-    mixed = te.band_mix(spec, weight, bands.w_r, bands.w_i, band_spans(masks))
+    mixed = te.band_mix(spec, weight, bands.w, band_spans(masks))
     out = te.ifft_real(mixed, n=t)
     if not np.all(np.isfinite(out.data)):
         raise FloatingPointError("spectral mixing produced non-finite values")

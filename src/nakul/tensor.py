@@ -765,31 +765,27 @@ def complex_abs(z) -> Tensor:
     return Tensor._result(data, (z,), bw)
 
 
-def band_mix(spec, weight, w_r, w_i, spans) -> Tensor:
+def band_mix(spec, weight, w, spans) -> Tensor:
     """Weighted complex band mixing of a (..., F, 2, D) spectrum, each band on its own bins.
 
     Returns the (..., F, 2, D) spectrum
     sum_k weight[..., f, k] (W_r,k + i W_i,k) spec[..., f], where band k
     takes part only at the bins f of its span [lo_k, hi_k) and adds
-    exactly 0 elsewhere. weight is (..., F, K); w_r and w_i are
-    (K, D, D) and multiply from the right, as a weight matrix does;
-    spans holds one (lo, hi) pair per band, and lo == hi leaves the band
-    out. Spans may overlap, and a span covering every bin is the dense
-    sum.
+    exactly 0 elsewhere. weight is (..., F, K); w is (K, D, 2D), w[k] =
+    [W_r,k | W_i,k], and multiplies from the right, as a weight matrix
+    does; spans holds one (lo, hi) pair per band, and lo == hi leaves the
+    band out. Spans may overlap, and a span covering every bin is the
+    dense sum.
 
     Each band is one GEMM of its scaled real and imaginary rows against
-    [W_r,k | W_i,k], counted as 4 * rows * (hi_k - lo_k) * D^2 MACs. The
-    backward redoes each band's scaled rows, so nothing of size
-    (..., F, 2, K*D) is built or kept.
+    w[k], counted as 4 * rows * (hi_k - lo_k) * D^2 MACs. The backward
+    redoes each band's scaled rows, so nothing of size (..., F, 2, K*D)
+    is built or kept.
     """
-    spec, weight, w_r, w_i = _wrap(spec), _wrap(weight), _wrap(w_r), _wrap(w_i)
+    spec, weight, w = _wrap(spec), _wrap(weight), _wrap(w)
     d = spec.data.shape[-1]
     lead = np.broadcast_shapes(spec.data.shape[:-3], weight.data.shape[:-2])
     live = [(k, lo, hi) for k, (lo, hi) in enumerate(spans) if hi > lo]
-
-    def mixing(k):
-        """[W_r,k | W_i,k], (D, 2D)."""
-        return np.concatenate((w_r.data[k], w_i.data[k]), axis=1)
 
     def scaled(k, lo, hi):
         """Band k's rows weight[..., f, k] * spec[..., f] for f in [lo, hi)."""
@@ -798,7 +794,7 @@ def band_mix(spec, weight, w_r, w_i, spans) -> Tensor:
     data = np.zeros(lead + spec.data.shape[-3:])
     for k, lo, hi in live:
         s = scaled(k, lo, hi)
-        t = (s.reshape(-1, d) @ mixing(k)).reshape(s.shape[:-1] + (2 * d,))
+        t = (s.reshape(-1, d) @ w.data[k]).reshape(s.shape[:-1] + (2 * d,))
         out = data[..., lo:hi, :, :]
         out[..., 0, :] += t[..., 0, :d] - t[..., 1, d:]  # re: a W_r - b W_i
         out[..., 1, :] += t[..., 1, :d] + t[..., 0, d:]  # im: b W_r + a W_i
@@ -808,8 +804,7 @@ def band_mix(spec, weight, w_r, w_i, spans) -> Tensor:
     def bw(g):
         gspec = np.zeros(data.shape) if spec.requires_grad else None
         gweight = np.zeros(lead + weight.data.shape[-2:]) if weight.requires_grad else None
-        wants_w = w_r.requires_grad or w_i.requires_grad
-        gw = np.zeros(w_r.data.shape[:-1] + (2 * d,)) if wants_w else None  # [gW_r,k | gW_i,k]
+        gw = np.zeros(w.data.shape) if w.requires_grad else None  # [gW_r,k | gW_i,k]
         for k, lo, hi in live:
             gk = g[..., lo:hi, :, :]
             # gradient at [a W | b W] (rows a, b): (g_re, g_im) for a, (g_im, -g_re) for b
@@ -819,7 +814,7 @@ def band_mix(spec, weight, w_r, w_i, spans) -> Tensor:
             gt2 = gt.reshape(-1, 2 * d)
             if gw is not None:
                 gw[k] = scaled(k, lo, hi).reshape(-1, d).T @ gt2
-            gs = (gt2 @ mixing(k).T).reshape(gk.shape)  # gradient at band k's scaled rows
+            gs = (gt2 @ w.data[k].T).reshape(gk.shape)  # gradient at band k's scaled rows
             if gspec is not None:
                 gspec[..., lo:hi, :, :] += gs * weight.data[..., lo:hi, k, None, None]
             if gweight is not None:
@@ -828,12 +823,10 @@ def band_mix(spec, weight, w_r, w_i, spans) -> Tensor:
             spec._accum(_unbroadcast(gspec, spec.data.shape))
         if gweight is not None:
             weight._accum(_unbroadcast(gweight, weight.data.shape))
-        if w_r.requires_grad:
-            w_r._accum(np.ascontiguousarray(gw[..., :d]))
-        if w_i.requires_grad:
-            w_i._accum(np.ascontiguousarray(gw[..., d:]))
+        if gw is not None:
+            w._accum(gw)
 
-    return Tensor._result(data, (spec, weight, w_r, w_i), bw)
+    return Tensor._result(data, (spec, weight, w), bw)
 
 
 # --- depthwise causal convolution ---------------------------------------------

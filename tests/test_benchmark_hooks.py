@@ -6,8 +6,11 @@ a function or moves `x` would otherwise surface only in the benchmark's
 own self-test. One test runs the tracer itself on a tiny model: a
 training step, then the re-run of each branch's backward from its
 recorded input. perfbench/worker.py groups `count_flops` components by
-layer and records `backends.BACKEND` and `backends.HAS_NUMBA`. The files
-are read, never changed.
+layer and records `backends.BACKEND` and `backends.HAS_NUMBA`.
+perfbench/run.py writes its serving checkpoint with
+`save_checkpoint(path, model.named())`, passing no config, and worker.py
+reads it back with `load_into(model, path)`. The files are read, never
+changed.
 """
 
 import importlib
@@ -19,7 +22,7 @@ import re
 import numpy as np
 import pytest
 
-from nakul import backends, training
+from nakul import backends, cli, training
 from nakul import model as model_module
 from nakul import tensor as te
 from nakul.model import ModelConfig, count_flops, init_model
@@ -98,3 +101,18 @@ def test_count_flops_keys_are_the_ones_the_worker_reads():
 def test_environment_constants_the_worker_records_exist():
     assert isinstance(backends.BACKEND, str)
     assert isinstance(backends.HAS_NUMBA, bool)
+
+
+def test_checkpoint_written_without_a_config_loads_into_a_built_model(tmp_path):
+    # the benchmark's two calls; eval refuses such a file, since it cannot build the model
+    model = tiny_model()
+    path = tmp_path / "model.nakl"
+    model_module.save_checkpoint(path, model.named())
+    other = init_model(model.cfg, np.random.default_rng(1))
+    model_module.load_into(other, path)
+    restored = other.named()
+    for name, tensor in model.named().items():
+        want = tensor.data.astype(np.float32).astype(np.float64)
+        assert restored[name].data.tobytes() == want.tobytes(), name
+    cli.save_dataset(tmp_path / "d.npz", np.zeros((2, 3, 16)), np.array([0, 1]), 20.0, "")
+    assert cli.main(["eval", "--ckpt", str(path), "--data", str(tmp_path / "d.npz")]) == 4

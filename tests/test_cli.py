@@ -31,6 +31,7 @@ from nakul.model import (
     load_into,
     model_forward,
     save_checkpoint,
+    save_npz,
 )
 from nakul.rng import stream
 from nakul.tensor import Tensor
@@ -169,16 +170,14 @@ def test_config_non_finite_values_exit_2(tmp_path, capsys, line, key):
     assert f"{key}: must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [
-    "gen-data", "train", "eval", "dump-bands", "dump-kernel-weights"])
+@pytest.mark.parametrize("command", ["gen-data", "train"])
 def test_config_is_read_before_any_artifact(tmp_path, capsys, command):
     # with a bad config and missing (or, for gen-data, unwritable) files, the config wins
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(SMALL_CFG + "no_such_knob = 1\n")
     missing = str(tmp_path / "missing")
     rest = {"gen-data": ["--out", str(tmp_path)],
-            "train": ["--data", missing, "--out", str(tmp_path / "run" / "model.nakl")],
-            }.get(command, ["--ckpt", missing, "--data", missing])
+            "train": ["--data", missing, "--out", str(tmp_path / "run" / "model.nakl")]}[command]
     assert main([command, *rest, "--config", str(cfg)]) == 2
     assert "no_such_knob: unknown key" in capsys.readouterr().err
 
@@ -245,8 +244,7 @@ def test_dataset_label_mismatch(tmp_path):
 
 
 def eval_small(workdir, data) -> int:
-    return main(["eval", "--ckpt", str(workdir / "run" / "model.nakl"),
-                 "--data", str(data), "--config", str(workdir / "small.cfg")])
+    return main(["eval", "--ckpt", str(workdir / "run" / "model.nakl"), "--data", str(data)])
 
 
 def test_eval_non_integer_label_exits_4(workdir, tmp_path, capsys):
@@ -353,8 +351,8 @@ def test_bad_dataset_arrays_exit_4(workdir, tmp_path, capsys, write, message):
     write(data)
     out = tmp_path / "never.nakl"
     for target in (["eval", "--ckpt", str(workdir / "run" / "model.nakl")],
-                   ["train", "--out", str(out)]):
-        assert main([*target, "--data", str(data), "--config", str(workdir / "small.cfg")]) == 4
+                   ["train", "--out", str(out), "--config", str(workdir / "small.cfg")]):
+        assert main([*target, "--data", str(data)]) == 4
         err = capsys.readouterr().err
         assert str(data) in err and message in err
     assert not out.exists()
@@ -369,8 +367,8 @@ def test_bad_dataset_arrays_exit_4(workdir, tmp_path, capsys, write, message):
 def test_bad_positions_exits_2(workdir, tmp_path, capsys, value, message):
     cfg = tmp_path / "with_positions.cfg"
     cfg.write_text(SMALL_CFG + f"positions = {value}\n")
-    assert main(["dump-bands", "--ckpt", str(workdir / "run" / "model.nakl"),
-                 "--config", str(cfg)]) == 2
+    assert main(["train", "--config", str(cfg), "--data", str(workdir / "data"),
+                 "--out", str(tmp_path / "run" / "model.nakl")]) == 2
     err = capsys.readouterr().err
     assert "positions:" in err and message in err
 
@@ -457,7 +455,7 @@ def test_epochs_zero_writes_initialization(workdir, tmp_path):
     out = tmp_path / "init" / "init.nakl"
     assert main(["train", "--config", str(cfg), "--data", str(workdir / "data"),
                  "--out", str(out)]) == 0
-    saved = load_checkpoint(out)
+    _, saved = load_checkpoint(out)
     fresh = init_model(parse_config(SMALL_CFG).model, stream(1, "init"))
     for name, tensor in fresh.named().items():
         np.testing.assert_array_equal(
@@ -468,7 +466,7 @@ def test_epochs_zero_writes_initialization(workdir, tmp_path):
 
 def test_eval_output_shape(workdir, capsys):
     assert main(["eval", "--ckpt", str(workdir / "run" / "model.nakl"),
-                 "--data", str(workdir / "data"), "--config", str(workdir / "small.cfg")]) == 0
+                 "--data", str(workdir / "data")]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "metric,value"
     metrics = dict(line.split(",") for line in out[1:4])
@@ -488,7 +486,7 @@ def test_eval_channel_mismatch_exits_2(workdir, tmp_path, capsys):
     signals = np.zeros((4, 3, 80))  # three channels, model expects four
     save_dataset(tmp_path / "skinny", signals, np.array([0, 1, 0, 1]), 20.0, "m")
     assert main(["eval", "--ckpt", str(workdir / "run" / "model.nakl"),
-                 "--data", str(tmp_path / "skinny"), "--config", str(workdir / "small.cfg")]) == 2
+                 "--data", str(tmp_path / "skinny")]) == 2
     assert "n_channels" in capsys.readouterr().err
 
 
@@ -496,14 +494,13 @@ def test_eval_channel_mismatch_exits_2(workdir, tmp_path, capsys):
 def test_dataset_label_beyond_classes_exits_2(workdir, tmp_path, capsys, command):
     save_dataset(tmp_path / "d", np.zeros((3, 4, 80)), np.array([0, 1, 2]), 20.0, "m")
     assert main([command, "--ckpt", str(workdir / "run" / "model.nakl"),
-                 "--data", str(tmp_path / "d"), "--config", str(workdir / "small.cfg")]) == 2
+                 "--data", str(tmp_path / "d")]) == 2
     assert "n_classes" in capsys.readouterr().err
 
 
 def test_eval_bad_checkpoint_exits_4(workdir):
     # a dataset is the checkpoint's container, but its members are not float32
-    assert main(["eval", "--ckpt", str(workdir / "data"),
-                 "--data", str(workdir / "data"), "--config", str(workdir / "small.cfg")]) == 4
+    assert main(["eval", "--ckpt", str(workdir / "data"), "--data", str(workdir / "data")]) == 4
 
 
 def pre_field_path_checkpoint(model) -> dict:
@@ -512,30 +509,34 @@ def pre_field_path_checkpoint(model) -> dict:
     old = {"embed.weight": model.w_embed.data, "embed.bias": model.b_embed.data}
     old.update({f"head.{n}": getattr(model, f"head_{n}").data for n in ("w1", "b1", "w2", "b2")})
     for i, blk in enumerate(model.blocks):
-        bands = blk.bands
+        bands, d = blk.bands, model.cfg.d
         for k in range(bands.raw_mu.shape[0]):
-            for q in ("raw_mu", "raw_sigma", "w_r", "w_i"):
-                old[f"block{i}.band{k}.{q}"] = getattr(bands, q).data[k]
+            old[f"block{i}.band{k}.raw_mu"] = bands.raw_mu.data[k]
+            old[f"block{i}.band{k}.raw_sigma"] = bands.raw_sigma.data[k]
+            old[f"block{i}.band{k}.w_r"] = bands.w.data[k, :, :d]
+            old[f"block{i}.band{k}.w_i"] = bands.w.data[k, :, d:]
             old[f"block{i}.band{k}.w_gate"] = bands.w_gate.data[:, k : k + 1]
+        for size, kernel in zip(blk.bank.sizes, blk.bank.kernels.data):
+            old[f"block{i}.bank.kernel_{size}"] = kernel[:size]
     for name, tensor in model.named().items():
         m = re.fullmatch(r"blocks\.(\d+)\.(.*)", name)
-        if m is None or m[2].startswith("bands."):
+        if m is None or m[2].startswith("bands.") or m[2] == "bank.kernels":
             continue
-        rest = f"bank.kernel_{tensor.shape[0]}" if "kernels" in m[2] else m[2]
-        old[f"block{m[1]}.{rest}"] = tensor.data
+        old[f"block{m[1]}.{m[2]}"] = tensor.data
     return old
 
 
 def test_eval_pre_field_path_checkpoint_exits_4(workdir, tmp_path, capsys):
     model = init_model(parse_config(SMALL_CFG).model, stream(1, "init"))
     old = pre_field_path_checkpoint(model)
-    assert len(old) == 74 and len(model.named()) == 64  # 2 blocks, 2 bands, 2 kernels
-    save_checkpoint(tmp_path / "old.nakl", old)
+    assert len(old) == 74 and len(model.named()) == 60  # 2 blocks, 2 bands, 2 kernels
+    # given the config, so the load gets as far as comparing names
+    save_checkpoint(tmp_path / "old.nakl", old, SMALL_CFG)
     assert main(["eval", "--ckpt", str(tmp_path / "old.nakl"),
-                 "--data", str(workdir / "data"), "--config", str(workdir / "small.cfg")]) == 4
+                 "--data", str(workdir / "data")]) == 4
     err = capsys.readouterr().err
     assert len(err) < 400, err
-    assert "64 missing" in err and "74 extra" in err
+    assert "60 missing" in err and "74 extra" in err
     assert any(name in err for name in model.named())
     assert any(name in err for name in old)
 
@@ -555,11 +556,11 @@ def flat_checkpoint(named: dict, version: int) -> bytes:
 def test_eval_version_1_checkpoint_exits_4(workdir, tmp_path, capsys):
     # flat files of both earlier versions are refused by name; version 1 held every
     # kernel's taps reversed, so it must never load
-    saved = load_checkpoint(workdir / "run" / "model.nakl")
+    _, saved = load_checkpoint(workdir / "run" / "model.nakl")
     for version in (1, 2):
         (tmp_path / "flat.nakl").write_bytes(flat_checkpoint(saved, version))
         assert main(["eval", "--ckpt", str(tmp_path / "flat.nakl"), "--data",
-                     str(workdir / "data"), "--config", str(workdir / "small.cfg")]) == 4
+                     str(workdir / "data")]) == 4
         assert "flat NAKL checkpoint" in capsys.readouterr().err
 
 
@@ -576,8 +577,7 @@ def truncation_points(blob: bytes) -> dict:
 def test_truncated_checkpoint_exits_4(workdir, tmp_path, capsys, cut):
     blob = (workdir / "run" / "model.nakl").read_bytes()
     (tmp_path / "cut.nakl").write_bytes(blob[: truncation_points(blob)[cut]])
-    assert main(["dump-bands", "--ckpt", str(tmp_path / "cut.nakl"),
-                 "--config", str(workdir / "small.cfg")]) == 4
+    assert main(["dump-bands", "--ckpt", str(tmp_path / "cut.nakl")]) == 4
     assert "not a zip of .npy arrays" in capsys.readouterr().err
 
 
@@ -612,7 +612,7 @@ def eval_reference(workdir):
 
 def eval_args(workdir, ckpt=None, data=None) -> list:
     return ["eval", "--ckpt", str(ckpt or workdir / "run" / "model.nakl"),
-            "--data", str(data or workdir / "data"), "--config", str(workdir / "small.cfg")]
+            "--data", str(data or workdir / "data")]
 
 
 def run_main(argv) -> tuple:
@@ -626,7 +626,7 @@ def run_main(argv) -> tuple:
 def test_damaged_checkpoint_exits_4_or_evaluates_unchanged(workdir, eval_reference):
     # the checkpoint or the dataset, damaged: eval refuses it or prints what it printed
     want, files = eval_reference
-    saved = load_checkpoint(workdir / "run" / "model.nakl")
+    _, saved = load_checkpoint(workdir / "run" / "model.nakl")
     path = workdir / "damaged.npz"
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -663,10 +663,9 @@ def test_trials_shorter_than_a_patch_exit_cleanly(workdir, tmp_path, capsys, com
     data = tmp_path / "short"  # 9 samples per trial; SMALL_CFG patches are 10
     save_dataset(data, np.zeros((4, 4, 9)), np.array([0, 1, 0, 1]), 20.0, "m")
     out = tmp_path / "never.nakl"
-    target = (["--out", str(out)] if command == "train"
+    target = (["--out", str(out), "--config", str(workdir / "small.cfg")] if command == "train"
               else ["--ckpt", str(workdir / "run" / "model.nakl")])
-    assert main([command, *target, "--data", str(data),
-                 "--config", str(workdir / "small.cfg")]) == code
+    assert main([command, *target, "--data", str(data)]) == code
     err = capsys.readouterr().err
     assert "9 samples" in err and "patch" in err
     assert not out.exists()
@@ -677,18 +676,19 @@ def test_trials_one_patch_long_run_every_command(tmp_path, capsys):
     cfg = tmp_path / "one_patch.cfg"
     cfg.write_text(with_line(SMALL_CFG, "t_len = 10"))
     data, ckpt = str(tmp_path / "data"), str(tmp_path / "run" / "model.nakl")
+    given = ["--config", str(cfg)]
     commands = [
-        ["gen-data", "--out", data],
-        ["train", "--data", data, "--out", ckpt],
+        ["gen-data", "--out", data, *given],
+        ["train", "--data", data, "--out", ckpt, *given],
         ["eval", "--ckpt", ckpt, "--data", data],
         ["dump-bands", "--ckpt", ckpt],
         ["dump-kernel-weights", "--ckpt", ckpt, "--data", data],
-        ["bench", "--lengths", "10,20"],
+        ["bench", "--lengths", "10,20", *given],
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for command in commands:
-            assert main([*command, "--config", str(cfg)]) == 0, command
+            assert main(command) == 0, command
     assert "length,median_seconds" in capsys.readouterr().out
 
 
@@ -707,8 +707,7 @@ def test_inference_commands_record_no_graph(workdir, monkeypatch, command, data)
 
     monkeypatch.setattr(training, "model_forward", forward)
     given = ["--data", str(workdir / "data")] if data else []
-    assert main([command, "--ckpt", str(workdir / "run" / "model.nakl"), *given,
-                 "--config", str(workdir / "small.cfg")]) == 0
+    assert main([command, "--ckpt", str(workdir / "run" / "model.nakl"), *given]) == 0
     assert parents and parents == [((), False)] * len(parents)
 
 
@@ -733,14 +732,13 @@ def test_no_grad_forward_keeps_only_its_logits():
 
 
 def test_eval_non_finite_checkpoint_exits_3(workdir, tmp_path, capsys):
-    saved = load_checkpoint(workdir / "run" / "model.nakl")
+    text, saved = load_checkpoint(workdir / "run" / "model.nakl")
     saved["w_embed"][0, 0] = np.inf
-    save_checkpoint(tmp_path / "inf.nakl", saved)
+    save_checkpoint(tmp_path / "inf.nakl", saved, text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the bad value must not reach a forward pass
         assert main(["eval", "--ckpt", str(tmp_path / "inf.nakl"),
-                     "--data", str(workdir / "data"),
-                     "--config", str(workdir / "small.cfg")]) == 3
+                     "--data", str(workdir / "data")]) == 3
     err = capsys.readouterr().err
     assert "non-finite" in err
     assert "w_embed" in err
@@ -798,10 +796,11 @@ def test_train_negative_seed_exits_2(workdir, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["gen-data", "grad-check", "dump-bands", "bench"])
 def test_negative_seed_flags_exit_2(workdir, tmp_path, capsys, command):
-    rest = {"gen-data": ["--out", str(tmp_path / "never")],
-            "dump-bands": ["--ckpt", str(workdir / "run" / "model.nakl")]}.get(command, [])
+    config = ["--config", str(workdir / "small.cfg")]
+    rest = {"gen-data": [*config, "--out", str(tmp_path / "never")],
+            "dump-bands": ["--ckpt", str(workdir / "run" / "model.nakl")]}.get(command, config)
     with pytest.raises(SystemExit) as err:
-        main([command, "--config", str(workdir / "small.cfg"), *rest, "--seed", "-1"])
+        main([command, *rest, "--seed", "-1"])
     assert err.value.code == 2
     assert "--seed: must be at least 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
@@ -887,21 +886,105 @@ def test_resume_flag_absent(workdir):
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("command", [
+LOAD_COMMANDS = [
     ["eval", "--data", "data"],
     ["dump-bands"],
     ["dump-kernel-weights", "--data", "data"],
-])
-def test_load_commands_require_config(workdir, command):
+]
+
+
+def load_command(workdir, command, ckpt) -> list:
+    """`command` on checkpoint `ckpt`, its `data` placeholder naming the shared dataset."""
+    return [str(workdir / "data") if part == "data" else part
+            for part in command] + ["--ckpt", str(ckpt)]
+
+
+@pytest.mark.parametrize("command", LOAD_COMMANDS)
+def test_load_commands_require_config(workdir, tmp_path, command):
+    # the model is built from the config the checkpoint holds, so one without a usable
+    # config is an artifact error, whatever its parameters
+    text, saved = load_checkpoint(workdir / "run" / "model.nakl")
+    ckpt = tmp_path / "model.nakl"
+    configs = {"missing": None, "empty": "", "not_str": np.float32(1.0),
+               "unparsable": text + "no_such_knob = 1\n"}
+    for kind, config in configs.items():
+        members = {name: arr.astype(np.float32) for name, arr in saved.items()}
+        if config is not None:
+            members["config"] = np.asarray(config)
+        save_npz(ckpt, members)
+        code, out, err = run_main(load_command(workdir, command, ckpt))
+        assert (code, out) == (4, ""), (kind, err)
+        assert str(ckpt) in err, kind
+
+
+@pytest.mark.parametrize("command", LOAD_COMMANDS)
+def test_load_commands_reject_config_flag(workdir, capsys, command):
     with pytest.raises(SystemExit) as err:
-        main(command + ["--ckpt", str(workdir / "run" / "model.nakl")])
+        main(load_command(workdir, command, workdir / "run" / "model.nakl")
+             + ["--config", str(workdir / "small.cfg")])
     assert err.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_checkpoint_holds_exactly_the_config_parameters(workdir):
-    saved = load_checkpoint(workdir / "run" / "model.nakl")
+    text, saved = load_checkpoint(workdir / "run" / "model.nakl")
+    assert text == config_text(parse_config(SMALL_CFG))  # the run's config, as train read it
     model = init_model(parse_config(SMALL_CFG).model, stream(1, "init"))
     assert set(saved) == set(model.named())
+
+
+@pytest.mark.parametrize("line", ["k_top = 2", "band_floor_hz = 0.5"])
+def test_eval_and_dumps_build_the_trained_model(workdir, tmp_path, line):
+    # neither setting is a tensor shape, so a model built from another config would
+    # load these parameters without complaint and compute something else
+    text = with_line(SMALL_CFG, line)
+    (tmp_path / "run.cfg").write_text(text)
+    ckpt, data = tmp_path / "run" / "model.nakl", workdir / "data"
+    assert main(["train", "--config", str(tmp_path / "run.cfg"), "--data", str(data),
+                 "--out", str(ckpt)]) == 0
+    signals, labels, _ = load_dataset(data)
+    model, other = (init_model(parse_config(t).model, stream(1, "init")) for t in (text, SMALL_CFG))
+    load_into(model, ckpt)
+    load_into(other, ckpt)
+    with te_mod.no_grad():
+        assert not np.array_equal(model_forward(model, signals).data,
+                                  model_forward(other, signals).data)
+
+    preds = np.concatenate([logits.data.argmax(axis=-1)
+                            for _, _, logits, _ in training.forward_batches(model, signals)])
+    code, out, _ = run_main(["eval", "--ckpt", str(ckpt), "--data", str(data)])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == f"accuracy,{np.mean(preds == labels):.10g}"
+    assert lines[-2:] == [f"{c}," + ",".join(str(v) for v in row)
+                          for c, row in enumerate(_confusion(labels, preds, 2))]
+
+    probe = stream(0, "data").normal(size=(16, 4, 80))  # dump-bands' seeded noise probe
+    gates = [[] for _ in model.blocks]
+    for _, _, _, diags in training.forward_batches(model, probe, diags=True):
+        for per_block, diag in zip(gates, diags):
+            per_block.append(diag["band_gates"].data.reshape(-1, 2))
+    want = ["band_index,mu_hz,sigma_hz,mean_alpha"]
+    for b_i, (blk, per_block) in enumerate(zip(model.blocks, gates)):
+        mean = np.concatenate(per_block).mean(axis=0)
+        for j, (mu, sigma) in enumerate(zip(blk.bands.mu.data * 10, blk.bands.sigma.data * 10)):
+            want.append(f"{2 * b_i + j},{mu:.10g},{sigma:.10g},{mean[j]:.10g}")
+    code, out, _ = run_main(["dump-bands", "--ckpt", str(ckpt)])
+    assert code == 0 and out.splitlines() == want
+
+
+@pytest.mark.parametrize("blocker", ["metrics.csv", "model.nakl.tmp"])
+def test_train_output_write_failure_exits_4(workdir, tmp_path, blocker):
+    # a directory where train writes a file; the host may run as root, so a name
+    # collision, not a permission, makes the write fail
+    run = tmp_path / "run"
+    (run / blocker).mkdir(parents=True)
+    code, _, err = run_main(["train", "--config", str(workdir / "small.cfg"), "--data",
+                             str(workdir / "data"), "--out", str(run / "model.nakl")])
+    failed = run / ("metrics.csv" if blocker == "metrics.csv" else "model.nakl")
+    assert code == 4 and f"cannot write {failed}: " in err, err
+    written = {blocker} | ({"metrics.csv"} if blocker == "model.nakl.tmp" else set())
+    assert {p.name for p in run.iterdir()} == written
 
 
 # --- metric helpers ------------------------------------------------------------------
@@ -993,8 +1076,7 @@ def test_dump_bands_untrained_shows_init_centers(workdir, tmp_path, capsys):
     assert main(["train", "--config", str(cfg),
                  "--data", str(workdir / "data"), "--out", str(out)]) == 0
     capsys.readouterr()
-    assert main(["dump-bands", "--ckpt", str(out),
-                 "--config", str(workdir / "small.cfg")]) == 0
+    assert main(["dump-bands", "--ckpt", str(out)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "band_index,mu_hz,sigma_hz,mean_alpha"
     rows = [line.split(",") for line in lines[1:]]
@@ -1013,8 +1095,7 @@ def test_dump_bands_averages_every_trial(workdir, tmp_path, capsys):
     signals = stream(5, "data").normal(size=(40, 4, 80))
     save_dataset(tmp_path / "many", signals, np.arange(40) % 2, 20.0, "m")
     ckpt = workdir / "run" / "model.nakl"
-    assert main(["dump-bands", "--ckpt", str(ckpt), "--data", str(tmp_path / "many"),
-                 "--config", str(workdir / "small.cfg")]) == 0
+    assert main(["dump-bands", "--ckpt", str(ckpt), "--data", str(tmp_path / "many")]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
     got = np.array([float(r[3]) for r in rows]).reshape(2, 2)  # (block, band)
 
@@ -1033,7 +1114,7 @@ def test_dump_bands_averages_every_trial(workdir, tmp_path, capsys):
 
 def test_dump_kernel_weights_rows(workdir, capsys):
     assert main(["dump-kernel-weights", "--ckpt", str(workdir / "run" / "model.nakl"),
-                 "--data", str(workdir / "data"), "--config", str(workdir / "small.cfg")]) == 0
+                 "--data", str(workdir / "data")]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "sample,alpha_3,alpha_5,variance,entropy"
     assert len(lines) == 25  # 24 trials

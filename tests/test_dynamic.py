@@ -109,7 +109,7 @@ def test_zero_meta_gives_uniform():
 
 def test_alphas_on_simplex():
     rng = np.random.default_rng(4)
-    meta = init_meta_network(rng)
+    meta = init_meta_network(rng, m=4)
     var = Tensor(rng.uniform(0, 10, size=(32,)))
     ent = Tensor(rng.uniform(0, 1, size=(32,)))
     alphas = predict_weights(meta, var, ent).data
@@ -120,7 +120,7 @@ def test_alphas_on_simplex():
 
 def test_logit_shift_invariance():
     rng = np.random.default_rng(5)
-    meta = init_meta_network(rng)
+    meta = init_meta_network(rng, m=4)
     shifted = MetaNetwork(w1=meta.w1, w2=Tensor(meta.w2.data.copy()))
     base = predict_weights(meta, Tensor(np.array(1.5)), Tensor(np.array(0.7)))
     # same constant added to every logit: append it through a rank-one
@@ -134,7 +134,7 @@ def test_logit_shift_invariance():
 
 def test_reversal_preserves_alphas():
     rng = np.random.default_rng(6)
-    meta = init_meta_network(rng)
+    meta = init_meta_network(rng, m=4)
     bank = make_bank(4, rng=rng)
     x = rng.normal(size=(3, 24, 4))
     _, a_fwd, _, _ = dynamic_mix(bank, meta, Tensor(x))
@@ -150,22 +150,38 @@ def test_init_bank_is_lag_order_impulse_response():
     # (size, D) noise block is read bottom-up
     draws = np.random.default_rng(15)
     bank = init_kernel_bank(4, np.random.default_rng(15), sizes=(3, 5))
-    for size, k in zip((3, 5), bank.kernels):
+    assert bank.sizes == (3, 5) and bank.kernels.shape == (2, 5, 4)
+    for size, k in zip((3, 5), bank.kernels.data):
         noise = draws.uniform(-1, 1, size=(size, 4))
         want = 0.7 ** np.arange(size)[:, None] + 0.01 * noise[::-1]
-        np.testing.assert_allclose(k.data, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(k[:size], want, rtol=0, atol=1e-15)
+        assert not k[size:].any()  # the rows past a kernel's size start at 0
+
+
+def test_taps_past_a_kernels_size_are_masked():
+    # whatever the rows past sizes[m] hold, the output ignores them and they get no gradient
+    rng = np.random.default_rng(16)
+    d = 3
+    bank = make_bank(d, sizes=(3, 5), rng=rng)
+    meta = init_meta_network(rng, m=2)
+    x = Tensor(rng.normal(size=(2, 12, d)))
+    want, _, _, _ = dynamic_mix(bank, meta, x)
+    bank.kernels.data[0, 3:] = rng.normal(size=(2, d))
+    got, _, _, _ = dynamic_mix(bank, meta, x)
+    np.testing.assert_array_equal(got.data, want.data)
+    (got * got).sum().backward()
+    assert not bank.kernels.grad[0, 3:].any() and bank.kernels.grad[0, :3].all()
+    assert bank.kernels.grad[1].all()
 
 
 def test_identity_kernels_saturated_gate():
     d = 5
     rng = np.random.default_rng(7)
-    kernels = []
-    for size in (3, 5, 7, 11):
-        k = np.zeros((size, d))
-        k[0, :] = 1.0  # lag order: row 0 multiplies the current sample
-        kernels.append(Tensor(k))
-    bank = KernelBank(kernels=kernels, w_gate=Tensor(1000.0 * np.eye(d)))
-    meta = init_meta_network(rng)
+    kernels = np.zeros((4, 11, d))
+    kernels[:, 0, :] = 1.0  # lag order: row 0 multiplies the current sample
+    bank = KernelBank(kernels=Tensor(kernels), w_gate=Tensor(1000.0 * np.eye(d)),
+                      sizes=(3, 5, 7, 11))
+    meta = init_meta_network(rng, m=4)
     x = rng.uniform(0.5, 1.5, size=(2, 20, d))  # positive, so the gate saturates
     out, _, _, _ = dynamic_mix(bank, meta, Tensor(x))
     np.testing.assert_allclose(out.data, x, atol=1e-3)
@@ -174,7 +190,7 @@ def test_identity_kernels_saturated_gate():
 def test_zero_input_zero_output():
     rng = np.random.default_rng(8)
     bank = make_bank(3, rng=rng)
-    meta = init_meta_network(rng)
+    meta = init_meta_network(rng, m=4)
     out, _, _, _ = dynamic_mix(bank, meta, Tensor(np.zeros((2, 16, 3))))
     np.testing.assert_allclose(out.data, 0.0, atol=1e-15)
 
@@ -185,11 +201,11 @@ def test_one_hot_isolates_branch():
     d = 4
     bank = make_bank(d, rng=rng)
     x = rng.normal(size=(2, 18, d))
-    for m in range(4):
-        solo = KernelBank(kernels=[bank.kernels[m]], w_gate=bank.w_gate)
+    for size, kernel in zip(bank.sizes, bank.kernels.data):
+        solo = KernelBank(kernels=Tensor(kernel[None, :size]), w_gate=bank.w_gate, sizes=(size,))
         got, gates, _, _ = dynamic_mix(solo, init_meta_network(rng, m=1), Tensor(x))
         np.testing.assert_array_equal(gates.data, 1.0)
-        per_row = np.broadcast_to(bank.kernels[m].data, (2,) + bank.kernels[m].shape)
+        per_row = np.broadcast_to(kernel[:size], (2, size, d))
         y_m = te.depthwise_causal_conv(Tensor(x), Tensor(per_row))
         gate = te.sigmoid(te.matmul(Tensor(x), bank.w_gate))
         np.testing.assert_allclose(got.data, (y_m * gate).data, rtol=1e-12)
@@ -211,14 +227,14 @@ def test_random_mixture_matches_weighted_branch_sum():
     bank = make_bank(d, rng=rng)
     x = rng.normal(size=(2, 3, 18, d))
     gate = 1.0 / (1.0 + np.exp(-(x @ bank.w_gate.data)))
-    skewed = init_meta_network(rng)  # large logits: far from uniform, different per row
+    skewed = init_meta_network(rng, m=4)  # large logits: far from uniform, different per row
     skewed.w2.data = 5.0 * rng.normal(size=skewed.w2.shape)
-    for meta in (skewed, init_meta_network(rng)):
+    for meta in (skewed, init_meta_network(rng, m=4)):
         got, used, _, _ = dynamic_mix(bank, meta, Tensor(x))
         a = used.data
         want = sum(
-            a[..., m, None, None] * causal_filter_oracle(k.data, x)
-            for m, k in enumerate(bank.kernels)
+            a[..., m, None, None] * causal_filter_oracle(k[:size], x)
+            for m, (size, k) in enumerate(zip(bank.sizes, bank.kernels.data))
         ) * gate
         assert np.abs(got.data - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -243,12 +259,13 @@ def test_feature_permutation_equivariance():
     rng = np.random.default_rng(11)
     d = 6
     bank = make_bank(d, rng=rng)
-    meta = init_meta_network(rng)
+    meta = init_meta_network(rng, m=4)
     x = rng.normal(size=(2, 14, d))
     perm = rng.permutation(d)
     bank_p = KernelBank(
-        kernels=[Tensor(k.data[:, perm]) for k in bank.kernels],
+        kernels=Tensor(bank.kernels.data[:, :, perm]),
         w_gate=Tensor(bank.w_gate.data[np.ix_(perm, perm)]),
+        sizes=bank.sizes,
     )
     base, a0, _, _ = dynamic_mix(bank, meta, Tensor(x))
     moved, a1, _, _ = dynamic_mix(bank_p, meta, Tensor(x[:, :, perm].copy()))
@@ -260,7 +277,7 @@ def test_mix_normalizes_stats_as_documented():
     rng = np.random.default_rng(12)
     d = 3
     bank = make_bank(d, rng=rng)
-    meta = init_meta_network(rng)
+    meta = init_meta_network(rng, m=4)
     x = rng.normal(size=(2, 20, d))
     _, alphas, got_var, got_ent = dynamic_mix(bank, meta, Tensor(x))
     var = temporal_variance(Tensor(x))
@@ -279,7 +296,7 @@ def test_gradients_match_finite_differences():
     x = Tensor(rng.normal(size=(2, 10, d)), requires_grad=True)
     weights = rng.normal(size=(2, 10, d))
 
-    params = [x, bank.kernels[0], bank.kernels[1], bank.w_gate, meta.w1, meta.w2]
+    params = [x, bank.kernels, bank.w_gate, meta.w1, meta.w2]
 
     def build():
         out, _, _, _ = dynamic_mix(bank, meta, x)

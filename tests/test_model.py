@@ -15,6 +15,7 @@ from nakul.config import parse_config
 from nakul.dynamic import dynamic_mix
 from nakul.model import (
     ModelConfig,
+    atomic_open,
     block_forward,
     count_flops,
     embed,
@@ -264,8 +265,8 @@ def test_gradients_through_whole_model():
     sampled = [
         model.w_embed,
         blk.bands.raw_mu,
-        blk.bands.w_r,
-        blk.bank.kernels[0],
+        blk.bands.w,
+        blk.bank.kernels,
         blk.meta.w1,
         blk.attn.w_bias,
         blk.attn.raw_beta,
@@ -380,11 +381,12 @@ def test_checkpoint_bytes_frozen(tmp_path):
     assert (tmp_path / "one.nakl").read_bytes() == (tmp_path / "two.nakl").read_bytes()
     with zipfile.ZipFile(tmp_path / "one.nakl") as zf:
         infos = zf.infolist()
-    assert [i.filename for i in infos] == ["b.npy", "t.npy", "w.npy"]
+    assert [i.filename for i in infos] == ["b.npy", "config.npy", "t.npy", "w.npy"]
     assert {(i.compress_type, i.date_time) for i in infos} == {
         (zipfile.ZIP_STORED, (1980, 1, 1, 0, 0, 0))}
     with np.load(tmp_path / "one.nakl", allow_pickle=False) as npz:
-        assert sorted(npz.files) == sorted(named)
+        assert sorted(npz.files) == sorted([*named, "config"])
+        assert npz["config"].shape == () and npz["config"][()] == ""  # none given
         for name, value in named.items():
             got = npz[name]
             assert got.dtype == np.dtype("<f4") and got.shape == np.shape(value)
@@ -431,8 +433,14 @@ GOOD = npy_bytes(np.ones((2, 3), "<f4"))
     (zip_bytes([("w.npy", GOOD.replace(b"(", b"8"))]), "EOF in multi-line statement"),
     (zip_bytes([("w.npy", GOOD.replace(b"'<f4'", b"',f4'"))]), "invalid syntax"),
     (zip_bytes([("w.npy", GOOD), ("w", GOOD)]), "member w is not a .npy array"),
+    (zip_bytes([("w.npy", GOOD)]), "no 0-d str config member"),
+    (zip_bytes([("w.npy", GOOD), ("config.npy", npy_bytes(np.float32(1.0)))]),
+     "no 0-d str config member"),
+    (zip_bytes([("w.npy", GOOD), ("config.npy", npy_bytes(np.array(["a", "b"])))]),
+     "no 0-d str config member"),
 ], ids=["flat", "trailing", "crc", "duplicate", "float64", "member_tail",
-        "pickled", "not_npy", "npy_header_brackets", "npy_header_descr", "suffixless"])
+        "pickled", "not_npy", "npy_header_brackets", "npy_header_descr", "suffixless",
+        "no_config", "float_config", "1d_config"])
 def test_load_checkpoint_refuses(tmp_path, blob, message):
     path = tmp_path / "bad.nakl"
     path.write_bytes(blob)
@@ -458,6 +466,17 @@ def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     assert written == [1]
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.nakl"]
+
+
+def test_atomic_open_failure_raises_the_error_it_met(tmp_path):
+    # a directory where the temporary file goes: open fails, and so would removing it
+    path = tmp_path / "model.nakl"
+    (tmp_path / "model.nakl.tmp").mkdir()
+    with pytest.raises(IsADirectoryError) as err:
+        with atomic_open(path):
+            pass
+    assert err.value.__context__ is None  # not raised while cleaning up after another
+    assert not path.exists()
 
 
 def test_checkpoint_roundtrip_through_model(tmp_path):

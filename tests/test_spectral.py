@@ -12,23 +12,24 @@ from oracles import check_gradients, gaussian_density, graph_size
 RNG = np.random.default_rng(42)
 
 
-def default_filters(d=4, seed=0, **kw):
-    return sp.init_band_filters(d, np.random.default_rng(seed), **kw)
+def default_filters(d=4, seed=0, mus_hz=sp.CANONICAL_MU_HZ, sigma_hz=sp.CANONICAL_SIGMA_HZ,
+                    sigma_floor=0.1):
+    return sp.init_band_filters(d, np.random.default_rng(seed), mus_hz, sigma_hz, sigma_floor)
 
 
 def band_bank(d, bands, w_r=None, w_i=None, w_gate=None, sigma_floor=0.1):
     """A BandBank from (mu, sigma) pairs; mixing defaults to I + 0i, gates to ones.
 
-    w_r and w_i are (K, D, D), w_gate (D, K).
+    w_r and w_i are (K, D, D), stored side by side as w = [W_r | W_i]; w_gate is (D, K).
     """
     mu, sigma = np.asarray(bands, dtype=np.float64).T
     k = len(bands)
     w_r = w_r if w_r is not None else np.tile(np.eye(d), (k, 1, 1))
+    w_i = w_i if w_i is not None else np.zeros((k, d, d))
     return sp.BandBank(
         raw_mu=te.Tensor(te.inv_softplus(mu), requires_grad=True),
         raw_sigma=te.Tensor(te.inv_softplus(sigma - sigma_floor), requires_grad=True),
-        w_r=te.Tensor(w_r, requires_grad=True),
-        w_i=te.Tensor(w_i if w_i is not None else np.zeros((k, d, d)), requires_grad=True),
+        w=te.Tensor(np.concatenate((w_r, w_i), axis=-1), requires_grad=True),
         w_gate=te.Tensor(w_gate if w_gate is not None else np.ones((d, k)), requires_grad=True),
         sigma_floor=sigma_floor,
     )
@@ -208,7 +209,8 @@ def mix_oracle(bands, x, rate):
     alphas = np.stack(gates, axis=-1)
     mixed = 0.0
     for k in range(k_bands):
-        w = bands.w_r.data[k] + 1j * bands.w_i.data[k]
+        w_r, w_i = np.split(bands.w.data[k], 2, axis=-1)
+        w = w_r + 1j * w_i
         mixed = mixed + alphas[..., k, None, None] * masks[k] * (spec @ w)
     return np.fft.irfft(mixed, n=t, axis=-2), alphas
 
@@ -257,13 +259,13 @@ def test_band_below_tau_everywhere_adds_nothing():
     assert sp.band_spans(masks)[1] == (0, 0)
     x = te.Tensor(rng.normal(size=(2, t, d)))
     base, _ = sp.spectral_mix(filters, x, rate)
-    filters.w_r.data[1] *= 1e3
-    filters.w_i.data[1] = rng.normal(size=(d, d))
+    filters.w.data[1, :, :d] *= 1e3  # W_r
+    filters.w.data[1, :, d:] = rng.normal(size=(d, d))  # W_i
     out, _ = sp.spectral_mix(filters, x, rate)
     np.testing.assert_array_equal(out.data, base.data)
     (out * out).sum().backward()
-    assert not filters.w_r.grad[1].any() and not filters.w_i.grad[1].any()
-    assert filters.w_r.grad[0].any() and filters.w_i.grad[0].any()
+    assert not filters.w.grad[1].any()
+    assert filters.w.grad[0, :, :d].any() and filters.w.grad[0, :, d:].any()
 
 
 @pytest.mark.parametrize("bands,t,rate", [
@@ -353,7 +355,7 @@ def test_mix_gradients_match_finite_differences():
         out, _ = sp.spectral_mix(filters, x, rate=50.0)
         return (out * out).sum()
 
-    params = [x, filters.raw_mu, filters.raw_sigma, filters.w_r, filters.w_i, filters.w_gate]
+    params = [x, filters.raw_mu, filters.raw_sigma, filters.w, filters.w_gate]
     worst = check_gradients(build, params, np.random.default_rng(3), n_samples=5)
     assert worst < 1e-3
 
@@ -362,7 +364,7 @@ def test_mix_gradients_match_finite_differences():
 def test_mix_rejects_nonfinite_via_guard():
     d = 2
     f = single_filter(d, mu=5.0, sigma=2.0)
-    f.w_r.data[...] = 1e308  # force overflow in the mixing product
+    f.w.data[..., :d] = 1e308  # W_r: force overflow in the mixing product
     x = te.Tensor(np.full((1, 8, d), 1e10))
     with pytest.raises(FloatingPointError):
         sp.spectral_mix(f, x, rate=8.0)

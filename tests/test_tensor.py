@@ -355,13 +355,16 @@ def test_grad_fft_odd_length():
 BAND_SPANS = [(1, 4), (0, 0), (0, 9), (3, 7)]  # partial, empty, full, overlapping
 
 
-def band_mix_oracle(spec, weight, w_r, w_i, spans):
-    """sum_k [lo_k <= f < hi_k] weight[..., f, k] X[f] (W_r,k + i W_i,k), bin by bin."""
+def band_mix_oracle(spec, weight, w, spans):
+    """sum_k [lo_k <= f < hi_k] weight[..., f, k] X[f] (W_r,k + i W_i,k), bin by bin,
+    for w[k] = [W_r,k | W_i,k]."""
     x = spec[..., 0, :] + 1j * spec[..., 1, :]  # (..., F, D)
     y = np.zeros(x.shape, dtype=np.complex128)
+    d = x.shape[-1]
     for k, (lo, hi) in enumerate(spans):
+        mixing = w[k, :, :d] + 1j * w[k, :, d:]
         for f in range(lo, hi):
-            y[..., f, :] += weight[..., f, k, None] * (x[..., f, :] @ (w_r[k] + 1j * w_i[k]))
+            y[..., f, :] += weight[..., f, k, None] * (x[..., f, :] @ mixing)
     return np.stack((y.real, y.imag), axis=-2)
 
 
@@ -369,8 +372,7 @@ def band_mix_inputs(rng, lead=(2, 3), f=9, d=4):
     k = len(BAND_SPANS)
     return (T.Tensor(rng.normal(size=lead + (f, 2, d)), requires_grad=True),
             T.Tensor(rng.uniform(0.1, 1.0, size=lead + (f, k)), requires_grad=True),
-            T.Tensor(rng.normal(size=(k, d, d)), requires_grad=True),
-            T.Tensor(rng.normal(size=(k, d, d)), requires_grad=True))
+            T.Tensor(rng.normal(size=(k, d, 2 * d)), requires_grad=True))
 
 
 def test_band_mix_matches_per_bin_oracle():
@@ -381,15 +383,15 @@ def test_band_mix_matches_per_bin_oracle():
 
 
 def test_grad_band_mix():
-    spec, weight, w_r, w_i = band_mix_inputs(np.random.default_rng(12))
+    spec, weight, w = band_mix_inputs(np.random.default_rng(12))
 
     def build():
-        y = T.band_mix(spec, weight, w_r, w_i, BAND_SPANS)
+        y = T.band_mix(spec, weight, w, BAND_SPANS)
         return (y * y).sum()
 
-    assert worst_grad_error(build, [spec, weight, w_r, w_i], n_samples=12) < GRAD_TOL
+    assert worst_grad_error(build, [spec, weight, w], n_samples=12) < GRAD_TOL
     # the empty band and the bins outside each span pass back exactly 0
-    assert not w_r.grad[1].any() and not w_i.grad[1].any()
+    assert not w.grad[1].any()
     outside = np.ones(weight.data.shape, dtype=bool)
     for k, (lo, hi) in enumerate(BAND_SPANS):
         outside[..., lo:hi, k] = False
