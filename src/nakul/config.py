@@ -154,10 +154,12 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config", f"{path} is not UTF-8 text: {exc}") from None
     return parse_config(text)
 
 

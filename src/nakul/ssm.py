@@ -16,8 +16,8 @@ so A = 0 yields exactly A_bar = I and B_bar = delta B.
 
 Everything here is plain numpy (verification plumbing, no gradients).
 causal_convolve runs the model's own depthwise convolution kernel
-(`backends.depthwise_causal_fwd`) on one row and one feature, so the
-scan/convolution equivalence checks the code the model runs.
+(`backends.depthwise_causal_fwd`) on every column with one shared
+kernel, so the scan/convolution equivalence checks the code the model runs.
 """
 
 from __future__ import annotations
@@ -136,6 +136,6 @@ def causal_convolve(kernel: np.ndarray, x: np.ndarray, skip: float = 0.0) -> np.
     x = np.asarray(x, dtype=np.float64)
     if kernel.shape[0] < 1:
         raise ValueError("kernel must have at least one tap")
-    columns = int(np.prod(x.shape[1:]))  # each convolved along axis 0
-    y = depthwise_causal_fwd(x.reshape(1, x.shape[0], columns), kernel.reshape(1, -1, 1))
+    columns = x.reshape(x.shape[0], -1)  # each convolved along axis 0
+    y = depthwise_causal_fwd(columns, kernel.reshape(-1, 1))
     return y.reshape(x.shape) + float(skip) * x

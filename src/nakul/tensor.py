@@ -836,30 +836,28 @@ def depthwise_causal_conv(x: Tensor, kernel: Tensor) -> Tensor:
     """Per-feature causal convolution along the time axis, one kernel per row.
 
     x has shape (..., T, D) and kernel (..., taps, D) with the same
-    leading dims. Each feature column has its own filter; output at t
-    sees inputs t, t-1, ..., t-taps+1 only. Taps are in lag order: tap j
-    multiplies x[t-j].
+    leading dims, which may be none. Each feature column has its own
+    filter; output at t sees inputs t, t-1, ..., t-taps+1 only. Taps are
+    in lag order: tap j multiplies x[t-j]. Taps past T see only the zero
+    padding and get zero gradient.
     """
     x, kernel = _wrap(x), _wrap(kernel)
     lead = x.data.shape[:-2]
-    t, d = x.data.shape[-2], x.data.shape[-1]
-    taps = kernel.data.shape[-2]
     if kernel.data.shape[:-2] != lead:
         raise ValueError(
             f"kernel {kernel.data.shape} needs the input's leading dims {lead}: one kernel per row")
-    rows = int(np.prod(lead, dtype=np.int64)) if lead else 1
-    x3 = np.ascontiguousarray(x.data.reshape(rows, t, d))
-    k3 = np.ascontiguousarray(kernel.data.reshape(rows, taps, d))
-    data = backends.depthwise_causal_fwd(x3, k3).reshape(x.data.shape)
-    _count(data.size * taps)
+    if kernel.data.shape[-1] != x.data.shape[-1]:  # einsum would broadcast a width of 1
+        raise ValueError(
+            f"kernel {kernel.data.shape} needs the feature width of input {x.data.shape}")
+    data = backends.depthwise_causal_fwd(x.data, kernel.data)
+    _count(data.size * kernel.data.shape[-2])
 
     def bw(g):
-        g3 = np.ascontiguousarray(g.reshape(rows, t, d))
-        gx, gk = backends.depthwise_causal_bwd(x3, k3, g3)
+        gx, gk = backends.depthwise_causal_bwd(x.data, kernel.data, g)
         if x.requires_grad:
-            x._accum(gx.reshape(x.data.shape))
+            x._accum(gx)
         if kernel.requires_grad:
-            kernel._accum(gk.reshape(kernel.data.shape))
+            kernel._accum(gk)
 
     return Tensor._result(data, (x, kernel), bw)
 

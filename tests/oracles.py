@@ -116,6 +116,30 @@ def direct_ssm_outputs(a_bar, b_bar, c, d_skip, x):
     return y
 
 
+def loop_depthwise_causal_fwd(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The per-tap shift-and-add loop the depthwise kernel ran before its
+    windowed einsum, kept as the bitwise reference. x (R, T, D), k (R, taps, D)."""
+    R, T, D = x.shape
+    taps = k.shape[1]
+    y = k[:, 0:1] * x
+    for j in range(1, min(taps, T)):  # taps beyond T never reach an output
+        y[:, j:, :] += k[:, j : j + 1] * x[:, : T - j, :]
+    return y
+
+
+def loop_depthwise_causal_bwd(x: np.ndarray, k: np.ndarray, gy: np.ndarray):
+    """Input and kernel gradients of loop_depthwise_causal_fwd, same loop."""
+    R, T, D = x.shape
+    taps = k.shape[1]
+    gx = k[:, 0:1] * gy
+    gk = np.zeros_like(k)  # taps past T keep zero gradient
+    gk[:, 0] = np.einsum("rtd,rtd->rd", gy, x)
+    for j in range(1, min(taps, T)):
+        gx[:, : T - j, :] += k[:, j : j + 1] * gy[:, j:, :]
+        gk[:, j] = np.einsum("rtd,rtd->rd", gy[:, j:, :], x[:, : T - j, :])
+    return gx, gk
+
+
 def graph_nodes(*roots) -> list:
     """Autograd nodes reachable from the given Tensors through their parents."""
     seen, stack, out = set(), list(roots), []

@@ -84,6 +84,9 @@ def test_tracer_reruns_each_branch_backward_and_restores(spans):
     assert set(tracer.bwd_s) == set(spans.BRANCH_INPUT)
     assert all(seconds > 0.0 for seconds in tracer.bwd_s.values()), dict(tracer.bwd_s)
     assert len(tracer.nodes) == 1 and tracer.nodes[0] > 1
+    # the conv spans see the kernels only while te calls them through `backends.`
+    for name in ("backends.conv_fwd", "backends.conv_bwd"):
+        assert tracer.calls[("op", name)] >= 1, name
     for (module, attr), orig in originals.items():
         assert resolve(module, attr) is orig, (module, attr)
 

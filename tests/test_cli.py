@@ -182,6 +182,18 @@ def test_config_is_read_before_any_artifact(tmp_path, capsys, command):
     assert "no_such_knob: unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen-data", "train", "grad-check", "bench"])
+def test_config_not_utf8_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(SMALL_CFG.encode() + b"\xff\n")
+    rest = {"gen-data": ["--out", str(tmp_path / "d.npz")],
+            "train": ["--data", str(tmp_path / "missing"), "--out", str(tmp_path / "m.nakl")],
+            "grad-check": [], "bench": []}[command]
+    assert main([command, "--config", str(cfg), *rest]) == 2
+    assert "config: " in (err := capsys.readouterr().err) and "is not UTF-8 text" in err
+    assert not (tmp_path / "d.npz").exists() and not (tmp_path / "m.nakl").exists()
+
+
 def test_default_config_is_valid():
     rc = RunConfig()
     assert parse_config(config_text(rc)) == rc

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from nakul import backends
 from nakul import tensor as T
-from oracles import check_gradients, composed_ffn, graph_nodes, naive_dft, naive_idft
+from oracles import (check_gradients, composed_ffn, graph_nodes, loop_depthwise_causal_bwd,
+                     loop_depthwise_causal_fwd, naive_dft, naive_idft)
 
 RNG = np.random.default_rng(1234)
 
@@ -516,6 +518,50 @@ def test_depthwise_causal_conv_rejects_foreign_row_kernels():
         T.depthwise_causal_conv(x, randt(5, 4, grad=False))
     with pytest.raises(ValueError):
         T.depthwise_causal_conv(randt(2, 8, 4, grad=False), randt(5, 4, grad=False))
+    # one filter per feature: a kernel one feature wide would broadcast
+    for width in (1, 5):
+        kernel = randt(2, 3, 5, width, grad=False)
+        with pytest.raises(ValueError, match=r"\(2, 3, 5, %d\).*\(2, 3, 8, 4\)" % width):
+            T.depthwise_causal_conv(x, kernel)
+
+
+@pytest.mark.parametrize("lead,steps,width,taps", [
+    ((), 20, 4, 11), ((3,), 7, 5, 3), ((2, 3), 9, 6, 5), ((4, 4), 12, 8, 7),
+    ((3,), 1, 4, 5), ((2, 3), 16, 3, 1), ((3,), 3, 4, 12),
+    ((8, 8), 20, 128, 11), ((1, 8), 20, 128, 11), ((16, 8), 20, 16, 11),
+])
+def test_depthwise_kernels_bitwise_equal_to_loop(lead, steps, width, taps):
+    # The windowed einsum kernels against the per-tap loop they replaced,
+    # byte for byte: leading shapes from none to (B, C), T = 1, taps = 1,
+    # taps > T, and the default, B=1 and acceptance-model block shapes.
+    rng = np.random.default_rng(steps * 1000 + width * 10 + taps)
+    x, gy = rng.normal(size=(2,) + lead + (steps, width))
+    k = rng.normal(size=lead + (taps, width))
+    rows = int(np.prod(lead, dtype=np.int64))
+    x3, k3, g3 = (a.reshape((rows,) + a.shape[-2:]) for a in (x, k, gy))
+    gx_ref, gk_ref = loop_depthwise_causal_bwd(x3, k3, g3)
+    gx, gk = backends.depthwise_causal_bwd(x, k, gy)
+    y = backends.depthwise_causal_fwd(x, k)
+    assert y.tobytes() == loop_depthwise_causal_fwd(x3, k3).tobytes()
+    assert gx.tobytes() == gx_ref.tobytes()
+    assert gk.tobytes() == gk_ref.tobytes()
+    assert y.shape == gx.shape == x.shape and gk.shape == k.shape
+
+
+def test_depthwise_kernels_one_feature_wide_within_ulps_of_loop():
+    # With D = 1 the tap and time axes are contiguous, and numpy's einsum
+    # sums a contiguous reduction axis in blocks, so the backward rounds
+    # differently from the loop. Tolerance: 1e-15 of the largest value.
+    # The forward reads its window reversed and stays bitwise.
+    rng = np.random.default_rng(7)
+    for steps, taps in [(8, 3), (20, 11), (64, 5), (64, 100)]:
+        x, gy = rng.normal(size=(2, 5, steps, 1))
+        k = rng.normal(size=(5, taps, 1))
+        gx_ref, gk_ref = loop_depthwise_causal_bwd(x, k, gy)
+        gx, gk = backends.depthwise_causal_bwd(x, k, gy)
+        assert backends.depthwise_causal_fwd(x, k).tobytes() == loop_depthwise_causal_fwd(x, k).tobytes()
+        assert np.abs(gx - gx_ref).max() <= 1e-15 * np.abs(gx_ref).max()
+        assert np.abs(gk - gk_ref).max() <= 1e-15 * np.abs(gk_ref).max()
 
 
 def test_grad_accumulates_across_reuse():
