@@ -3,14 +3,13 @@
 Sensors within a fixed radius of each other are joined into a graph
 whose symmetrically normalized adjacency diffuses features; a per-head
 linear readout of the diffused features becomes an additive attention
-bias. Attention itself runs over the channel axis and keeps only the
-top-k scores per row; the softmax runs over the kept entries alone, so
-they form a proper distribution (a literal multiply-by-zero mask would
-leave the excluded scores competing at 0).
+bias. Attention runs over the channel axis and keeps the top-k biased
+scores of each row (one np.partition; ties go to the lowest column, so
+results are deterministic). The others get -inf added, so the softmax
+runs over the kept entries alone and they form a proper distribution (a
+multiply-by-zero mask would leave the excluded scores competing at 0).
 
-Top-k selection uses the biased scores and breaks ties toward the
-lowest column index, so results are deterministic. The temperature on
-the bias term is kept positive through a softplus.
+The temperature on the bias term is kept positive through a softplus.
 
 The bias readout is one GEMM weight: w_bias is (D, H*C) with head-major
 columns, so columns h*C .. h*C+C-1 read head h's (C, C) bias out of each
@@ -150,17 +149,20 @@ def masked_softmax_topk(scores: Tensor, k: int) -> Tensor:
 
     scores (..., C): keeps min(k, C) entries per row, ties resolved
     toward the lowest column, and normalizes over them. Returns the
-    dense (..., C) map. The mask costs one argsort, skipped when k >= C
-    keeps every entry; the softmax and everything after it stay dense in
-    C, whatever k is.
+    dense (..., C) map. Unless k >= C, a partition finds each row's k-th
+    largest score; larger ones are kept, then equal ones from the lowest
+    column up, and the rest get a constant -inf: zeros with zero gradient.
     """
-    if k >= scores.shape[-1]:
+    c = scores.shape[-1]
+    if k < 1:
+        raise ValueError(f"top-k attention needs k >= 1, got k = {k}")
+    if k >= c:
         return te.softmax(scores)
-    # stable sort on the negated scores: equal values keep ascending column order
-    idx = np.argsort(-scores.data, axis=-1, kind="stable")[..., :k]
-    keep = np.zeros(scores.shape, dtype=bool)
-    np.put_along_axis(keep, idx, True, axis=-1)
-    return te.softmax(scores, keep)
+    s = scores.data
+    kth = np.partition(s, c - k, axis=-1)[..., c - k : c - k + 1]  # k-th largest
+    above, ties = s > kth, s == kth
+    keep = above | (ties & (np.cumsum(ties, axis=-1) <= k - above.sum(axis=-1, keepdims=True)))
+    return te.softmax(scores + np.where(keep, 0.0, -np.inf))
 
 
 def topk_masked_attention(sa: SpatialAttention, g: ElectrodeGraph, x: Tensor):

@@ -140,6 +140,37 @@ def loop_depthwise_causal_bwd(x: np.ndarray, k: np.ndarray, gy: np.ndarray):
     return gx, gk
 
 
+def argsort_topk_mask(scores: np.ndarray, k: int) -> np.ndarray:
+    """The boolean top-k mask graph.masked_softmax_topk took from a stable
+    argsort before its partition, kept as the bitwise reference: sorting
+    the negated scores keeps equal values in ascending column order."""
+    idx = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+    keep = np.zeros(scores.shape, dtype=bool)
+    np.put_along_axis(keep, idx, True, axis=-1)
+    return keep
+
+
+def where_softmax(x: te.Tensor, keep: np.ndarray) -> te.Tensor:
+    """Softmax over the kept entries of each row through the ufuncs' where=,
+    the masked path te.softmax had; the others are exactly 0 with 0 gradient."""
+    top = x.data.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
+    e = np.exp(x.data - top, out=np.zeros(x.data.shape), where=keep)
+    data = e / e.sum(axis=-1, keepdims=True)
+
+    def bw(g):
+        inner = (g * data).sum(axis=-1, keepdims=True)
+        x._accum(data * (g - inner))
+
+    return te.Tensor._result(data, (x,), bw)
+
+
+def argsort_masked_softmax_topk(scores: te.Tensor, k: int) -> te.Tensor:
+    """graph.masked_softmax_topk built from the argsort mask and where_softmax."""
+    if k >= scores.shape[-1]:
+        return te.softmax(scores)
+    return where_softmax(scores, argsort_topk_mask(scores.data, k))
+
+
 def graph_nodes(*roots) -> list:
     """Autograd nodes reachable from the given Tensors through their parents."""
     seen, stack, out = set(), list(roots), []

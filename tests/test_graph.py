@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from nakul import graph
 from nakul import tensor as te
 from nakul.graph import (
     SpatialAttention,
@@ -16,9 +17,10 @@ from nakul.graph import (
     spatial_biases,
     topk_masked_attention,
 )
+from nakul.model import ModelConfig, init_model, model_forward
 from nakul.tensor import Tensor
 
-from oracles import check_gradients, graph_size
+from oracles import argsort_masked_softmax_topk, check_gradients, graph_size
 
 
 def random_graph(rng, c):
@@ -151,11 +153,10 @@ def test_k_at_least_c_equals_the_all_kept_mask_bitwise():
     rng = np.random.default_rng(10)
     scores = rng.normal(size=(3, 7, 7))
     weights = Tensor(rng.normal(size=(3, 7, 7)))
-    everything = np.ones(scores.shape, dtype=bool)
     for k in (7, 50):
         x, x_all = Tensor(scores, requires_grad=True), Tensor(scores, requires_grad=True)
         dense = masked_softmax_topk(x, k)
-        masked = te.softmax(x_all, everything)
+        masked = te.softmax(x_all)
         np.testing.assert_array_equal(dense.data, masked.data)
         (dense * weights).sum().backward()
         (masked * weights).sum().backward()
@@ -184,6 +185,69 @@ def test_row_shift_invariance():
     a = masked_softmax_topk(Tensor(scores), 3)
     b = masked_softmax_topk(Tensor(shifted), 3)
     np.testing.assert_allclose(a.data, b.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_k_below_one_is_refused(k):
+    rng = np.random.default_rng(12)
+    c, d = 6, 8
+    sa = init_spatial_attention(d, heads=2, c=c, rng=rng, k_top=k)
+    x = Tensor(rng.normal(size=(2, c, d)))
+    with pytest.raises(ValueError, match=f"k = {k}"):
+        topk_masked_attention(sa, build_graph(circle_layout(c)), x)
+    with pytest.raises(ValueError, match=f"k = {k}"):
+        masked_softmax_topk(Tensor(rng.normal(size=(3, c))), k)
+
+
+def assert_bytes_equal(got, want):
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()  # signed zeros too
+
+
+SCORE_KINDS = {
+    "normal": lambda rng, shape: rng.normal(size=shape),
+    "rounded": lambda rng, shape: np.round(rng.normal(size=shape)),  # ties in every row
+    "zero": lambda rng, shape: np.zeros(shape),
+    "signed_zero": lambda rng, shape: np.where(rng.random(shape) < 0.5, -0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCORE_KINDS))
+@pytest.mark.parametrize(
+    "shape", [(8, 20, 22, 22), (8, 160, 22, 22), (2, 3, 4), (5, 9), (1, 4)], ids=str)
+def test_partition_mask_matches_the_argsort_oracle_bitwise(shape, kind):
+    rng = np.random.default_rng(13)
+    scores = SCORE_KINDS[kind](rng, shape)
+    g = rng.normal(size=shape)
+    for k in range(1, shape[-1]):
+        x, x_ref = Tensor(scores, requires_grad=True), Tensor(scores, requires_grad=True)
+        with np.errstate(all="raise"):
+            got = masked_softmax_topk(x, k)
+            want = argsort_masked_softmax_topk(x_ref, k)
+            (got * g).sum().backward()
+            (want * g).sum().backward()
+        assert_bytes_equal(got.data, want.data)
+        assert_bytes_equal(x.grad, x_ref.grad)
+
+
+def test_default_model_at_22_channels_matches_the_argsort_oracle_bitwise(monkeypatch):
+    """C = 22 > k_top = 16: every block selects, with training noise on."""
+    cfg = ModelConfig(n_channels=22, n_classes=4)
+    x = np.random.default_rng(14).normal(size=(1, 22, 1000))
+
+    def step():
+        model = init_model(cfg, np.random.default_rng(0))
+        logits = model_forward(model, Tensor(x), rng=np.random.default_rng(1))
+        (logits * np.arange(1.0, 5.0)).sum().backward()
+        return logits.data, model.named()
+
+    logits, named = step()
+    monkeypatch.setattr(graph, "masked_softmax_topk", argsort_masked_softmax_topk)
+    want_logits, want_named = step()
+    assert_bytes_equal(logits, want_logits)
+    assert named.keys() == want_named.keys()
+    for name, param in named.items():
+        assert_bytes_equal(param.grad, want_named[name].grad)
 
 
 # --- full attention path -------------------------------------------------------

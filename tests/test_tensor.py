@@ -160,10 +160,10 @@ def test_softmax_keep_mask_values_and_zero_gradient():
     x = randt(4, 7, rng=rng, scale=3.0)
     keep = rng.random((4, 7)) < 0.5
     keep[:, 2] = True  # every row keeps at least one entry
-    x.data[~keep] += 1e3  # excluded entries may dwarf the kept ones
+    x.data[~keep] += 1e3  # excluded entries may dwarf the kept ones before the -inf
     g = rng.normal(size=(4, 7))
     with np.errstate(all="raise"):
-        s = T.softmax(x, keep)
+        s = T.softmax(x + np.where(keep, 0.0, -np.inf))
         (s * g).sum().backward()
     assert np.all(s.data[~keep] == 0.0)
     assert np.all(x.grad[~keep] == 0.0)
@@ -181,7 +181,7 @@ def test_grad_softmax_keep_mask():
     w = rng.normal(size=(3, 6))
 
     def build():
-        return (T.softmax(x, keep) * w).sum()
+        return (T.softmax(x + np.where(keep, 0.0, -np.inf)) * w).sum()
 
     # every coordinate: kept ones against finite differences, excluded ones at 0
     assert worst_grad_error(build, [x], n_samples=x.data.size) < GRAD_TOL
