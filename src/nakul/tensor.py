@@ -1,10 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The engine is deliberately small: a Tensor wraps a numpy array and the
-closure that routes upstream gradients to its parents. Calling
-``backward`` on a scalar walks the recorded graph once in reverse
-topological order. Everything is float64 and row-major; there is no
-device abstraction and no dtype promotion to think about.
+The engine is deliberately small: a Tensor wraps a numpy array, and a
+recorded result points to the grad node whose closure routes upstream
+gradients to its parents' nodes. Calling ``backward`` on a scalar walks
+the recorded graph once in reverse topological order. Everything is
+float64 and row-major; there is no device abstraction and no dtype
+promotion to think about.
 
 Conventions fixed here and relied on throughout the package:
 
@@ -27,13 +28,30 @@ GELU CDF and the mask, and its values, gradients and MAC count are
 bitwise those of the six-node chain it replaces. gelu and ffn share one
 implementation of the GELU and of its derivative.
 
+The graph holds only what backward reads; the caller holds the values
+(the saved-tensor split of Paszke et al., "Automatic differentiation in
+PyTorch", 2017). A grad node holds ``grad``, ``requires_grad``,
+``_prev`` (its parents' nodes) and the ``_backward`` closure. A recorded
+result Tensor holds ``data`` and points to its node, on which it reads
+and writes those four attributes. Any other Tensor (a leaf, a constant,
+a no_grad result) is its own node, through a property rather than a
+reference to itself, so dropping it frees it without the cycle
+collector, and a leaf's ``grad`` is the gradient backward leaves on it.
+Each primitive's closure captures its parents' nodes (None for a parent
+that takes no gradient), shapes, and the arrays its backward reads,
+never a Tensor: the output for exp, sigmoid, softmax and sqrt, each
+operand of mul and matmul for the other's gradient, xhat, inv and the
+gain for layer_norm, and shapes alone for add, reshape, transpose,
+getitem, concat, stack, tsum, tmean, fft_real and ifft_real. Once model
+code drops a result Tensor, its value is freed unless a backward reads it.
+
 ``backward`` frees as it goes: once an interior node (one with parents)
 has routed its gradient, its ``grad`` and ``_backward`` closure are set
 to None, so interior gradients and closure-held arrays do not outlive
 their use. Leaves keep their gradients, and every node keeps ``_prev``,
-so the graph can still be walked afterwards. A second ``backward``
-through a consumed node (``_prev`` set, ``_backward`` None) raises
-RuntimeError.
+so the graph can still be walked afterwards, though it holds no forward
+value by then. A second ``backward`` through a consumed node (``_prev``
+set, ``_backward`` None) raises RuntimeError.
 
 matmul with a 2-D right operand (every weight) runs as one GEMM over the
 flattened leading rows of the left operand, forward and backward; only
@@ -140,28 +158,64 @@ def no_grad():
 # --- tensor -----------------------------------------------------------------
 
 
-class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
+class _Node:
+    """One vertex of the autograd graph: what backward reads, never a value."""
+
+    __slots__ = ("grad", "requires_grad", "_prev", "_backward")
+
+    def __init__(self, requires_grad: bool = False, prev: tuple = (), backward_fn=None):
+        self.grad = None
+        self.requires_grad = requires_grad
+        self._prev = prev
+        self._backward = backward_fn
+
+    def _accum(self, g: np.ndarray) -> None:
+        # g may be a sibling's or the upstream node's gradient (add, reshape
+        # and transpose pass it through), so it is stored, never added into.
+        if self.grad is None:
+            self.grad = g
+        else:
+            self.grad = self.grad + g
+
+
+def _on_node(name: str) -> property:
+    """The _Node slot `name`, read and written on the Tensor's grad node."""
+    slot = getattr(_Node, name)
+    return property(lambda t: slot.__get__(t._node), lambda t, v: slot.__set__(t._node, v))
+
+
+class Tensor(_Node):
+    __slots__ = ("data", "_recorded")
+
+    grad = _on_node("grad")
+    requires_grad = _on_node("requires_grad")
+    _prev = _on_node("_prev")
+    _backward = _on_node("_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor data must be finite")
         self.data = arr
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._backward = None
-        self._prev = ()
+        self._recorded = None
+        _Node.__init__(self, requires_grad)
+
+    @property
+    def _node(self) -> _Node:
+        """The grad node of a recorded result; any other Tensor is its own."""
+        recorded = self._recorded
+        return self if recorded is None else recorded
 
     @classmethod
     def _result(cls, data: np.ndarray, parents: tuple, backward_fn) -> "Tensor":
         out = cls.__new__(cls)
         out.data = data
-        out.grad = None
-        tracked = tuple(p for p in parents if p.requires_grad) if _GRAD["enabled"] else ()
-        out.requires_grad = bool(tracked)
-        out._prev = tracked
-        out._backward = backward_fn if tracked else None
+        tracked = tuple(p._node for p in parents if p.requires_grad) if _GRAD["enabled"] else ()
+        if tracked:
+            out._recorded = _Node(True, tracked, backward_fn)
+        else:
+            out._recorded = None
+            _Node.__init__(out)
         return out
 
     @property
@@ -179,24 +233,17 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def _accum(self, g: np.ndarray) -> None:
-        # g may be a sibling's or the upstream node's gradient (add, reshape
-        # and transpose pass it through), so it is stored, never added into.
-        if self.grad is None:
-            self.grad = g
-        else:
-            self.grad = self.grad + g
-
     def backward(self) -> None:
         if self.data.size != 1:
             raise ValueError("backward requires a scalar")
-        if not self.requires_grad:
+        root = self._node
+        if not root.requires_grad:
             raise RuntimeError(
                 "backward on a tensor that records no graph: it was computed under "
                 "te.no_grad() or from leaves without requires_grad")
-        order: list[Tensor] = []
+        order: list[_Node] = []
         seen: set[int] = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -213,7 +260,7 @@ class Tensor:
             for p in node._prev:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones(self.data.shape)
+        root.grad = np.ones(self.data.shape)
         for node in reversed(order):
             if node._prev:  # interior: route its gradient, then free it and the closure
                 if node.grad is not None:
@@ -274,6 +321,11 @@ def _wrap(x) -> Tensor:
     return Tensor._result(np.asarray(x, dtype=np.float64), (), None)
 
 
+def _grad_node(t: Tensor) -> _Node | None:
+    """The node a closure routes t's gradient to, or None if t takes none."""
+    return t._node if t.requires_grad else None
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if g.shape == shape:
         return g
@@ -293,12 +345,13 @@ def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     data = a.data + b.data
     _count(data.size)
+    na, nb, sa, sb = _grad_node(a), _grad_node(b), a.shape, b.shape
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.data.shape))
+        if na is not None:
+            na._accum(_unbroadcast(g, sa))
+        if nb is not None:
+            nb._accum(_unbroadcast(g, sb))
 
     return Tensor._result(data, (a, b), bw)
 
@@ -307,12 +360,15 @@ def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     data = a.data * b.data
     _count(data.size)
+    na, nb, sa, sb = _grad_node(a), _grad_node(b), a.shape, b.shape
+    xa = a.data if nb is not None else None  # each parent's gradient reads the other
+    xb = b.data if na is not None else None
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.data.shape))
+        if na is not None:
+            na._accum(_unbroadcast(g * xb, sa))
+        if nb is not None:
+            nb._accum(_unbroadcast(g * xa, sb))
 
     return Tensor._result(data, (a, b), bw)
 
@@ -321,12 +377,15 @@ def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     data = a.data / b.data
     _count(data.size)
+    na, nb, sa, sb = _grad_node(a), _grad_node(b), a.shape, b.shape
+    xb = b.data
+    out = data if nb is not None else None
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g * data / b.data, b.data.shape))
+        if na is not None:
+            na._accum(_unbroadcast(g / xb, sa))
+        if nb is not None:
+            nb._accum(_unbroadcast(-g * out / xb, sb))
 
     return Tensor._result(data, (a, b), bw)
 
@@ -341,14 +400,17 @@ def matmul(a, b) -> Tensor:
     m, k = a.data.shape[-2], a.data.shape[-1]
     n = b.data.shape[-1]
     _count(int(np.prod(data.shape[:-2], dtype=np.int64)) * m * k * n)
+    na, nb, sa, sb = _grad_node(a), _grad_node(b), a.shape, b.shape
+    xa = a.data if nb is not None else None
+    xb = b.data if na is not None else None
 
     def bw(g):
-        if a.requires_grad:
-            ga = np.matmul(g, b.data.swapaxes(-1, -2))
-            a._accum(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.matmul(a.data.swapaxes(-1, -2), g)
-            b._accum(_unbroadcast(gb, b.data.shape))
+        if na is not None:
+            ga = np.matmul(g, xb.swapaxes(-1, -2))
+            na._accum(_unbroadcast(ga, sa))
+        if nb is not None:
+            gb = np.matmul(xa.swapaxes(-1, -2), g)
+            nb._accum(_unbroadcast(gb, sb))
 
     return Tensor._result(data, (a, b), bw)
 
@@ -359,14 +421,17 @@ def _matmul_2d(a: Tensor, b: Tensor) -> Tensor:
     n = b.data.shape[1]
     data = (a.data.reshape(-1, k) @ b.data).reshape(rows + (n,))
     _count(int(np.prod(rows, dtype=np.int64)) * k * n)
+    na, nb, sa = _grad_node(a), _grad_node(b), a.shape
+    xa = a.data if nb is not None else None
+    xb = b.data if na is not None else None
 
     def bw(g):
         g2 = g.reshape(-1, n)
-        if a.requires_grad:
-            a._accum((g2 @ b.data.T).reshape(a.data.shape))
-        if b.requires_grad:
+        if na is not None:
+            na._accum((g2 @ xb.T).reshape(sa))
+        if nb is not None:
             # redone rather than kept: for a non-contiguous a it is a copy
-            b._accum(a.data.reshape(-1, k).T @ g2)
+            nb._accum(xa.reshape(-1, k).T @ g2)
 
     return Tensor._result(data, (a, b), bw)
 
@@ -377,9 +442,10 @@ def _matmul_2d(a: Tensor, b: Tensor) -> Tensor:
 def reshape(x: Tensor, shape) -> Tensor:
     x = _wrap(x)
     data = x.data.reshape(shape)
+    node, sx = x._node, x.shape
 
     def bw(g):
-        x._accum(g.reshape(x.data.shape))
+        node._accum(g.reshape(sx))
 
     return Tensor._result(data, (x,), bw)
 
@@ -389,9 +455,10 @@ def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     data = x.data.transpose(axes)
     inv = tuple(np.argsort(axes))
+    node = x._node
 
     def bw(g):
-        x._accum(g.transpose(inv))
+        node._accum(g.transpose(inv))
 
     return Tensor._result(data, (x,), bw)
 
@@ -401,11 +468,12 @@ def getitem(x: Tensor, key) -> Tensor:
     data = np.asarray(x.data[key])
     if data.ndim:
         data = np.ascontiguousarray(data)  # ascontiguousarray would promote 0-d to (1,)
+    node, sx = x._node, x.shape
 
     def bw(g):
-        full = np.zeros(x.data.shape)
+        full = np.zeros(sx)
         full[key] += g
-        x._accum(full)
+        node._accum(full)
 
     return Tensor._result(data, (x,), bw)
 
@@ -415,13 +483,14 @@ def concat(tensors, axis: int = -1) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    nodes = [_grad_node(t) for t in tensors]
 
     def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if node is not None:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                t._accum(g[tuple(idx)])
+                node._accum(g[tuple(idx)])
 
     return Tensor._result(data, tuple(tensors), bw)
 
@@ -429,12 +498,13 @@ def concat(tensors, axis: int = -1) -> Tensor:
 def stack(tensors, axis: int = -1) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     data = np.stack([t.data for t in tensors], axis=axis)
+    nodes = [(_grad_node(t), t.shape) for t in tensors]
 
     def bw(g):
         parts = np.moveaxis(g, axis, 0)
-        for t, part in zip(tensors, parts):
-            if t.requires_grad:
-                t._accum(part.reshape(t.data.shape))
+        for (node, shape), part in zip(nodes, parts):
+            if node is not None:
+                node._accum(part.reshape(shape))
 
     return Tensor._result(data, tuple(tensors), bw)
 
@@ -443,11 +513,12 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     x = _wrap(x)
     data = x.data.sum(axis=axis, keepdims=keepdims)
     _count(x.data.size)
+    node, sx = x._node, x.shape
 
     def bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        x._accum(np.broadcast_to(g, x.data.shape).copy())
+        node._accum(np.broadcast_to(g, sx).copy())
 
     return Tensor._result(np.asarray(data), (x,), bw)
 
@@ -457,11 +528,12 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.mean(axis=axis, keepdims=keepdims)
     denom = x.data.size / max(data.size, 1)
     _count(x.data.size)
+    node, sx = x._node, x.shape
 
     def bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        x._accum(np.broadcast_to(g, x.data.shape) / denom)
+        node._accum(np.broadcast_to(g, sx) / denom)
 
     return Tensor._result(np.asarray(data), (x,), bw)
 
@@ -473,9 +545,10 @@ def exp(x) -> Tensor:
     x = _wrap(x)
     data = np.exp(x.data)
     _count(data.size)
+    node = x._node
 
     def bw(g):
-        x._accum(g * data)
+        node._accum(g * data)
 
     return Tensor._result(data, (x,), bw)
 
@@ -484,9 +557,10 @@ def log(x) -> Tensor:
     x = _wrap(x)
     data = np.log(x.data)
     _count(data.size)
+    node, xd = x._node, x.data
 
     def bw(g):
-        x._accum(g / x.data)
+        node._accum(g / xd)
 
     return Tensor._result(data, (x,), bw)
 
@@ -495,10 +569,11 @@ def sqrt(x) -> Tensor:
     x = _wrap(x)
     data = np.sqrt(x.data)
     _count(data.size)
+    node = x._node
 
     def bw(g):
         safe = np.where(data > 0.0, data, 1.0)
-        x._accum(np.where(data > 0.0, g * 0.5 / safe, 0.0))
+        node._accum(np.where(data > 0.0, g * 0.5 / safe, 0.0))
 
     return Tensor._result(data, (x,), bw)
 
@@ -510,9 +585,10 @@ def xlogx(x) -> Tensor:
     safe = np.where(pos, x.data, 1.0)
     data = np.where(pos, x.data * np.log(safe), 0.0)
     _count(data.size)
+    node = x._node
 
     def bw(g):
-        x._accum(np.where(pos, g * (np.log(safe) + 1.0), 0.0))
+        node._accum(np.where(pos, g * (np.log(safe) + 1.0), 0.0))
 
     return Tensor._result(data, (x,), bw)
 
@@ -521,9 +597,10 @@ def sigmoid(x) -> Tensor:
     x = _wrap(x)
     data = expit(x.data)
     _count(data.size)
+    node = x._node
 
     def bw(g):
-        x._accum(g * data * (1.0 - data))
+        node._accum(g * data * (1.0 - data))
 
     return Tensor._result(data, (x,), bw)
 
@@ -532,9 +609,10 @@ def softplus(x) -> Tensor:
     x = _wrap(x)
     data = np.logaddexp(0.0, x.data)
     _count(data.size)
+    node, xd = x._node, x.data
 
     def bw(g):
-        x._accum(g * expit(x.data))
+        node._accum(g * expit(xd))
 
     return Tensor._result(data, (x,), bw)
 
@@ -571,9 +649,10 @@ def gelu(x) -> Tensor:
     cdf = _gelu_cdf(x.data)
     data = x.data * cdf
     _count(2 * data.size)
+    node, xd = x._node, x.data
 
     def bw(g):
-        x._accum(g * _gelu_slope(x.data, cdf))
+        node._accum(g * _gelu_slope(xd, cdf))
 
     return Tensor._result(data, (x,), bw)
 
@@ -618,30 +697,35 @@ def ffn(x, w1, b1, w2, b2, mask: np.ndarray | None = None, rate: float = 0.0) ->
     data = (hidden.reshape(-1, h) @ w2.data).reshape(lead + (n,))
     data += b2.data
     _count(rows * (k * h + (4 if mask is not None else 3) * h + h * n + n))
+    nx, nw1, nb1, nw2, nb2 = (_grad_node(p) for p in parents)
+    sx, sb1, sb2 = x.shape, b1.shape, b2.shape
+    xd = x.data if nw1 is not None else None
+    w1d = w1.data if nx is not None else None
+    w2d = w2.data
 
     def bw(g):
         g2 = g.reshape(-1, n)
-        if b2.requires_grad:
-            b2._accum(_unbroadcast(g, b2.data.shape))
-        if w2.requires_grad:
+        if nb2 is not None:
+            nb2._accum(_unbroadcast(g, sb2))
+        if nw2 is not None:
             hid = pre * cdf
             if mask is not None:
                 _drop(hid, mask, rate)
-            w2._accum(hid.reshape(-1, h).T @ g2)
+            nw2._accum(hid.reshape(-1, h).T @ g2)
             del hid
-        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+        if nx is None and nw1 is None and nb1 is None:
             return
-        gpre = (g2 @ w2.data.T).reshape(pre.shape)
+        gpre = (g2 @ w2d.T).reshape(pre.shape)
         if mask is not None:
             _drop(gpre, mask, rate)
         gpre *= _gelu_slope(pre, cdf)
-        if b1.requires_grad:
-            b1._accum(_unbroadcast(gpre, b1.data.shape))
+        if nb1 is not None:
+            nb1._accum(_unbroadcast(gpre, sb1))
         gpre2 = gpre.reshape(-1, h)
-        if w1.requires_grad:
-            w1._accum(x.data.reshape(-1, k).T @ gpre2)
-        if x.requires_grad:
-            x._accum((gpre2 @ w1.data.T).reshape(x.data.shape))
+        if nw1 is not None:
+            nw1._accum(xd.reshape(-1, k).T @ gpre2)
+        if nx is not None:
+            nx._accum((gpre2 @ w1d.T).reshape(sx))
 
     return Tensor._result(data, parents, bw)
 
@@ -655,10 +739,11 @@ def softmax(x) -> Tensor:
     e = np.exp(x.data - x.data.max(axis=-1, keepdims=True, initial=-np.inf))
     data = e / e.sum(axis=-1, keepdims=True)
     _count(3 * data.size)
+    node = x._node
 
     def bw(g):
         inner = (g * data).sum(axis=-1, keepdims=True)
-        x._accum(data * (g - inner))
+        node._accum(data * (g - inner))
 
     return Tensor._result(data, (x,), bw)
 
@@ -673,17 +758,19 @@ def layer_norm(x, gain, bias) -> Tensor:
     xhat = xc * inv
     data = xhat * gain.data + bias.data
     _count(5 * data.size)
+    nx, ngain, nbias = _grad_node(x), _grad_node(gain), _grad_node(bias)
+    sgain, sbias, gd = gain.shape, bias.shape, gain.data
 
     def bw(g):
-        if bias.requires_grad:
-            bias._accum(_unbroadcast(g, bias.data.shape))
-        if gain.requires_grad:
-            gain._accum(_unbroadcast(g * xhat, gain.data.shape))
-        if x.requires_grad:
-            gyh = g * gain.data
+        if nbias is not None:
+            nbias._accum(_unbroadcast(g, sbias))
+        if ngain is not None:
+            ngain._accum(_unbroadcast(g * xhat, sgain))
+        if nx is not None:
+            gyh = g * gd
             m1 = gyh.mean(axis=-1, keepdims=True)
             m2 = (gyh * xhat).mean(axis=-1, keepdims=True)
-            x._accum(inv * (gyh - m1 - xhat * m2))
+            nx._accum(inv * (gyh - m1 - xhat * m2))
 
     return Tensor._result(data, (x, gain, bias), bw)
 
@@ -723,11 +810,12 @@ def fft_real(x) -> Tensor:
     t = x.data.shape[-2]
     scale = (t / _bin_weights(t))[:, None]
     _count(_fft_macs(t, x.data.size // t))
+    node = x._node
 
     def bw(g):
         c = _complex(g)
         c *= scale
-        x._accum(np.fft.irfft(c, n=t, axis=-2))
+        node._accum(np.fft.irfft(c, n=t, axis=-2))
 
     return Tensor._result(np.stack((spec.real, spec.imag), axis=-2), (x,), bw)
 
@@ -738,11 +826,12 @@ def ifft_real(z, n: int) -> Tensor:
     data = np.fft.irfft(_complex(z.data), n=n, axis=-2)
     scale = (_bin_weights(n) / n)[:, None]
     _count(_fft_macs(n, data.size // n))
+    node = z._node
 
     def bw(g):
         spec = np.fft.rfft(g, axis=-2)
         spec *= scale
-        z._accum(np.stack((spec.real, spec.imag), axis=-2))
+        node._accum(np.stack((spec.real, spec.imag), axis=-2))
 
     return Tensor._result(data, (z,), bw)
 
@@ -752,11 +841,12 @@ def complex_abs(z) -> Tensor:
     z = _wrap(z)
     data = np.hypot(z.data[..., 0, :], z.data[..., 1, :])
     _count(2 * data.size)
+    node, zd = z._node, z.data
 
     def bw(g):
         live = data[..., None, :] > 0.0
         safe = np.where(live, data[..., None, :], 1.0)
-        z._accum(np.where(live, g[..., None, :] * z.data / safe, 0.0))
+        node._accum(np.where(live, g[..., None, :] * zd / safe, 0.0))
 
     return Tensor._result(data, (z,), bw)
 
@@ -779,28 +869,30 @@ def band_mix(spec, weight, w, spans) -> Tensor:
     is built or kept.
     """
     spec, weight, w = _wrap(spec), _wrap(weight), _wrap(w)
-    d = spec.data.shape[-1]
-    lead = np.broadcast_shapes(spec.data.shape[:-3], weight.data.shape[:-2])
+    sd, wd, wm = spec.data, weight.data, w.data
+    d = sd.shape[-1]
+    lead = np.broadcast_shapes(sd.shape[:-3], wd.shape[:-2])
     live = [(k, lo, hi) for k, (lo, hi) in enumerate(spans) if hi > lo]
 
     def scaled(k, lo, hi):
         """Band k's rows weight[..., f, k] * spec[..., f] for f in [lo, hi)."""
-        return spec.data[..., lo:hi, :, :] * weight.data[..., lo:hi, k, None, None]
+        return sd[..., lo:hi, :, :] * wd[..., lo:hi, k, None, None]
 
-    data = np.zeros(lead + spec.data.shape[-3:])
+    data = np.zeros(lead + sd.shape[-3:])
     for k, lo, hi in live:
         s = scaled(k, lo, hi)
-        t = (s.reshape(-1, d) @ w.data[k]).reshape(s.shape[:-1] + (2 * d,))
+        t = (s.reshape(-1, d) @ wm[k]).reshape(s.shape[:-1] + (2 * d,))
         out = data[..., lo:hi, :, :]
         out[..., 0, :] += t[..., 0, :d] - t[..., 1, d:]  # re: a W_r - b W_i
         out[..., 1, :] += t[..., 1, :d] + t[..., 0, d:]  # im: b W_r + a W_i
     rows = int(np.prod(lead, dtype=np.int64))
     _count(sum(4 * rows * (hi - lo) * d * d for _, lo, hi in live))
+    nspec, nweight, nw = _grad_node(spec), _grad_node(weight), _grad_node(w)
 
     def bw(g):
-        gspec = np.zeros(data.shape) if spec.requires_grad else None
-        gweight = np.zeros(lead + weight.data.shape[-2:]) if weight.requires_grad else None
-        gw = np.zeros(w.data.shape) if w.requires_grad else None  # [gW_r,k | gW_i,k]
+        gspec = np.zeros(g.shape) if nspec is not None else None
+        gweight = np.zeros(lead + wd.shape[-2:]) if nweight is not None else None
+        gw = np.zeros(wm.shape) if nw is not None else None  # [gW_r,k | gW_i,k]
         for k, lo, hi in live:
             gk = g[..., lo:hi, :, :]
             # gradient at [a W | b W] (rows a, b): (g_re, g_im) for a, (g_im, -g_re) for b
@@ -810,17 +902,17 @@ def band_mix(spec, weight, w, spans) -> Tensor:
             gt2 = gt.reshape(-1, 2 * d)
             if gw is not None:
                 gw[k] = scaled(k, lo, hi).reshape(-1, d).T @ gt2
-            gs = (gt2 @ w.data[k].T).reshape(gk.shape)  # gradient at band k's scaled rows
+            gs = (gt2 @ wm[k].T).reshape(gk.shape)  # gradient at band k's scaled rows
             if gspec is not None:
-                gspec[..., lo:hi, :, :] += gs * weight.data[..., lo:hi, k, None, None]
+                gspec[..., lo:hi, :, :] += gs * wd[..., lo:hi, k, None, None]
             if gweight is not None:
-                gweight[..., lo:hi, k] = (gs * spec.data[..., lo:hi, :, :]).sum(axis=(-2, -1))
+                gweight[..., lo:hi, k] = (gs * sd[..., lo:hi, :, :]).sum(axis=(-2, -1))
         if gspec is not None:
-            spec._accum(_unbroadcast(gspec, spec.data.shape))
+            nspec._accum(_unbroadcast(gspec, sd.shape))
         if gweight is not None:
-            weight._accum(_unbroadcast(gweight, weight.data.shape))
+            nweight._accum(_unbroadcast(gweight, wd.shape))
         if gw is not None:
-            w._accum(gw)
+            nw._accum(gw)
 
     return Tensor._result(data, (spec, weight, w), bw)
 
@@ -847,13 +939,14 @@ def depthwise_causal_conv(x: Tensor, kernel: Tensor) -> Tensor:
             f"kernel {kernel.data.shape} needs the feature width of input {x.data.shape}")
     data = backends.depthwise_causal_fwd(x.data, kernel.data)
     _count(data.size * kernel.data.shape[-2])
+    nx, nk, xd, kd = _grad_node(x), _grad_node(kernel), x.data, kernel.data
 
     def bw(g):
-        gx, gk = backends.depthwise_causal_bwd(x.data, kernel.data, g)
-        if x.requires_grad:
-            x._accum(gx)
-        if kernel.requires_grad:
-            kernel._accum(gk)
+        gx, gk = backends.depthwise_causal_bwd(xd, kd, g)
+        if nx is not None:
+            nx._accum(gx)
+        if nk is not None:
+            nk._accum(gk)
 
     return Tensor._result(data, (x, kernel), bw)
 

@@ -310,8 +310,8 @@ def train(model: NakulModel, signals, labels, cfg: TrainConfig, log=None):
             adamw_step(params, grads, state, cfg, lr_t)
             epoch_loss += loss.item() * len(take)
             step += 1
-            # backward freed the gradients and closures, but logits still reaches
-            # this step's forward activations through its parent links
+            # backward freed the closures, so the graph holds no forward value;
+            # this frees the logits, the loss and their nodes before the next forward
             del logits, loss
 
         val_loss, val_acc = evaluate(

@@ -723,22 +723,23 @@ def test_inference_commands_record_no_graph(workdir, monkeypatch, command, data)
     assert parents and parents == [((), False)] * len(parents)
 
 
-def _live_tensors() -> int:
+def _live_graph_objects() -> int:
+    # Tensors and grad nodes: a result Tensor holds its data, its node the graph
     gc.collect()
-    return sum(isinstance(obj, Tensor) for obj in gc.get_objects())
+    return sum(isinstance(obj, te_mod._Node) for obj in gc.get_objects())
 
 
 def test_no_grad_forward_keeps_only_its_logits():
     model = init_model(parse_config(SMALL_CFG).model, stream(1, "init"))
     x = np.random.default_rng(2).normal(size=(4, 4, 80))
-    before = _live_tensors()
+    before = _live_graph_objects()
     with te_mod.no_grad():
         logits = model_forward(model, x)
-    quiet = _live_tensors() - before
+    quiet = _live_graph_objects() - before
     del logits
-    before = _live_tensors()
+    before = _live_graph_objects()
     logits = model_forward(model, x)  # grad mode: the logits hold the whole graph
-    traced = _live_tensors() - before
+    traced = _live_graph_objects() - before
     assert quiet <= 3, quiet
     assert traced >= 200, traced
 

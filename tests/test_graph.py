@@ -1,5 +1,7 @@
 """Electrode graph construction and top-k spatial attention."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -161,6 +163,23 @@ def test_k_at_least_c_equals_the_all_kept_mask_bitwise():
         (dense * weights).sum().backward()
         (masked * weights).sum().backward()
         np.testing.assert_array_equal(x.grad, x_all.grad)
+
+
+def test_selecting_keeps_nothing_beyond_its_output():
+    # The 0/-inf mask and the masked scores are built inside the call and no
+    # backward reads either, so neither outlives it; the softmax keeps only
+    # its output. When closures held their parent Tensors, both stayed until
+    # backward: two outputs' worth beyond the output.
+    rng = np.random.default_rng(13)
+    scores = Tensor(rng.normal(size=(8, 160, 22, 22)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        attn = masked_softmax_topk(scores, 16)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    out = attn.data.nbytes
+    assert held - out < 0.5 * out, (held - out) / out
 
 
 def test_k_one_is_argmax_onehot():

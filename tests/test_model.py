@@ -301,6 +301,33 @@ def test_backward_peak_stays_near_the_forward_live_set():
     assert peak - live < 0.25 * live, (live, peak)
 
 
+def test_graph_keeps_only_what_backward_reads():
+    # A default-config B=8 training forward with noise. Each closure keeps
+    # only the arrays its backward reads, and a result Tensor's value goes
+    # when the model code drops it. When every result held its value until
+    # backward (and the logits reached them all through their parents), the
+    # live set after the forward was 421.7 MiB here (247.5 MiB since) and
+    # 327 MiB beyond the parameter gradients stayed held after backward
+    # (0.2 MiB since).
+    mib = 1 << 20
+    model = init_model(parse_config("").model, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(8, model.cfg.n_channels, 1000))
+    onehot = np.eye(model.cfg.n_classes)[np.arange(8) % model.cfg.n_classes]
+    tracemalloc.start()
+    try:
+        logits = model_forward(model, x, rng=rng)
+        loss = -(te.log(te.softmax(logits)) * onehot).sum()
+        live = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    grads = sum(p.grad.nbytes for p in model.parameters())
+    assert live <= 300 * mib, live / mib
+    assert held - grads <= 5 * mib, (held - grads) / mib
+
+
 # --- cost model ------------------------------------------------------------------
 
 

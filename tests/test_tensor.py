@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from scipy.stats import norm
 
 from nakul import backends
 from nakul import tensor as T
+from nakul.model import ModelConfig, init_model, model_forward
+from nakul.training import smoothed_cross_entropy
 from oracles import (check_gradients, composed_ffn, graph_nodes, loop_depthwise_causal_bwd,
                      loop_depthwise_causal_fwd, naive_dft, naive_idft)
 
@@ -625,6 +628,79 @@ def test_second_backward_on_a_consumed_graph_raises():
     with pytest.raises(RuntimeError, match="already consumed"):
         (hidden * 2.0).sum().backward()  # a fresh root on consumed nodes
     assert w.grad is first
+
+
+# --- what the graph holds ---------------------------------------------------------
+
+PRIMITIVES = {
+    "add", "mul", "div", "matmul", "_matmul_2d", "reshape", "transpose", "getitem", "concat",
+    "stack", "tsum", "tmean", "exp", "log", "sqrt", "xlogx", "sigmoid", "softplus", "gelu",
+    "ffn", "softmax", "layer_norm", "fft_real", "ifft_real", "complex_abs", "band_mix",
+    "depthwise_causal_conv",
+}
+# what a closure may hold besides grad nodes and arrays: shapes, axes, keys, rates
+PLAIN = (int, float, slice, type(None), type(Ellipsis), np.generic)
+
+
+def _closure_values(fn) -> list:
+    """The values fn's closure cells hold, looking inside tuples, lists and nested functions."""
+    todo, out = [fn], []
+    while todo:
+        v = todo.pop()
+        if isinstance(v, (tuple, list)):
+            todo.extend(v)
+        elif callable(v) and getattr(v, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in v.__closure__)
+        else:
+            out.append(v)
+    return out
+
+
+def tiny_model_step(rng):
+    """A tiny model's training forward and loss, plus terms that reach every primitive."""
+    cfg = ModelConfig(n_channels=3, n_classes=2, sample_rate=20.0, d=8, n_blocks=1, heads=2,
+                      patch=4, band_mu_hz=(3.0, 7.0), kernel_sizes=(3, 5), k_top=2,
+                      head_hidden=6)
+    model = init_model(cfg, rng)
+    logits = model_forward(model, rng.normal(size=(4, 3, 16)), rng=rng)
+    loss = smoothed_cross_entropy(logits, np.array([0, 1, 1, 0]))
+    w = model.head_w2
+    extra = T.concat([w / (T.exp(w) + 1.0), T.stack([w[0], w[1]], axis=0)], axis=0)
+    return logits, loss + extra.sum() + extra.mean(axis=0).sum()
+
+
+def test_closures_hold_grad_nodes_leaves_and_arrays_only():
+    # a closure that held a result Tensor would keep that forward value
+    # alive until backward, whether or not the backward reads it
+    _, loss = tiny_model_step(np.random.default_rng(0))
+    nodes = [n for n in graph_nodes(loss) if n._backward is not None]
+    assert {n._backward.__qualname__.split(".")[0] for n in nodes} == PRIMITIVES
+    for node in nodes:
+        name = node._backward.__qualname__
+        for v in _closure_values(node._backward):
+            if isinstance(v, T.Tensor):
+                assert v.requires_grad and v._prev == (), f"{name} holds a result Tensor"
+            else:
+                assert isinstance(v, (T._Node, np.ndarray) + PLAIN), (name, type(v))
+
+
+def test_forward_values_die_with_their_tensors_without_gc():
+    # no reference cycle: dropping the last Tensor frees its data at once
+    rng = np.random.default_rng(1)
+    gc.disable()
+    try:
+        with T.no_grad():
+            logits, loss = tiny_model_step(rng)
+        ref = weakref.ref(logits.data)
+        del logits, loss
+        assert ref() is None
+        logits, loss = tiny_model_step(rng)
+        loss.backward()
+        ref = weakref.ref(logits.data)
+        del logits, loss
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # --- inference mode -------------------------------------------------------------
