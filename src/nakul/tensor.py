@@ -30,20 +30,14 @@ implementation of the GELU and of its derivative.
 
 The graph holds only what backward reads; the caller holds the values
 (the saved-tensor split of Paszke et al., "Automatic differentiation in
-PyTorch", 2017). A grad node holds ``grad``, ``requires_grad``,
-``_prev`` (its parents' nodes) and the ``_backward`` closure. A recorded
-result Tensor holds ``data`` and points to its node, on which it reads
-and writes those four attributes. Any other Tensor (a leaf, a constant,
-a no_grad result) is its own node, through a property rather than a
-reference to itself, so dropping it frees it without the cycle
-collector, and a leaf's ``grad`` is the gradient backward leaves on it.
-Each primitive's closure captures its parents' nodes (None for a parent
-that takes no gradient), shapes, and the arrays its backward reads,
-never a Tensor: the output for exp, sigmoid, softmax and sqrt, each
-operand of mul and matmul for the other's gradient, xhat, inv and the
-gain for layer_norm, and shapes alone for add, reshape, transpose,
-getitem, concat, stack, tsum, tmean, fft_real and ifft_real. Once model
-code drops a result Tensor, its value is freed unless a backward reads it.
+PyTorch", 2017). A Tensor holds ``data`` and ``node``, its grad node, or
+None when no gradient flows through it: a leaf built with
+``requires_grad=True`` gets a node of its own, and a result gets one only
+in grad mode and when some parent has one. A node holds ``grad``,
+``_prev`` (its parents' nodes) and the ``_backward`` closure. A closure
+captures its parents' nodes, shapes and the arrays its backward reads,
+never a Tensor, so once model code drops a result Tensor its value is
+freed, without the cycle collector, unless a backward reads it.
 
 ``backward`` frees as it goes: once an interior node (one with parents)
 has routed its gradient, its ``grad`` and ``_backward`` closure are set
@@ -59,12 +53,11 @@ N-D @ N-D products use numpy's batched matmul. Gradient accumulation
 never adds in place: a node's first gradient is stored as given, often
 the very array a sibling or the upstream node holds.
 
-Inside ``with no_grad():`` results record no parents: ``_prev`` is
-empty, ``_backward`` is None and ``requires_grad`` is False, so each
-intermediate is freed as soon as its last reader returns. The forward
-arithmetic is the same in both modes, and leaves (Tensors built with
-``requires_grad=True``) are untouched. Calling ``backward`` on such a
-graph-less result raises.
+Inside ``with no_grad():`` results get no node, so each intermediate is
+freed as soon as its last reader returns. The forward arithmetic is the
+same in both modes, and leaves (Tensors built with
+``requires_grad=True``) are untouched. Calling ``backward`` on a result
+without a node raises.
 
 Construction from external data rejects NaN/Inf. Results of internal
 ops skip that check; modules that can produce non-finite values guard
@@ -161,11 +154,10 @@ def no_grad():
 class _Node:
     """One vertex of the autograd graph: what backward reads, never a value."""
 
-    __slots__ = ("grad", "requires_grad", "_prev", "_backward")
+    __slots__ = ("grad", "_prev", "_backward")
 
-    def __init__(self, requires_grad: bool = False, prev: tuple = (), backward_fn=None):
+    def __init__(self, prev: tuple = (), backward_fn=None):
         self.grad = None
-        self.requires_grad = requires_grad
         self._prev = prev
         self._backward = backward_fn
 
@@ -178,45 +170,47 @@ class _Node:
             self.grad = self.grad + g
 
 
-def _on_node(name: str) -> property:
-    """The _Node slot `name`, read and written on the Tensor's grad node."""
-    slot = getattr(_Node, name)
-    return property(lambda t: slot.__get__(t._node), lambda t, v: slot.__set__(t._node, v))
+class Tensor:
+    """A float64 array and, only when a gradient flows through it, its grad node."""
 
-
-class Tensor(_Node):
-    __slots__ = ("data", "_recorded")
-
-    grad = _on_node("grad")
-    requires_grad = _on_node("requires_grad")
-    _prev = _on_node("_prev")
-    _backward = _on_node("_backward")
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor data must be finite")
         self.data = arr
-        self._recorded = None
-        _Node.__init__(self, requires_grad)
-
-    @property
-    def _node(self) -> _Node:
-        """The grad node of a recorded result; any other Tensor is its own."""
-        recorded = self._recorded
-        return self if recorded is None else recorded
+        self.node = _Node() if requires_grad else None
 
     @classmethod
     def _result(cls, data: np.ndarray, parents: tuple, backward_fn) -> "Tensor":
         out = cls.__new__(cls)
         out.data = data
-        tracked = tuple(p._node for p in parents if p.requires_grad) if _GRAD["enabled"] else ()
-        if tracked:
-            out._recorded = _Node(True, tracked, backward_fn)
-        else:
-            out._recorded = None
-            _Node.__init__(out)
+        tracked = tuple(p.node for p in parents if p.node is not None) if _GRAD["enabled"] else ()
+        out.node = _Node(tracked, backward_fn) if tracked else None
         return out
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        node = self.node
+        return None if node is None else node.grad
+
+    @grad.setter
+    def grad(self, g) -> None:
+        if self.node is not None:
+            self.node.grad = g
+        elif g is not None:
+            raise AttributeError("a tensor that takes no gradient holds none")
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def _prev(self) -> tuple:
+        """The nodes this Tensor's gradient flows to; () if it has no parents."""
+        node = self.node
+        return () if node is None else node._prev
 
     @property
     def shape(self):
@@ -236,8 +230,8 @@ class Tensor(_Node):
     def backward(self) -> None:
         if self.data.size != 1:
             raise ValueError("backward requires a scalar")
-        root = self._node
-        if not root.requires_grad:
+        root = self.node
+        if root is None:
             raise RuntimeError(
                 "backward on a tensor that records no graph: it was computed under "
                 "te.no_grad() or from leaves without requires_grad")
@@ -321,11 +315,6 @@ def _wrap(x) -> Tensor:
     return Tensor._result(np.asarray(x, dtype=np.float64), (), None)
 
 
-def _grad_node(t: Tensor) -> _Node | None:
-    """The node a closure routes t's gradient to, or None if t takes none."""
-    return t._node if t.requires_grad else None
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if g.shape == shape:
         return g
@@ -345,7 +334,7 @@ def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     data = a.data + b.data
     _count(data.size)
-    na, nb, sa, sb = _grad_node(a), _grad_node(b), a.shape, b.shape
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
 
     def bw(g):
         if na is not None:
@@ -360,7 +349,7 @@ def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     data = a.data * b.data
     _count(data.size)
-    na, nb, sa, sb = _grad_node(a), _grad_node(b), a.shape, b.shape
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
     xa = a.data if nb is not None else None  # each parent's gradient reads the other
     xb = b.data if na is not None else None
 
@@ -377,7 +366,7 @@ def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     data = a.data / b.data
     _count(data.size)
-    na, nb, sa, sb = _grad_node(a), _grad_node(b), a.shape, b.shape
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
     xb = b.data
     out = data if nb is not None else None
 
@@ -400,7 +389,7 @@ def matmul(a, b) -> Tensor:
     m, k = a.data.shape[-2], a.data.shape[-1]
     n = b.data.shape[-1]
     _count(int(np.prod(data.shape[:-2], dtype=np.int64)) * m * k * n)
-    na, nb, sa, sb = _grad_node(a), _grad_node(b), a.shape, b.shape
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
     xa = a.data if nb is not None else None
     xb = b.data if na is not None else None
 
@@ -421,7 +410,7 @@ def _matmul_2d(a: Tensor, b: Tensor) -> Tensor:
     n = b.data.shape[1]
     data = (a.data.reshape(-1, k) @ b.data).reshape(rows + (n,))
     _count(int(np.prod(rows, dtype=np.int64)) * k * n)
-    na, nb, sa = _grad_node(a), _grad_node(b), a.shape
+    na, nb, sa = a.node, b.node, a.shape
     xa = a.data if nb is not None else None
     xb = b.data if na is not None else None
 
@@ -442,7 +431,7 @@ def _matmul_2d(a: Tensor, b: Tensor) -> Tensor:
 def reshape(x: Tensor, shape) -> Tensor:
     x = _wrap(x)
     data = x.data.reshape(shape)
-    node, sx = x._node, x.shape
+    node, sx = x.node, x.shape
 
     def bw(g):
         node._accum(g.reshape(sx))
@@ -454,8 +443,8 @@ def transpose(x: Tensor, axes) -> Tensor:
     x = _wrap(x)
     axes = tuple(axes)
     data = x.data.transpose(axes)
-    inv = tuple(np.argsort(axes))
-    node = x._node
+    inv = tuple(np.argsort([a % x.ndim for a in axes]))  # numpy has checked -ndim <= a < ndim
+    node = x.node
 
     def bw(g):
         node._accum(g.transpose(inv))
@@ -468,11 +457,11 @@ def getitem(x: Tensor, key) -> Tensor:
     data = np.asarray(x.data[key])
     if data.ndim:
         data = np.ascontiguousarray(data)  # ascontiguousarray would promote 0-d to (1,)
-    node, sx = x._node, x.shape
+    node, sx = x.node, x.shape
 
     def bw(g):
         full = np.zeros(sx)
-        full[key] += g
+        np.add.at(full, key, g)  # unbuffered: a repeated index adds each of its gradients
         node._accum(full)
 
     return Tensor._result(data, (x,), bw)
@@ -483,7 +472,7 @@ def concat(tensors, axis: int = -1) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
-    nodes = [_grad_node(t) for t in tensors]
+    nodes = [t.node for t in tensors]
 
     def bw(g):
         for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
@@ -498,7 +487,7 @@ def concat(tensors, axis: int = -1) -> Tensor:
 def stack(tensors, axis: int = -1) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     data = np.stack([t.data for t in tensors], axis=axis)
-    nodes = [(_grad_node(t), t.shape) for t in tensors]
+    nodes = [(t.node, t.shape) for t in tensors]
 
     def bw(g):
         parts = np.moveaxis(g, axis, 0)
@@ -513,7 +502,7 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     x = _wrap(x)
     data = x.data.sum(axis=axis, keepdims=keepdims)
     _count(x.data.size)
-    node, sx = x._node, x.shape
+    node, sx = x.node, x.shape
 
     def bw(g):
         if axis is not None and not keepdims:
@@ -528,7 +517,7 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.mean(axis=axis, keepdims=keepdims)
     denom = x.data.size / max(data.size, 1)
     _count(x.data.size)
-    node, sx = x._node, x.shape
+    node, sx = x.node, x.shape
 
     def bw(g):
         if axis is not None and not keepdims:
@@ -545,7 +534,7 @@ def exp(x) -> Tensor:
     x = _wrap(x)
     data = np.exp(x.data)
     _count(data.size)
-    node = x._node
+    node = x.node
 
     def bw(g):
         node._accum(g * data)
@@ -557,7 +546,7 @@ def log(x) -> Tensor:
     x = _wrap(x)
     data = np.log(x.data)
     _count(data.size)
-    node, xd = x._node, x.data
+    node, xd = x.node, x.data
 
     def bw(g):
         node._accum(g / xd)
@@ -569,7 +558,7 @@ def sqrt(x) -> Tensor:
     x = _wrap(x)
     data = np.sqrt(x.data)
     _count(data.size)
-    node = x._node
+    node = x.node
 
     def bw(g):
         safe = np.where(data > 0.0, data, 1.0)
@@ -585,7 +574,7 @@ def xlogx(x) -> Tensor:
     safe = np.where(pos, x.data, 1.0)
     data = np.where(pos, x.data * np.log(safe), 0.0)
     _count(data.size)
-    node = x._node
+    node = x.node
 
     def bw(g):
         node._accum(np.where(pos, g * (np.log(safe) + 1.0), 0.0))
@@ -597,7 +586,7 @@ def sigmoid(x) -> Tensor:
     x = _wrap(x)
     data = expit(x.data)
     _count(data.size)
-    node = x._node
+    node = x.node
 
     def bw(g):
         node._accum(g * data * (1.0 - data))
@@ -609,7 +598,7 @@ def softplus(x) -> Tensor:
     x = _wrap(x)
     data = np.logaddexp(0.0, x.data)
     _count(data.size)
-    node, xd = x._node, x.data
+    node, xd = x.node, x.data
 
     def bw(g):
         node._accum(g * expit(xd))
@@ -649,7 +638,7 @@ def gelu(x) -> Tensor:
     cdf = _gelu_cdf(x.data)
     data = x.data * cdf
     _count(2 * data.size)
-    node, xd = x._node, x.data
+    node, xd = x.node, x.data
 
     def bw(g):
         node._accum(g * _gelu_slope(xd, cdf))
@@ -682,7 +671,7 @@ def ffn(x, w1, b1, w2, b2, mask: np.ndarray | None = None, rate: float = 0.0) ->
     h, n = w2.data.shape
     rows = int(np.prod(lead, dtype=np.int64))
     parents = (x, w1, b1, w2, b2)
-    records = _GRAD["enabled"] and any(p.requires_grad for p in parents)
+    records = _GRAD["enabled"] and any(p.node is not None for p in parents)
 
     pre = (x.data.reshape(-1, k) @ w1.data).reshape(lead + (h,))
     pre += b1.data
@@ -697,7 +686,7 @@ def ffn(x, w1, b1, w2, b2, mask: np.ndarray | None = None, rate: float = 0.0) ->
     data = (hidden.reshape(-1, h) @ w2.data).reshape(lead + (n,))
     data += b2.data
     _count(rows * (k * h + (4 if mask is not None else 3) * h + h * n + n))
-    nx, nw1, nb1, nw2, nb2 = (_grad_node(p) for p in parents)
+    nx, nw1, nb1, nw2, nb2 = (p.node for p in parents)
     sx, sb1, sb2 = x.shape, b1.shape, b2.shape
     xd = x.data if nw1 is not None else None
     w1d = w1.data if nx is not None else None
@@ -739,7 +728,7 @@ def softmax(x) -> Tensor:
     e = np.exp(x.data - x.data.max(axis=-1, keepdims=True, initial=-np.inf))
     data = e / e.sum(axis=-1, keepdims=True)
     _count(3 * data.size)
-    node = x._node
+    node = x.node
 
     def bw(g):
         inner = (g * data).sum(axis=-1, keepdims=True)
@@ -758,7 +747,7 @@ def layer_norm(x, gain, bias) -> Tensor:
     xhat = xc * inv
     data = xhat * gain.data + bias.data
     _count(5 * data.size)
-    nx, ngain, nbias = _grad_node(x), _grad_node(gain), _grad_node(bias)
+    nx, ngain, nbias = x.node, gain.node, bias.node
     sgain, sbias, gd = gain.shape, bias.shape, gain.data
 
     def bw(g):
@@ -810,7 +799,7 @@ def fft_real(x) -> Tensor:
     t = x.data.shape[-2]
     scale = (t / _bin_weights(t))[:, None]
     _count(_fft_macs(t, x.data.size // t))
-    node = x._node
+    node = x.node
 
     def bw(g):
         c = _complex(g)
@@ -826,7 +815,7 @@ def ifft_real(z, n: int) -> Tensor:
     data = np.fft.irfft(_complex(z.data), n=n, axis=-2)
     scale = (_bin_weights(n) / n)[:, None]
     _count(_fft_macs(n, data.size // n))
-    node = z._node
+    node = z.node
 
     def bw(g):
         spec = np.fft.rfft(g, axis=-2)
@@ -841,7 +830,7 @@ def complex_abs(z) -> Tensor:
     z = _wrap(z)
     data = np.hypot(z.data[..., 0, :], z.data[..., 1, :])
     _count(2 * data.size)
-    node, zd = z._node, z.data
+    node, zd = z.node, z.data
 
     def bw(g):
         live = data[..., None, :] > 0.0
@@ -887,7 +876,7 @@ def band_mix(spec, weight, w, spans) -> Tensor:
         out[..., 1, :] += t[..., 1, :d] + t[..., 0, d:]  # im: b W_r + a W_i
     rows = int(np.prod(lead, dtype=np.int64))
     _count(sum(4 * rows * (hi - lo) * d * d for _, lo, hi in live))
-    nspec, nweight, nw = _grad_node(spec), _grad_node(weight), _grad_node(w)
+    nspec, nweight, nw = spec.node, weight.node, w.node
 
     def bw(g):
         gspec = np.zeros(g.shape) if nspec is not None else None
@@ -939,7 +928,7 @@ def depthwise_causal_conv(x: Tensor, kernel: Tensor) -> Tensor:
             f"kernel {kernel.data.shape} needs the feature width of input {x.data.shape}")
     data = backends.depthwise_causal_fwd(x.data, kernel.data)
     _count(data.size * kernel.data.shape[-2])
-    nx, nk, xd, kd = _grad_node(x), _grad_node(kernel), x.data, kernel.data
+    nx, nk, xd, kd = x.node, kernel.node, x.data, kernel.data
 
     def bw(g):
         gx, gk = backends.depthwise_causal_bwd(xd, kd, g)

@@ -156,10 +156,11 @@ def where_softmax(x: te.Tensor, keep: np.ndarray) -> te.Tensor:
     top = x.data.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
     e = np.exp(x.data - top, out=np.zeros(x.data.shape), where=keep)
     data = e / e.sum(axis=-1, keepdims=True)
+    node = x.node
 
     def bw(g):
         inner = (g * data).sum(axis=-1, keepdims=True)
-        x._accum(data * (g - inner))
+        node._accum(data * (g - inner))
 
     return te.Tensor._result(data, (x,), bw)
 

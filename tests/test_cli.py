@@ -726,7 +726,7 @@ def test_inference_commands_record_no_graph(workdir, monkeypatch, command, data)
 def _live_graph_objects() -> int:
     # Tensors and grad nodes: a result Tensor holds its data, its node the graph
     gc.collect()
-    return sum(isinstance(obj, te_mod._Node) for obj in gc.get_objects())
+    return sum(isinstance(obj, (te_mod.Tensor, te_mod._Node)) for obj in gc.get_objects())
 
 
 def test_no_grad_forward_keeps_only_its_logits():
@@ -1056,7 +1056,7 @@ def test_grad_check_catches_corrupted_backward(workdir, capsys, monkeypatch):
     def broken(x):
         y = orig(x)
         # forward unchanged; gradient scaled, which the check must flag
-        return Tensor._result(y.data.copy(), (y,), lambda g: y._accum(1.5 * g))
+        return Tensor._result(y.data.copy(), (y,), lambda g: y.node._accum(1.5 * g))
 
     monkeypatch.setattr(te_mod, "gelu", broken)
     assert main(["grad-check", "--config", str(workdir / "small.cfg"),
@@ -1070,7 +1070,7 @@ def test_grad_check_tensor_probe_covers_ffn(workdir, capsys, monkeypatch):
 
     def broken(*args, **kwargs):
         y = orig(*args, **kwargs)
-        return Tensor._result(y.data.copy(), (y,), lambda g: y._accum(1.5 * g))
+        return Tensor._result(y.data.copy(), (y,), lambda g: y.node._accum(1.5 * g))
 
     monkeypatch.setattr(te_mod, "ffn", broken)
     assert main(["grad-check", "--config", str(workdir / "small.cfg"),

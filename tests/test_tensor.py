@@ -10,7 +10,9 @@ from scipy.stats import norm
 
 from nakul import backends
 from nakul import tensor as T
+from nakul.config import parse_config
 from nakul.model import ModelConfig, init_model, model_forward
+from nakul.rng import stream
 from nakul.training import smoothed_cross_entropy
 from oracles import (check_gradients, composed_ffn, graph_nodes, loop_depthwise_causal_bwd,
                      loop_depthwise_causal_fwd, naive_dft, naive_idft)
@@ -287,6 +289,18 @@ def test_grad_shape_ops():
         return (z * z).mean()
 
     assert worst_grad_error(build, [x]) < GRAD_TOL
+
+
+def test_grad_transpose_negative_axes():
+    x, w = randt(2, 3, 4), RNG.normal(size=(2, 4, 3))
+    (T.transpose(x, (0, -1, 1)) * w).sum().backward()
+    np.testing.assert_array_equal(x.grad, w.transpose(0, 2, 1))
+
+
+def test_grad_repeated_index_adds_each_use():
+    x = randt(3)
+    x[np.array([0, 0, 1])].sum().backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 1.0, 0.0])
 
 
 def test_grad_stack_and_sum_axes():
@@ -607,7 +621,7 @@ def test_backward_frees_interior_nodes_and_keeps_leaf_gradients():
     hidden = T.gelu(T.matmul(x, w) + b)
     loss = (T.softmax(hidden) * hidden).sum()
     loss.backward()
-    interior = [n for n in graph_nodes(loss) if n._prev]
+    interior = [n for n in graph_nodes(loss.node) if n._prev]
     assert len(interior) >= 5
     for node in interior:
         assert node.grad is None and node._backward is None
@@ -670,18 +684,15 @@ def tiny_model_step(rng):
 
 
 def test_closures_hold_grad_nodes_leaves_and_arrays_only():
-    # a closure that held a result Tensor would keep that forward value
-    # alive until backward, whether or not the backward reads it
+    # a closure that held a Tensor would keep that forward value alive
+    # until backward, whether or not the backward reads it
     _, loss = tiny_model_step(np.random.default_rng(0))
-    nodes = [n for n in graph_nodes(loss) if n._backward is not None]
+    nodes = [n for n in graph_nodes(loss.node) if n._backward is not None]
     assert {n._backward.__qualname__.split(".")[0] for n in nodes} == PRIMITIVES
     for node in nodes:
         name = node._backward.__qualname__
         for v in _closure_values(node._backward):
-            if isinstance(v, T.Tensor):
-                assert v.requires_grad and v._prev == (), f"{name} holds a result Tensor"
-            else:
-                assert isinstance(v, (T._Node, np.ndarray) + PLAIN), (name, type(v))
+            assert isinstance(v, (T._Node, np.ndarray) + PLAIN), (name, type(v))
 
 
 def test_forward_values_die_with_their_tensors_without_gc():
@@ -706,12 +717,35 @@ def test_forward_values_die_with_their_tensors_without_gc():
 # --- inference mode -------------------------------------------------------------
 
 
+def test_only_tensors_a_gradient_flows_through_have_a_node(monkeypatch):
+    assert T.Tensor(np.ones(2)).node is None
+    assert T.Tensor(np.ones(2), requires_grad=True).node._prev == ()
+    assert not hasattr(T.Tensor(np.ones(2)), "__dict__") and not hasattr(T._Node(), "__dict__")
+    constant = T.Tensor(np.ones(2))
+    constant.grad = None  # clearing the gradient of a Tensor that takes none is a no-op
+    with pytest.raises(AttributeError, match="no gradient"):
+        constant.grad = np.ones(2)
+    rc = parse_config("")
+    model = init_model(rc.model, stream(0, "init"))
+    x = stream(1, "data").normal(size=(1, rc.data.n_channels, rc.data.t_len))
+    made, real_init = [], T._Node.__init__
+
+    def counted(node, *args):
+        made.append(node)
+        real_init(node, *args)
+
+    monkeypatch.setattr(T._Node, "__init__", counted)
+    with T.no_grad():
+        model_forward(model, x)
+    assert made == []
+
+
 def test_no_grad_results_record_no_parents():
     x, w = randt(2, 3, grad=False), randt(3, 4)
     with T.no_grad():
         out = T.gelu(T.matmul(x, w))
         leaf = T.Tensor(np.ones(2), requires_grad=True)
-    assert out._prev == () and out._backward is None and out.requires_grad is False
+    assert out.node is None
     assert leaf.requires_grad is True and w.requires_grad is True
     np.testing.assert_array_equal(out.data, T.gelu(T.matmul(x, w)).data)
 
@@ -721,12 +755,12 @@ def test_no_grad_restored_after_raise_and_nesting():
     with pytest.raises(KeyError):
         with T.no_grad():
             raise KeyError("inside the block")
-    assert (w * 2.0)._prev == (w,)
+    assert (w * 2.0)._prev == (w.node,)
     with T.no_grad():
         with T.no_grad():
             pass
         assert not (w * 2.0).requires_grad  # the inner exit keeps the outer block off
-    assert (w * 2.0)._prev == (w,)
+    assert (w * 2.0)._prev == (w.node,)
 
 
 # --- item -----------------------------------------------------------------------
