@@ -11,7 +11,8 @@ Conventions fixed here and relied on throughout the package:
 
 - layer_norm normalizes the last axis with eps = 1e-5.
 - softmax acts on the last axis.
-- gelu is the exact erf form, not the tanh approximation.
+- gelu is the exact erf form, not the tanh approximation; erf is Cephes'
+  rational approximation (ndtr.c), evaluated in numpy.
 - Sequences are (..., T, D), time on axis -2 for both sequence ops:
   fft_real is the unnormalized one-sided real FFT, (..., T, D) to
   (..., T//2 + 1, 2, D), and ifft_real carries 1/T and inverts it exactly;
@@ -69,7 +70,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf, expit
 
 from . import backends
 
@@ -527,6 +527,106 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return Tensor._result(np.asarray(data), (x,), bw)
 
 
+# --- special functions ---------------------------------------------------------
+
+# Cephes' erf (S. L. Moshier, Cephes Math Library, ndtr.c): x T(x^2) / U(x^2)
+# for |x| <= 1 and sign(x) (1 - exp(-x^2) P(|x|) / Q(|x|)) beyond, with U and
+# Q monic (their leading 1 is not stored). Cephes switches to a third pair of
+# polynomials at |x| = 8; erf is exactly +-1.0 in float64 from |x| = 5.922 on,
+# so |x| is clamped at 8 instead.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERF_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+          9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+          1.65666309194161350182e3, 5.57535340817727675546e2)
+# Elements per pass of _erf, and of the no-grad ffn's GELU: the temporaries of
+# one pass stay in cache.
+_ERF_CHUNK = 1 << 14
+
+
+def _polevl(z: np.ndarray, coefs) -> np.ndarray:
+    """coefs[0] z^n + ... + coefs[n] by Horner's rule, in Cephes' polevl order."""
+    s = z * coefs[0]
+    s += coefs[1]
+    for c in coefs[2:]:
+        s *= z
+        s += c
+    return s
+
+
+def _p1evl(z: np.ndarray, coefs) -> np.ndarray:
+    """z^n + coefs[0] z^(n-1) + ... + coefs[n-1], in Cephes' p1evl order."""
+    s = z + coefs[0]
+    for c in coefs[1:]:
+        s *= z
+        s += c
+    return s
+
+
+def _erf_chunk(x: np.ndarray, out: np.ndarray) -> None:
+    """out = erf(x) for 1-D x and out of one length; out may be x."""
+    a = np.clip(x, -1.0, 1.0)
+    big = (a != x).nonzero()[0]  # |x| > 1, and NaN: the second branch overwrites these
+    xb = x[big]  # gathered before out is written
+    z = a * a
+    np.multiply(a, _polevl(z, _ERF_T), out=out)
+    out /= _p1evl(z, _ERF_U)
+    if big.size:
+        m = np.abs(xb)
+        np.minimum(m, 8.0, out=m)
+        p = _polevl(m, _ERF_P)
+        q = _p1evl(m, _ERF_Q)
+        m *= -m
+        np.exp(m, out=m)
+        m *= p
+        m /= q  # erfc(|x|)
+        np.subtract(1.0, m, out=m)
+        out[big] = np.copysign(m, xb)
+
+
+def _erf(x, out: np.ndarray | None = None) -> np.ndarray:
+    """The error function elementwise, by Cephes' rational approximations.
+
+    Runs in chunks of _ERF_CHUNK elements; out, if given, has x's shape
+    and may be x itself. Finite inputs raise no floating-point error;
+    erf(+-inf) = +-1, NaN stays NaN and -0.0 stays -0.0.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty(x.shape)
+    flat_x = x.reshape(-1)  # a copy when x is not contiguous
+    flat_out = out.reshape(-1) if out.flags.c_contiguous else np.empty(out.size)
+    with np.errstate(under="ignore"):  # a * a for |x| < 1.5e-154; erf(x) for subnormal x
+        for lo in range(0, flat_x.size, _ERF_CHUNK):
+            _erf_chunk(flat_x[lo : lo + _ERF_CHUNK], flat_out[lo : lo + _ERF_CHUNK])
+    if not out.flags.c_contiguous:
+        out[...] = flat_out.reshape(out.shape)
+    return out
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """The logistic 1 / (1 + exp(-x)) elementwise, as a new array.
+
+    With e = exp(-|x|) <= 1 it is 1 / (1 + e) for x >= 0 and e / (1 + e)
+    for x < 0, so nothing overflows; expit(0) is exactly 0.5.
+    """
+    flat = np.ravel(x)
+    e = np.abs(flat)
+    np.negative(e, out=e)
+    with np.errstate(under="ignore"):  # exp(-|x|) for |x| > 708
+        np.exp(e, out=e)
+        num = np.sign(flat)
+        np.maximum(num, e, out=num)  # 1 where x >= 0, as e <= 1 there; e where x < 0
+        e += 1.0
+        num /= e
+    return num.reshape(np.shape(x))
+
+
 # --- pointwise primitives -----------------------------------------------------
 
 
@@ -584,7 +684,7 @@ def xlogx(x) -> Tensor:
 
 def sigmoid(x) -> Tensor:
     x = _wrap(x)
-    data = expit(x.data)
+    data = _expit(x.data)
     _count(data.size)
     node = x.node
 
@@ -601,7 +701,7 @@ def softplus(x) -> Tensor:
     node, xd = x.node, x.data
 
     def bw(g):
-        node._accum(g * expit(xd))
+        node._accum(g * _expit(xd))
 
     return Tensor._result(data, (x,), bw)
 
@@ -616,7 +716,7 @@ def _gelu_cdf(x: np.ndarray) -> np.ndarray:
     One new array; erf, the shift and the halving run in place on it.
     """
     cdf = np.asarray(x * _INV_SQRT2)  # asarray: a 0-d x gives a scalar, which out= refuses
-    erf(cdf, out=cdf)
+    _erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     return cdf
@@ -664,7 +764,7 @@ def ffn(x, w1, b1, w2, b2, mask: np.ndarray | None = None, rate: float = 0.0) ->
     replaces, so every value and gradient is bitwise that chain's, and
     so is the MAC count. A result that records no graph (no_grad, or no
     input requiring grad) keeps nothing: the hidden layer overwrites the
-    pre-activation, so at most two (..., H) arrays are alive at once.
+    pre-activation one chunk at a time, so one (..., H) array is alive.
     """
     x, w1, b1, w2, b2 = _wrap(x), _wrap(w1), _wrap(b1), _wrap(w2), _wrap(b2)
     lead, k = x.data.shape[:-1], x.data.shape[-1]
@@ -680,7 +780,10 @@ def ffn(x, w1, b1, w2, b2, mask: np.ndarray | None = None, rate: float = 0.0) ->
         hidden = pre * cdf
     else:  # nothing reads the pre-activation again: the hidden layer overwrites it
         hidden = pre
-        hidden *= _gelu_cdf(pre)
+        flat = hidden.reshape(-1)  # a chunk at a time, so no second (..., H) array is made
+        for lo in range(0, flat.size, _ERF_CHUNK):
+            part = flat[lo : lo + _ERF_CHUNK]
+            part *= _gelu_cdf(part)
     if mask is not None:
         _drop(hidden, mask, rate)
     data = (hidden.reshape(-1, h) @ w2.data).reshape(lead + (n,))

@@ -291,6 +291,8 @@ def train(model: NakulModel, signals, labels, cfg: TrainConfig, log=None):
     stale = 0
     rows = []
     step = 0
+    for p in params:
+        p.grad = None
     for epoch in range(cfg.epochs):
         perm = order_rng.permutation(len(train_idx))
         epoch_loss, lr_t = 0.0, 0.0
@@ -302,8 +304,6 @@ def train(model: NakulModel, signals, labels, cfg: TrainConfig, log=None):
             if not np.isfinite(loss.data):
                 raise FloatingPointError(
                     f"loss became non-finite at epoch {epoch} step {step}")
-            for p in params:
-                p.grad = None
             loss.backward()
             grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
             lr_t = onecycle_lr(step, total_steps, cfg)
@@ -311,8 +311,11 @@ def train(model: NakulModel, signals, labels, cfg: TrainConfig, log=None):
             epoch_loss += loss.item() * len(take)
             step += 1
             # backward freed the closures, so the graph holds no forward value;
-            # this frees the logits, the loss and their nodes before the next forward
-            del logits, loss
+            # this frees the logits, the loss, their nodes and the gradients
+            # before the next forward
+            del logits, loss, grads
+            for p in params:
+                p.grad = None
 
         val_loss, val_acc = evaluate(
             model, signals[val_idx], labels[val_idx], eps=cfg.label_smoothing)

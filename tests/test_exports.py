@@ -1,7 +1,10 @@
-"""Every name a nakul module exports in `__all__` exists in that module."""
+"""Module surface: every name in `__all__` exists, and importing the CLI loads no scipy."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -20,3 +23,13 @@ def test_all_names_resolve(name):
     exported = getattr(module, "__all__", [])
     missing = [item for item in exported if not hasattr(module, item)]
     assert missing == []
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """scipy.special alone took most of `import nakul.cli`; nothing in nakul needs scipy."""
+    src = os.path.dirname(os.path.dirname(nakul.__file__))
+    probe = "import sys, nakul.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=60, env=env)
+    assert out.stdout.strip() == "[]"

@@ -3,9 +3,12 @@
 import gc
 import tracemalloc
 import weakref
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from scipy.special import erf as scipy_erf
+from scipy.special import expit as scipy_expit
 from scipy.stats import norm
 
 from nakul import backends
@@ -131,6 +134,81 @@ def test_gelu_exact_erf_form():
     want = xs * norm.cdf(xs)
     assert np.abs(got - want).max() < 1e-12
     assert T.gelu(T.Tensor(0.0)).item() == 0.0
+
+
+def _edges(*points):
+    """Each point, its neighbouring doubles, and their negatives."""
+    p = np.asarray(points, dtype=np.float64)
+    near = np.concatenate([p, np.nextafter(p, -np.inf), np.nextafter(p, np.inf)])
+    return np.concatenate([near, -near])
+
+
+ERF_INPUTS = np.concatenate([
+    np.linspace(-40.0, 40.0, 160_001),
+    *(np.random.default_rng(34).normal(scale=s, size=50_000) for s in (0.5, 1.0, 2.0)),
+    _edges(1.0, 5.9, 6.0, 8.0),
+    _edges(5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 1e-154, 1.5e-154),  # subnormal, x*x underflows
+])
+
+
+def test_erf_within_an_ulp_of_scipy():
+    with np.errstate(all="raise"):
+        got = T._erf(ERF_INPUTS)
+    np.testing.assert_array_max_ulp(got, scipy_erf(ERF_INPUTS), maxulp=1)
+
+
+def test_erf_special_values():
+    with np.errstate(all="raise"):
+        got = T._erf(np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e308, -1e308]))
+    np.testing.assert_array_equal(got, [1.0, -1.0, np.nan, 0.0, -0.0, 1.0, -1.0])
+    assert np.signbit(got[4]) and not np.signbit(got[3])
+
+
+def test_erf_layouts():
+    """Several chunks, in place, strided, 0-d and empty inputs give the same values."""
+    base = np.random.default_rng(35).normal(scale=2.0, size=(40, 1000))  # 40 000: three chunks
+    want = T._erf(base)
+    np.testing.assert_array_max_ulp(want, scipy_erf(base), maxulp=1)
+    np.testing.assert_array_equal(np.stack([T._erf(row) for row in base]), want)
+    x = base.copy()
+    assert T._erf(x, out=x) is x
+    np.testing.assert_array_equal(x, want)
+    np.testing.assert_array_equal(T._erf(base.T), want.T)
+    x = base.copy()
+    strided = x[:, ::3]
+    T._erf(strided, out=strided)
+    np.testing.assert_array_equal(x[:, ::3], want[:, ::3])
+    np.testing.assert_array_equal(x[:, 1::3], base[:, 1::3])
+    zero_d = T._erf(np.array(0.5))
+    assert zero_d.shape == () and zero_d == scipy_erf(0.5)
+    assert T._erf(np.empty((0, 3))).shape == (0, 3)
+
+
+def _exact_logistic(xs):
+    """1 / (1 + exp(-x)) rounded once to a double, from 40-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return np.array([float(1 / (1 + (-Decimal(float(v))).exp())) for v in xs])
+
+
+def test_expit_within_two_ulp():
+    x = np.concatenate([np.linspace(-800.0, 800.0, 4001),
+                        np.random.default_rng(36).normal(scale=4.0, size=2000)])
+    with np.errstate(all="raise"):
+        got = T._expit(x)
+    np.testing.assert_array_max_ulp(got, _exact_logistic(x), maxulp=2)
+    # scipy computes 1 / (1 + exp(-x)) for every x, so only at x >= 0 is its
+    # formula this one; at x < 0 it rounds once more (3 ulp apart at x = -1.976)
+    # and below -709.78 its exp(-x) overflows and it returns 0
+    pos = x >= 0
+    np.testing.assert_array_max_ulp(got[pos], scipy_expit(x[pos]), maxulp=2)
+
+
+def test_expit_special_values():
+    with np.errstate(all="raise"):
+        got = T._expit(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308]))
+        assert T._expit(np.array(0.0)) == 0.5
+    np.testing.assert_array_equal(got, [0.5, 0.5, 1.0, 0.0, np.nan, 1.0, 0.0])
 
 
 def test_softplus_sigmoid_values():
