@@ -9,8 +9,6 @@ All math stays in float64; no mixed precision.
 from __future__ import annotations
 
 import csv
-import ctypes
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,36 +241,13 @@ def evaluate(model: NakulModel, signals, labels, eps: float = LABEL_SMOOTHING,
     return sum(losses) / len(labels), hits / len(labels)
 
 
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters (malloc.h)
-
-
-def _keep_step_memory_mapped() -> None:
-    """Let each training step reuse the pages the previous step freed.
-
-    A step allocates and frees the same arrays every time. By default
-    glibc maps many of them afresh and hands the heap's free top back to
-    the OS, so every step page-faults them in again: about 4 000 minor
-    faults, a quarter of an acceptance-model step at B=16. Serving every
-    allocation below 32 MB from the heap and never trimming it takes that
-    to none, without raising peak memory. A C library without mallopt
-    keeps its own policy.
-    """
-    mallopt = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-        mallopt(_M_TRIM_THRESHOLD, -1)
-
-
 def train(model: NakulModel, signals, labels, cfg: TrainConfig, log=None):
     """Full loop with schedule, early stopping, best-checkpoint restore.
 
     Returns (metrics rows, info dict); the best parameters are written
     back into the model. Non-finite loss aborts; a split that holds out
-    every trial raises ValueError. Sets the process's malloc policy
-    (`_keep_step_memory_mapped`).
+    every trial raises ValueError.
     """
-    _keep_step_memory_mapped()
     order_rng = stream(cfg.seed, "order")
     aug_rng = stream(cfg.seed, "augmentation")
     noise_rng = stream(cfg.seed, "dropout")

@@ -1,6 +1,10 @@
 """Tensor engine: values against direct oracles, gradients against finite differences."""
 
 import gc
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from decimal import Decimal, localcontext
@@ -509,16 +513,25 @@ def ffn_arrays(rng, lead, d, h, n):
             rng.normal(size=(n,)) * 0.1]
 
 
+# which of (x, w1, b1, w2, b2) require grad: all five, only the output
+# layer (backward stops before the pre-activation), or only x
+FFN_GRAD_INPUTS = {"": range(5), "-only_w2_b2": (3, 4), "-only_x": (0,)}
+
+
 @pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "mask"])
-@pytest.mark.parametrize("lead", [(6,), (2, 3, 4)], ids=["2d", "4d"])
-def test_ffn_is_bitwise_the_composed_chain(lead, masked):
+@pytest.mark.parametrize("lead, wants", [
+    pytest.param(lead, wants, id=name + tag)
+    for name, lead in (("2d", (6,)), ("4d", (2, 3, 4)))
+    for tag, wants in FFN_GRAD_INPUTS.items()
+])
+def test_ffn_is_bitwise_the_composed_chain(lead, wants, masked):
     rng = np.random.default_rng(21)
     arrays = ffn_arrays(rng, lead, d=5, h=12, n=4)
     mask = rng.random(lead + (12,)) >= 0.3 if masked else None
     upstream = rng.normal(size=lead + (4,))
     runs = []
     for fn in (T.ffn, composed_ffn):
-        tensors = [T.Tensor(a, requires_grad=True) for a in arrays]
+        tensors = [T.Tensor(a, requires_grad=i in wants) for i, a in enumerate(arrays)]
         with T.mac_counter() as macs:
             out = fn(*tensors, mask, 0.3)
         count = macs["total"]
@@ -527,9 +540,10 @@ def test_ffn_is_bitwise_the_composed_chain(lead, masked):
     (got, got_macs, got_grads), (want, want_macs, want_grads) = runs
     np.testing.assert_array_equal(got, want)
     assert got_macs == want_macs
+    assert [g is not None for g in got_grads] == [i in wants for i in range(5)]
     for g, w in zip(got_grads, want_grads):
         np.testing.assert_array_equal(g, w)
-    with T.no_grad():  # the path that overwrites the pre-activation in place
+    with T.no_grad():  # records nothing and takes no GELU derivative
         fast = T.ffn(*[T.Tensor(a, requires_grad=True) for a in arrays], mask, 0.3)
     np.testing.assert_array_equal(fast.data, got)
 
@@ -894,3 +908,29 @@ def test_grad_scalar_index():
         return (x[1] * y).sum() + x[0] * 2.0
 
     assert worst_grad_error(build, [x]) < GRAD_TOL
+
+
+# --- allocator policy --------------------------------------------------------
+
+FILL_PROBE = """
+import resource
+import numpy as np
+import nakul.tensor
+
+def faults_filling_2mb():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    np.ones(1 << 18)  # 2 MB, under numpy's 4 MB huge-page cutoff; freed at once
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+faults_filling_2mb()
+print(faults_filling_2mb())
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="a glibc malloc policy")
+def test_importing_the_engine_keeps_freed_memory_mapped():
+    # a process that trains nothing still serves a freed array's pages to the next one
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    out = subprocess.run([sys.executable, "-c", FILL_PROBE], capture_output=True, text=True,
+                         check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert int(out.stdout) < 50  # 512 pages when mapped afresh

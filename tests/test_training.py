@@ -1,7 +1,5 @@
 """Optimizer, schedule, loss, augmentation, synthetic data, train loop."""
 
-import platform
-import resource
 import weakref
 
 import numpy as np
@@ -515,19 +513,3 @@ def test_training_step_after_evaluate_gets_every_gradient():
     evaluate(model, signals, labels, batch_size=5)
     smoothed_cross_entropy(model_forward(model, signals[:8]), labels[:8]).backward()
     assert [name for name, p in model.named().items() if p.grad is None] == []
-
-
-
-def _faults_filling_2mb() -> int:
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    np.ones(1 << 18)  # 2 MB, under numpy's 4 MB huge-page cutoff; freed at once
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="a glibc malloc policy")
-def test_train_keeps_freed_step_memory_mapped():
-    # after train, a freed array's pages serve the next one: no fresh faults
-    signals, labels = generate_synthetic(tiny_spec(), seed=1)
-    train(tiny_model(), signals, labels, TrainConfig(epochs=1, batch_size=8))
-    _faults_filling_2mb()
-    assert _faults_filling_2mb() < 50  # 512 pages when mapped afresh
