@@ -27,8 +27,10 @@ position-wise feed-forward (gelu(x @ w1 + b1) * keep) @ w2 + b2 with an
 optional boolean dropout mask; it keeps only the dropped hidden layer,
 the GELU derivative at the pre-activation and the mask, so its backward
 recomputes nothing, and its values, gradients and MAC count are bitwise
-those of the six-node chain it replaces. gelu and ffn share one
-implementation of the GELU and of its derivative.
+those of the six-node chain it replaces. gelu and ffn run the GELU in one
+chunked in-place pass, _gelu, which writes the derivative in the same
+pass when a gradient will need it; each node keeps that derivative, never
+the input it came from.
 
 The graph holds only what backward reads; the caller holds the values
 (the saved-tensor split of Paszke et al., "Automatic differentiation in
@@ -573,8 +575,7 @@ _ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.4632105644226
 _ERF_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
           1.65666309194161350182e3, 5.57535340817727675546e2)
-# Elements per pass of _erf, and of the no-grad ffn's GELU: the temporaries of
-# one pass stay in cache.
+# Elements per pass of _gelu: the temporaries of one pass stay in cache.
 _ERF_CHUNK = 1 << 14
 
 
@@ -597,44 +598,30 @@ def _p1evl(z: np.ndarray, coefs) -> np.ndarray:
     return s
 
 
-def _erf_chunk(x: np.ndarray, out: np.ndarray) -> None:
-    """out = erf(x) for 1-D x and out of one length; out may be x."""
-    a = np.clip(x, -1.0, 1.0)
-    big = (a != x).nonzero()[0]  # |x| > 1, and NaN: the second branch overwrites these
-    xb = x[big]  # gathered before out is written
-    z = a * a
-    np.multiply(a, _polevl(z, _ERF_T), out=out)
-    out /= _p1evl(z, _ERF_U)
-    if big.size:
-        m = np.abs(xb)
-        np.minimum(m, 8.0, out=m)
-        p = _polevl(m, _ERF_P)
-        q = _p1evl(m, _ERF_Q)
-        m *= -m
-        np.exp(m, out=m)
-        m *= p
-        m /= q  # erfc(|x|)
-        np.subtract(1.0, m, out=m)
-        out[big] = np.copysign(m, xb)
+def _erf(x: np.ndarray) -> np.ndarray:
+    """The error function of a 1-D array, as a new one, by Cephes' rational approximations.
 
-
-def _erf(x, out: np.ndarray | None = None) -> np.ndarray:
-    """The error function elementwise, by Cephes' rational approximations.
-
-    Runs in chunks of _ERF_CHUNK elements; out, if given, has x's shape
-    and may be x itself. Finite inputs raise no floating-point error;
-    erf(+-inf) = +-1, NaN stays NaN and -0.0 stays -0.0.
+    Finite inputs raise no floating-point error; erf(+-inf) = +-1, NaN
+    stays NaN and -0.0 stays -0.0.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if out is None:
-        out = np.empty(x.shape)
-    flat_x = x.reshape(-1)  # a copy when x is not contiguous
-    flat_out = out.reshape(-1) if out.flags.c_contiguous else np.empty(out.size)
-    with np.errstate(under="ignore"):  # a * a for |x| < 1.5e-154; erf(x) for subnormal x
-        for lo in range(0, flat_x.size, _ERF_CHUNK):
-            _erf_chunk(flat_x[lo : lo + _ERF_CHUNK], flat_out[lo : lo + _ERF_CHUNK])
-    if not out.flags.c_contiguous:
-        out[...] = flat_out.reshape(out.shape)
+    with np.errstate(under="ignore"):  # x * x for |x| < 1.5e-154; erf(x) for subnormal x
+        out = np.clip(x, -1.0, 1.0)
+        big = (out != x).nonzero()[0]  # |x| > 1, and NaN: the second branch overwrites these
+        z = out * out
+        out *= _polevl(z, _ERF_T)
+        out /= _p1evl(z, _ERF_U)
+        if big.size:
+            xb = x[big]
+            m = np.abs(xb)
+            np.minimum(m, 8.0, out=m)
+            p = _polevl(m, _ERF_P)
+            q = _p1evl(m, _ERF_Q)
+            m *= -m
+            np.exp(m, out=m)
+            m *= p
+            m /= q  # erfc(|x|)
+            np.subtract(1.0, m, out=m)
+            out[big] = np.copysign(m, xb)
     return out
 
 
@@ -700,13 +687,13 @@ def xlogx(x) -> Tensor:
     """x * log(x) with the 0 log 0 = 0 convention (entropy terms)."""
     x = _wrap(x)
     pos = x.data > 0.0
-    safe = np.where(pos, x.data, 1.0)
-    data = np.where(pos, x.data * np.log(safe), 0.0)
+    logs = np.log(np.where(pos, x.data, 1.0))
+    data = np.where(pos, x.data * logs, 0.0)
     _count(data.size)
     node = x.node
 
     def bw(g):
-        node._accum(np.where(pos, g * (np.log(safe) + 1.0), 0.0))
+        node._accum(np.where(pos, g * (logs + 1.0), 0.0))
 
     return Tensor._result(data, (x,), bw)
 
@@ -739,38 +726,43 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _gelu_cdf(x: np.ndarray) -> np.ndarray:
-    """Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), the gate of the exact GELU x * Phi(x).
+def _gelu(a: np.ndarray, slope: np.ndarray | None) -> None:
+    """a = x * Phi(x) in place for a C-contiguous a = x, the exact GELU.
 
-    One new array; erf, the shift and the halving run in place on it.
+    Phi(x) = 0.5 * (1 + erf(x / sqrt(2))). Runs one _ERF_CHUNK at a time,
+    so no a-sized temporary is made; slope, unless None, a C-contiguous
+    array of a's size, receives d(x * Phi(x))/dx = Phi(x) + x * phi(x) in
+    the same pass.
     """
-    cdf = np.asarray(x * _INV_SQRT2)  # asarray: a 0-d x gives a scalar, which out= refuses
-    _erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    return cdf
-
-
-def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """d(x * Phi(x))/dx = Phi(x) + x * phi(x), from x and its _gelu_cdf, as one new array."""
-    slope = np.asarray(-0.5 * x)
-    slope *= x
-    np.exp(slope, out=slope)
-    slope *= _INV_SQRT2PI
-    slope *= x
-    slope += cdf
-    return slope
+    flat = a.reshape(-1)
+    slopes = None if slope is None else slope.reshape(-1)
+    for lo in range(0, flat.size, _ERF_CHUNK):
+        x = flat[lo : lo + _ERF_CHUNK]
+        cdf = _erf(x * _INV_SQRT2)
+        cdf += 1.0
+        cdf *= 0.5
+        if slopes is not None:
+            s = slopes[lo : lo + _ERF_CHUNK]
+            np.multiply(x, -0.5, out=s)
+            s *= x
+            np.exp(s, out=s)
+            s *= _INV_SQRT2PI
+            s *= x
+            s += cdf
+        x *= cdf
 
 
 def gelu(x) -> Tensor:
+    """x * Phi(x), the exact GELU; a recorded node keeps only its derivative."""
     x = _wrap(x)
-    cdf = _gelu_cdf(x.data)
-    data = x.data * cdf
+    data = x.data.copy()
+    node = x.node if _GRAD["enabled"] else None
+    slope = np.empty_like(data) if node is not None else None
+    _gelu(data, slope)
     _count(2 * data.size)
-    node, xd = x.node, x.data
 
     def bw(g):
-        node._accum(g * _gelu_slope(xd, cdf))
+        node._accum(g * slope)
 
     return Tensor._result(data, (x,), bw)
 
@@ -787,8 +779,8 @@ def ffn(x, w1, b1, w2, b2, mask: np.ndarray | None = None, rate: float = 0.0) ->
     x is (..., D), w1 (D, H) and w2 (H, D_out); mask, boolean of shape
     (..., H), is inverted dropout on the hidden layer, and None (rate
     unused) applies none. The hidden layer overwrites the pre-activation
-    one chunk at a time, so one (..., H) array is made, plus, when x, w1
-    or b1 takes a gradient, the GELU derivative, taken in the same pass.
+    in _gelu's chunked pass, so one (..., H) array is made, plus, when x,
+    w1 or b1 takes a gradient, the GELU derivative, written in that pass.
     The node keeps those and the mask, so its backward recomputes nothing;
     every value and gradient, and the MAC count, are bitwise those of the
     matmul, add, gelu, mul, matmul, add chain it replaces.
@@ -803,14 +795,8 @@ def ffn(x, w1, b1, w2, b2, mask: np.ndarray | None = None, rate: float = 0.0) ->
 
     hidden = (x.data.reshape(-1, k) @ w1.data).reshape(lead + (h,))
     hidden += b1.data
-    flat = hidden.reshape(-1)  # a chunk at a time, so no (..., H) temporary is made
-    slope = np.empty_like(flat) if to_pre else None
-    for lo in range(0, flat.size, _ERF_CHUNK):
-        part = flat[lo : lo + _ERF_CHUNK]
-        cdf = _gelu_cdf(part)
-        if slope is not None:
-            slope[lo : lo + _ERF_CHUNK] = _gelu_slope(part, cdf)
-        part *= cdf
+    slope = np.empty_like(hidden) if to_pre else None
+    _gelu(hidden, slope)
     if mask is not None:
         _drop(hidden, mask, rate)
     data = (hidden.reshape(-1, h) @ w2.data).reshape(lead + (n,))
@@ -833,7 +819,7 @@ def ffn(x, w1, b1, w2, b2, mask: np.ndarray | None = None, rate: float = 0.0) ->
         gpre = (g2 @ w2d.T).reshape(lead + (h,))
         if mask is not None:
             _drop(gpre, mask, rate)
-        gpre *= slope.reshape(gpre.shape)
+        gpre *= slope
         if nb1 is not None:
             nb1._accum(_unbroadcast(gpre, sb1))
         gpre2 = gpre.reshape(-1, h)

@@ -168,24 +168,28 @@ def test_erf_special_values():
     assert np.signbit(got[4]) and not np.signbit(got[3])
 
 
-def test_erf_layouts():
-    """Several chunks, in place, strided, 0-d and empty inputs give the same values."""
+def test_gelu_layouts():
+    """Several chunks, a transposed, a 0-d and an empty input give the same values."""
     base = np.random.default_rng(35).normal(scale=2.0, size=(40, 1000))  # 40 000: three chunks
-    want = T._erf(base)
-    np.testing.assert_array_max_ulp(want, scipy_erf(base), maxulp=1)
-    np.testing.assert_array_equal(np.stack([T._erf(row) for row in base]), want)
-    x = base.copy()
-    assert T._erf(x, out=x) is x
-    np.testing.assert_array_equal(x, want)
-    np.testing.assert_array_equal(T._erf(base.T), want.T)
-    x = base.copy()
-    strided = x[:, ::3]
-    T._erf(strided, out=strided)
-    np.testing.assert_array_equal(x[:, ::3], want[:, ::3])
-    np.testing.assert_array_equal(x[:, 1::3], base[:, 1::3])
-    zero_d = T._erf(np.array(0.5))
-    assert zero_d.shape == () and zero_d == scipy_erf(0.5)
-    assert T._erf(np.empty((0, 3))).shape == (0, 3)
+    upstream = np.random.default_rng(36).normal(size=base.shape)
+
+    def value_and_grad(a, up):
+        x = T.Tensor(a, requires_grad=True)
+        out = T.gelu(x)
+        (out * up).sum().backward()
+        return out.data, x.grad
+
+    want, want_grad = value_and_grad(base, upstream)
+    rows = [value_and_grad(row, up) for row, up in zip(base, upstream)]
+    np.testing.assert_array_equal(np.stack([v for v, _ in rows]), want)
+    np.testing.assert_array_equal(np.stack([g for _, g in rows]), want_grad)
+    with T.no_grad():
+        np.testing.assert_array_equal(T.gelu(T.Tensor(base)).data, want)
+    np.testing.assert_array_equal(T.gelu(T.Tensor(base.T)).data, want.T)
+    zero_d, zero_d_grad = value_and_grad(base[0, 0], upstream[0, 0])
+    assert np.shape(zero_d) == np.shape(zero_d_grad) == ()
+    assert zero_d == want[0, 0] and zero_d_grad == want_grad[0, 0]
+    assert T.gelu(T.Tensor(np.empty((0, 3)))).shape == (0, 3)
 
 
 def _exact_logistic(xs):
@@ -576,6 +580,26 @@ def test_ffn_memory_at_default_shape():
     assert peak <= 2 * hidden_bytes + slack
 
 
+def test_recorded_gelu_keeps_only_its_derivative():
+    """A grad-mode gelu node holds one input-sized array, the derivative: not its input."""
+    rng = np.random.default_rng(37)
+    w = T.Tensor(rng.normal(size=(160, 8, 128)), requires_grad=True)  # graph_conv's shape
+    slack = 1 << 16  # Tensor, closure and cell objects
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pre = w * 2.0  # an intermediate whose own node keeps no array of its size
+        ref = weakref.ref(pre.data)
+        out = T.gelu(pre)
+        del pre
+        held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert ref() is None
+    assert held <= w.data.nbytes + slack
+
+
 def test_grad_depthwise_causal_conv():
     x = randt(2, 10, 3)
     k = randt(2, 4, 3)
@@ -832,14 +856,25 @@ def test_only_tensors_a_gradient_flows_through_have_a_node(monkeypatch):
     assert made == []
 
 
-def test_no_grad_results_record_no_parents():
+def test_no_grad_results_record_no_parents(monkeypatch):
     x, w = randt(2, 3, grad=False), randt(3, 4)
+    slopes, real_gelu = [], T._gelu
+
+    def spy(a, slope):
+        slopes.append(slope is not None)
+        real_gelu(a, slope)
+
+    monkeypatch.setattr(T, "_gelu", spy)
     with T.no_grad():
         out = T.gelu(T.matmul(x, w))
         leaf = T.Tensor(np.ones(2), requires_grad=True)
     assert out.node is None
     assert leaf.requires_grad is True and w.requires_grad is True
+    constant = T.gelu(x)
+    assert slopes == [False, False]  # gelu takes no derivative no gradient will read
     np.testing.assert_array_equal(out.data, T.gelu(T.matmul(x, w)).data)
+    np.testing.assert_array_equal(constant.data, T.gelu(T.Tensor(x.data, requires_grad=True)).data)
+    assert slopes == [False, False, True, True]
 
 
 def test_no_grad_restored_after_raise_and_nesting():
